@@ -17,9 +17,7 @@ from .decoding import (
     SimReport,
     cross_check,
     gb_decode,
-    monomial_to_word,
     simulate,
-    word_to_monomial,
 )
 from .estimators import GroebnerDecoder, SyndromeTableDecoder
 from .groebner import (
@@ -93,7 +91,6 @@ __all__ = [
     "index_tuples",
     "is_groebner",
     "min_distance_bruteforce",
-    "monomial_to_word",
     "nn_decode",
     "normal_form",
     "parity_check_of",
@@ -106,5 +103,4 @@ __all__ = [
     "syndrome",
     "syndrome_decode",
     "weight_distribution",
-    "word_to_monomial",
 ]

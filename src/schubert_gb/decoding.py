@@ -22,16 +22,6 @@ DECODED = "decoded"
 TOO_MANY_ERRORS = "too_many_errors"
 
 
-def word_to_monomial(word: int) -> int:
-    """Support bijection word -> squarefree monomial (identity on masks)."""
-    return word
-
-
-def monomial_to_word(monomial: int) -> int:
-    """Inverse support bijection (identity on masks)."""
-    return monomial
-
-
 @dataclass(frozen=True)
 class DecodeOutcome:
     """Result of bounded-distance decoding.
@@ -61,17 +51,16 @@ def gb_decode(
     if mode not in ("bounded", "complete"):
         raise ValueError(f"unknown decode mode {mode!r}")
     w = check_word_mask(word, gb.n)
-    canonical = normal_form(word_to_monomial(w), gb)
+    canonical = normal_form(w, gb)
     nf_weight = weight(canonical)
     if mode == "bounded" and nf_weight > capability(gb):
         return DecodeOutcome(status=TOO_MANY_ERRORS, canonical=canonical, nf_weight=nf_weight)
-    error = monomial_to_word(canonical)
     return DecodeOutcome(
         status=DECODED,
         canonical=canonical,
         nf_weight=nf_weight,
-        error=error,
-        codeword=w ^ error,
+        error=canonical,
+        codeword=w ^ canonical,
     )
 
 

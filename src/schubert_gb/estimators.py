@@ -23,8 +23,9 @@ from .words import mask_from_bits, monomial_from_string, word_from_string
 BUCHBERGER_DEFAULT_MAX_VARS = 12
 
 
-class _ParamsMixin:
-    """get_params/set_params over the __init__ signature, as sklearn does."""
+class _EstimatorMixin:
+    """get_params/set_params over the __init__ signature, as sklearn does,
+    and ``score`` over ``predict``."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -46,6 +47,12 @@ class _ParamsMixin:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
+    def score(self, X, y) -> float:
+        """Fraction of rows of X decoded exactly to the rows of y."""
+        check_is_fitted(self, "code_")
+        sent = check_words_array(y, self.code_.n)
+        return float((self.predict(X) == sent).all(axis=1).mean())
+
 
 def _as_mask(word, n: int) -> int:
     """Accept a mask int, a binary/monomial string, or a 0/1 sequence."""
@@ -59,7 +66,7 @@ def _as_mask(word, n: int) -> int:
     return mask_from_bits(np.asarray(word).astype(np.int64))
 
 
-class GroebnerDecoder(_ParamsMixin):
+class GroebnerDecoder(_EstimatorMixin):
     """Bounded-distance decoder backed by a reduced Groebner basis.
 
     Parameters
@@ -133,13 +140,8 @@ class GroebnerDecoder(_ParamsMixin):
             out[r] = [(mask >> i) & 1 for i in range(self.code_.n)]
         return out
 
-    def score(self, X, y) -> float:
-        """Fraction of rows of X decoded exactly to the rows of y."""
-        sent = check_words_array(y, self.code_.n)
-        return float((self.predict(X) == sent).all(axis=1).mean())
 
-
-class SyndromeTableDecoder(_ParamsMixin):
+class SyndromeTableDecoder(_EstimatorMixin):
     """Classical syndrome decoder over the degrevlex coset-leader table.
 
     Complete decoding: every word is corrected by its coset leader.  Within
@@ -174,7 +176,3 @@ class SyndromeTableDecoder(_ParamsMixin):
             mask = syndrome_decode(mask_from_bits(row), self.table_, self.code_)
             out[r] = [(mask >> i) & 1 for i in range(self.code_.n)]
         return out
-
-    def score(self, X, y) -> float:
-        sent = check_words_array(y, self.code_.n)
-        return float((self.predict(X) == sent).all(axis=1).mean())

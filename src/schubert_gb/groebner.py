@@ -15,8 +15,13 @@ Two engines produce the reduced basis and must agree element-for-element:
   coset of the code, namely the degrevlex-minimal coset member; elements are
   read off as u - leader(coset(u)) over the minimal non-standard monomials u.
 
-The exponent-tuple operations (:func:`spoly`, :func:`reduce_poly`) are the
-slow, auditable counterparts used to cross-check the mask arithmetic.
+Every rewrite - Buchberger's pair reduction, interreduction, the Groebner
+test and :func:`normal_form` - runs through one kernel, :func:`_reduce`, and
+monomials are ordered by degrevlex keys computed directly on masks.  The
+exponent-tuple code (:func:`spoly`, :func:`reduce_poly`,
+:func:`degrevlex_compare`, :meth:`Binomial.exponent_pair` and the
+:func:`is_groebner` fallback for sets lacking field relations) is reference
+only: the slow, auditable counterpart used to cross-check the mask arithmetic.
 """
 
 from __future__ import annotations
@@ -158,8 +163,14 @@ def field_relation(i: int) -> Binomial:
     return Binomial(lead=1 << (i - 1), trail=0, kind="field")
 
 
-def _element_sort_key(b: Binomial, n: int) -> tuple:
-    return degrevlex_key_exponents(b.exponent_pair(n)[0])
+def _element_sort_key(b: Binomial) -> tuple[int, int]:
+    """Ascending degrevlex key of an element's lead.
+
+    Code leads have degree >= 2, so a field lead x_v^2 only ties in degree
+    with squarefree degree-2 leads; among those, reading x_v^2 as the mask
+    2 * 2^(v-1) keeps degrevlex's descending-integer order on masks.
+    """
+    return (2, -2 * b.lead) if b.kind == "field" else degrevlex_key(b.lead)
 
 
 @dataclass(frozen=True)
@@ -187,6 +198,12 @@ class ReducedGroebnerBasis:
     def _code_trails(self) -> np.ndarray:
         return np.array([b.trail for b in self.code_binomials], dtype=np.uint64)
 
+    @cached_property
+    def _capability(self) -> int:
+        if not self.code_binomials:
+            raise ValueError("capability undefined: basis has no code binomials")
+        return min(weight(b.lead) for b in self.code_binomials) - 1
+
     def as_pairs(self) -> list[BinomialPair]:
         """All elements as exponent-tuple pairs (reference representation)."""
         return [b.exponent_pair(self.n) for b in self.elements]
@@ -194,7 +211,7 @@ class ReducedGroebnerBasis:
 
 def _validated_basis(n: int, elements: Iterable[Binomial]) -> ReducedGroebnerBasis:
     """Order, then machine-check the reduced-basis invariants."""
-    elems = sorted(elements, key=lambda b: _element_sort_key(b, n))
+    elems = sorted(elements, key=_element_sort_key)
     fields = [b for b in elems if b.kind == "field"]
     codes = [b for b in elems if b.kind == "code"]
     if sorted(b.lead for b in fields) != [1 << i for i in range(n)] or any(
@@ -236,12 +253,16 @@ def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
 # Buchberger reference engine (mask arithmetic, eager field reduction)
 # ---------------------------------------------------------------------------
 
-def _squash_key(mask: int, square: int, n: int) -> tuple:
-    """Degrevlex key of mask * x_square^2 (square=0 for a plain mask)."""
-    exps = [(mask >> i) & 1 for i in range(n)]
-    if square:
-        exps[square.bit_length() - 1] += 2
-    return degrevlex_key_exponents(tuple(exps))
+def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
+    """Degrevlex key of mask * x_square^2 (square=0 for a plain mask).
+
+    Exponents stay below 4, so the exponent vector read as base-4 digits
+    (highest variable most significant) breaks degree ties as degrevlex does.
+    """
+    return (
+        mask.bit_count() + 2 * bool(square),
+        -(int(f"{mask:b}", 4) + 2 * square * square),
+    )
 
 
 def buchberger(
@@ -277,66 +298,52 @@ def buchberger(
         check_word_mask(pair[1], n)
 
     basis: list[tuple[int, int]] = []
+    leads = trails = np.zeros(0, dtype=np.uint64)
     pairs: list[tuple] = []  # (lcm degrevlex key, seq, i, j) with j=-v for field pairs
     seq = 0
 
-    def reduce_pair(a: int, b: int) -> tuple[int, int] | None:
-        while True:
-            if a == b:
-                return None
-            if degrevlex_key(a) < degrevlex_key(b):
-                a, b = b, a
-            hit = next((e for e in basis if e[0] & a == e[0]), None)
-            if hit is not None:
-                a ^= hit[0] ^ hit[1]
-                continue
-            hit = next((e for e in basis if e[0] & b == e[0]), None)
-            if hit is not None:
-                b ^= hit[0] ^ hit[1]
-                continue
-            return a, b
-
-    def push_pairs(idx: int) -> None:
-        nonlocal seq
-        lead = basis[idx][0]
+    def add_reduced(a: int, b: int) -> None:
+        """Append the oriented remainder of a - b unless it is zero; queue its pairs."""
+        nonlocal leads, trails, seq
+        a, b = _reduce(a, leads, trails), _reduce(b, leads, trails)
+        if a == b:
+            return
+        lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
+        idx = len(basis)
+        basis.append((lead, trail))
+        leads = np.append(leads, np.uint64(lead))
+        trails = np.append(trails, np.uint64(trail))
         for j in range(idx):
             other = basis[j][0]
             if lead & other:  # coprime-lead pairs are skipped outright
                 lcm = lead | other
-                heapq.heappush(pairs, (_squash_key(lcm, 0, n), seq, j, idx))
+                heapq.heappush(pairs, (_squash_key(lcm), seq, j, idx))
                 seq += 1
         rest = lead
         while rest:
             bit = rest & -rest
             # lcm with x_v^2 - 1 raises v's exponent from 1 to 2
             heapq.heappush(
-                pairs, (_squash_key(lead ^ bit, bit, n), seq, idx, -bit.bit_length())
+                pairs, (_squash_key(lead ^ bit, bit), seq, idx, -bit.bit_length())
             )
             seq += 1
             rest ^= bit
 
     for lead, trail in code_gens:
-        reduced = reduce_pair(lead, trail)
-        if reduced is not None:
-            basis.append(reduced)
-            push_pairs(len(basis) - 1)
+        add_reduced(lead, trail)
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         if j < 0:  # pair with the field relation of variable -j
             lead, trail = basis[i]
             bit = 1 << (-j - 1)
-            if not lead & bit:
-                continue
-            s = reduce_pair(lead ^ bit, trail ^ bit)
+            if lead & bit:
+                add_reduced(lead ^ bit, trail ^ bit)
         else:
             li, ti = basis[i]
             lj, tj = basis[j]
             lcm = li | lj
-            s = reduce_pair(lcm ^ li ^ ti, lcm ^ lj ^ tj)
-        if s is not None:
-            basis.append(s)
-            push_pairs(len(basis) - 1)
+            add_reduced(lcm ^ li ^ ti, lcm ^ lj ^ tj)
 
     return _interreduce(basis, n)
 
@@ -344,10 +351,10 @@ def buchberger(
 def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
     """Minimalize leads, reduce trails to normal form, sort, validate."""
     minimal: dict[int, int] = {}
-    leads = {lead for lead, _ in basis}
+    all_leads = {lead for lead, _ in basis}
     for lead, trail in basis:
         strictly_divisible = any(
-            other != lead and other & lead == other for other in leads
+            other != lead and other & lead == other for other in all_leads
         )
         if not strictly_divisible and lead not in minimal:
             minimal[lead] = trail
@@ -356,19 +363,14 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
             raise ValueError(
                 f"degenerate code: x{lead.bit_length()} is not a standard monomial"
             )
-    reduced: dict[int, int] = {}
-    for lead in sorted(minimal, key=degrevlex_key):
-        trail = minimal[lead]
-        changed = True
-        while changed:
-            changed = False
-            for other, other_trail in minimal.items():
-                if other != lead and other & trail == other:
-                    trail ^= other ^ other_trail
-                    changed = True
-                    break
-        reduced[lead] = trail
-    elements = [Binomial(lead, trail, "code") for lead, trail in reduced.items()]
+    # no lead divides its own trail (or anything below it), so every minimal
+    # lead can take part in reducing every trail
+    leads = np.array(list(minimal), dtype=np.uint64)
+    trails = np.array(list(minimal.values()), dtype=np.uint64)
+    elements = [
+        Binomial(lead, _reduce(trail, leads, trails), "code")
+        for lead, trail in minimal.items()
+    ]
     elements += [field_relation(i) for i in range(1, n + 1)]
     return _validated_basis(n, elements)
 
@@ -396,11 +398,11 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
         if not standard[1 << i]:
             raise ValueError(f"degenerate code: x{i + 1} is not a standard monomial")
 
-    extended = [
-        (leaders[(leaders >> i) & 1 == 0] | (1 << i)) for i in range(n)
-    ]
-    candidates = np.unique(np.concatenate(extended))
-    keep = ~standard[candidates]
+    extended = np.zeros(1 << n, dtype=bool)
+    for i in range(n):
+        extended[leaders | (1 << i)] = True
+    candidates = np.flatnonzero(extended & ~standard)
+    keep = np.ones(candidates.shape, dtype=bool)
     for j in range(n):
         bit = 1 << j
         has = (candidates & bit) != 0
@@ -438,23 +440,40 @@ def normal_form(
     and exists so tests can randomize the reduction path.
     """
     m = check_word_mask(monomial, gb.n)
-    leads, trails = gb._code_leads, gb._code_trails
-    if not leads.size:
-        return m
-    while True:
-        mm = np.uint64(m)
-        hits = np.flatnonzero((leads & mm) == leads)
-        if hits.size == 0:
-            return m
-        pick = hits[0] if selector is None else hits[selector(hits)]
-        m ^= int(leads[pick]) ^ int(trails[pick])
+    return _reduce(m, gb._code_leads, gb._code_trails, selector)
+
+
+def _reduce(
+    m: int,
+    leads: np.ndarray,
+    trails: np.ndarray,
+    selector: Callable[[np.ndarray], int] | None = None,
+) -> int:
+    """Rewrite m -> m XOR lead XOR trail while some lead divides m.
+
+    The one rewrite kernel.  Without a ``selector`` the first dividing lead
+    in array order is used, so the result is a deterministic function of m
+    even for a set that is not a Groebner basis; otherwise ``selector`` is
+    called once per rewrite with the indices of all dividing leads.
+    """
+    while leads.size:
+        outside = leads & ~np.uint64(m)  # zero exactly where the lead divides m
+        if selector is None:
+            pick = int(outside.argmin())
+            if outside[pick]:
+                return m
+        else:
+            hits = np.flatnonzero(outside == 0)
+            if not hits.size:
+                return m
+            pick = hits[selector(hits)]
+        m ^= leads.item(pick) ^ trails.item(pick)
+    return m
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:
     """Error-correcting capability: min lead degree over code binomials, - 1."""
-    if not gb.code_binomials:
-        raise ValueError("capability undefined: basis has no code binomials")
-    return min(weight(b.lead) for b in gb.code_binomials) - 1
+    return gb._capability
 
 
 def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
@@ -485,21 +504,7 @@ def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
     trails = np.array([c[1] for c in codes], dtype=np.uint64)
 
     def reduces_to_zero(a: int, b: int) -> bool:
-        while True:
-            if a == b:
-                return True
-            for t in (a, b):
-                tt = np.uint64(t)
-                hits = np.flatnonzero((leads & tt) == leads)
-                if hits.size:
-                    rewritten = t ^ int(leads[hits[0]]) ^ int(trails[hits[0]])
-                    if t == a:
-                        a = rewritten
-                    else:
-                        b = rewritten
-                    break
-            else:
-                return False
+        return _reduce(a, leads, trails) == _reduce(b, leads, trails)
 
     for i, (li, ti) in enumerate(codes):
         for lj, tj in codes[:i]:

@@ -195,9 +195,10 @@ class CosetLeaderTable:
 def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> CosetLeaderTable:
     """Scan all 2^n words and keep the degrevlex-minimal word per syndrome.
 
-    The scan sorts a composite (syndrome, weight, complemented word) key, so
-    the first entry of each syndrome block is the unique degrevlex minimum;
-    the result does not depend on scan order.
+    Each word gets the integer key (weight, complemented word), which orders
+    words exactly as degrevlex does; the per-syndrome minimum of that key,
+    taken in one unbuffered ``np.minimum.at`` pass, is the unique degrevlex
+    coset leader, so the result does not depend on scan order.
     """
     n, k = code.n, code.k
     guard_enumeration(1 << n, "coset leader table", limit)
@@ -205,15 +206,15 @@ def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> Cose
     if 2 * n + 7 > 64:
         raise ValueError(f"coset table scan supports n <= 28, got {n}")
     synd = _syndrome_of_all_words(code)
-    words = np.arange(1 << n, dtype=np.uint64)
-    wts = np.bitwise_count(words).astype(np.uint64)
     full = np.uint64((1 << n) - 1)
-    key = (wts << np.uint64(n)) | (words ^ full)
-    comp = (synd.astype(np.uint64) << np.uint64(n + 7)) | key
-    comp.sort()
-    firsts = comp[:: 1 << k] & np.uint64((1 << (n + 7)) - 1)
-    leaders = (~firsts & full).astype(np.uint64)
-    return CosetLeaderTable(leaders=leaders, n=n, k=k)
+    key = np.arange(1 << n, dtype=np.uint64)
+    weights = np.bitwise_count(key)
+    key ^= full
+    key |= np.left_shift(weights, np.uint64(n), dtype=np.uint64)
+    del weights
+    best = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(best, synd, key)
+    return CosetLeaderTable(leaders=(best & full) ^ full, n=n, k=k)
 
 
 def _syndrome_of_all_words(code: LinearCode) -> np.ndarray:

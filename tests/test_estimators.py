@@ -42,6 +42,11 @@ class TestEstimatorProtocol:
             GroebnerDecoder().predict(np.zeros((1, 7), dtype=int))
         with pytest.raises(NotFittedError):
             SyndromeTableDecoder().decode("0000000")
+        X = np.zeros((1, 7), dtype=int)
+        with pytest.raises(NotFittedError):
+            GroebnerDecoder().score(X, X)
+        with pytest.raises(NotFittedError):
+            SyndromeTableDecoder().score(X, X)
 
     def test_fit_returns_self(self):
         est = GroebnerDecoder()

@@ -21,7 +21,10 @@ from schubert_gb import (
 )
 from schubert_gb.fixtures import load_basis
 from schubert_gb.groebner import (
+    _element_sort_key,
+    _squash_key,
     _validated_basis,
+    degrevlex_key_exponents,
     exponents_from_mask,
     field_relation,
 )
@@ -297,11 +300,46 @@ class TestValidation:
             _validated_basis(4, elements)
 
     def test_elements_sorted_ascending(self, bases):
-        from schubert_gb.groebner import _element_sort_key
-
         for gb in bases.values():
-            keys = [_element_sort_key(b, gb.n) for b in gb.elements]
+            keys = [degrevlex_key_exponents(b.exponent_pair(gb.n)[0]) for b in gb.elements]
             assert keys == sorted(keys)
+
+
+class TestMaskOrderKeys:
+    """The mask keys order monomials exactly as the exponent-tuple key does."""
+
+    N = 8
+
+    @staticmethod
+    def _assert_same_order(items, key, reference):
+        by_key = sorted(items, key=key)
+        assert by_key == sorted(items, key=reference)
+        keys = [key(x) for x in by_key]
+        assert len(set(keys)) == len(keys)
+
+    def test_squash_key_exhaustive(self):
+        n = self.N
+        items = [(m, 0) for m in range(1 << n)]
+        items += [(m, 1 << v) for m in range(1 << n) for v in range(n)]
+
+        def reference(item):
+            mask, square = item
+            exps = list(exponents_from_mask(mask, n))
+            if square:
+                exps[square.bit_length() - 1] += 2
+            return degrevlex_key_exponents(tuple(exps))
+
+        self._assert_same_order(items, lambda item: _squash_key(*item), reference)
+
+    def test_element_sort_key_exhaustive(self):
+        n = self.N
+        items = [Binomial(m, 0, "code") for m in range(1 << n) if weight(m) >= 2]
+        items += [field_relation(i) for i in range(1, n + 1)]
+        self._assert_same_order(
+            items,
+            _element_sort_key,
+            lambda b: degrevlex_key_exponents(b.exponent_pair(n)[0]),
+        )
 
 
 class TestThirdEngineCrossCheck:

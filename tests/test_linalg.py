@@ -206,16 +206,22 @@ class TestCosetLeaders:
         s = syndrome(w, codes["1_4"])
         assert tables["1_4"].leader(s) == word_from_string("0001000")[0]
 
-    def test_leader_weight_profile(self, codes, tables):
-        # oracle: group all 2^7 words by syndrome in plain python
-        code = codes["1_4"]
-        groups: dict[int, list[int]] = {}
-        for w in range(1 << 7):
-            groups.setdefault(syndrome(w, code), []).append(w)
+    def test_leader_weight_profile(self, codes, tables, small_random_codes):
+        # oracle: group all 2^n words by syndrome in plain python
+        def oracle_leaders(code):
+            groups: dict[int, list[int]] = {}
+            for w in range(1 << code.n):
+                groups.setdefault(syndrome(w, code), []).append(w)
+            assert len(groups) == 1 << (code.n - code.k)
+            return {s: min(members, key=degrevlex_key) for s, members in groups.items()}
+
+        for code, table in [(codes["1_4"], tables["1_4"]), (codes["1_5"], tables["1_5"])] + [
+            (code, build_coset_leader_table(code)) for code in small_random_codes
+        ]:
+            for s, best in oracle_leaders(code).items():
+                assert table.leader(s) == best
         hist: dict[int, int] = {}
-        for s, members in groups.items():
-            best = min(members, key=degrevlex_key)
-            assert tables["1_4"].leader(s) == best
+        for best in oracle_leaders(codes["1_4"]).values():
             hist[weight(best)] = hist.get(weight(best), 0) + 1
         assert hist == {0: 1, 1: 7, 2: 7, 3: 1}
 
