@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Literal, NamedTuple
 import numpy as np
 
 from .linalg import LinearCode, build_coset_leader_table
-from .validation import EnumerationLimitError, check_word_mask
-from .words import degrevlex_key, support, weight
+from .validation import EnumerationLimitError, check_word_mask, guard_enumeration
+from .words import WORD_LIMIT, degrevlex_key, support, weight
 
 Monomial = tuple[int, ...]
 BinomialPair = tuple[Monomial, Monomial]
@@ -209,8 +209,32 @@ class ReducedGroebnerBasis:
         return [b.exponent_pair(self.n) for b in self.elements]
 
 
-def _validated_basis(n: int, elements: Iterable[Binomial]) -> ReducedGroebnerBasis:
-    """Order, then machine-check the reduced-basis invariants."""
+def _validated_basis(
+    n: int, elements: Iterable[Binomial], limit: int | None = None
+) -> ReducedGroebnerBasis:
+    """Order, then machine-check the reduced-basis invariants.
+
+    Besides the field relations and the per-element checks of
+    :func:`_check_element`, the code binomials must be reduced: no lead
+    divides another lead or any trail.  That is checked over the standard
+    monomials (those no lead divides) rather than lead against lead.  A lead
+    dividing a trail lies below that trail, and a lead strictly dividing
+    another lead L lies below some maximal proper divisor L ^ bit; so the
+    basis is reduced exactly when its leads are distinct and the down-closure
+    of all trails and all L ^ bit holds no lead (:func:`_leads_below`).  For
+    a genuine basis that closure consists of standard monomials, which are
+    closed under division and number one per coset, so the check visits at
+    most 2^(n-k) monomials, with about n word operations each plus a sort,
+    instead of O(N^2) work in the N code binomials.  Its expansions count
+    against the enumeration guard (``limit``) before they are made, so a
+    hostile basis ends in EnumerationLimitError, not an unbounded allocation.
+
+    The first element in ascending order that fails any check is named, with
+    its first failing check in the order range, degree, orientation,
+    reducedness.
+    """
+    if n > WORD_LIMIT:
+        raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
     elems = sorted(elements, key=_element_sort_key)
     fields = [b for b in elems if b.kind == "field"]
     codes = [b for b in elems if b.kind == "code"]
@@ -218,21 +242,86 @@ def _validated_basis(n: int, elements: Iterable[Binomial]) -> ReducedGroebnerBas
         b.trail for b in fields
     ):
         raise ValueError(f"basis must contain exactly the {n} field relations")
-    leads = np.array([b.lead for b in codes], dtype=np.uint64)
-    trails = np.array([b.trail for b in codes], dtype=np.uint64)
-    for b in codes:
-        check_word_mask(b.lead, n)
-        check_word_mask(b.trail, n)
-        if weight(b.lead) < 2:
-            raise ValueError(f"degenerate code: single-variable lead x{support(b.lead)}")
-        if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
-            raise ValueError(f"element not oriented lead > trail: {b}")
+    try:
+        leads = np.array([b.lead for b in codes], dtype=np.uint64)
+        trails = np.array([b.trail for b in codes], dtype=np.uint64)
+    except OverflowError:  # a mask below 0 or wider than 64 bits
+        for b in codes:
+            _check_element(b, n)
+        raise
+    lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
+    faulty = (
+        ((leads | trails) > np.uint64((1 << n) - 1))
+        | (lw < 2)
+        | (lw < tw)
+        | ((lw == tw) & (leads >= trails))  # degrevlex: equal degree, larger mask is smaller
+    )
+    ordered = np.sort(leads)
+    repeated = np.isin(leads, ordered[1:][ordered[1:] == ordered[:-1]])
+    try:
+        unreduced = repeated | np.isin(leads, _leads_below(ordered, leads, trails, limit))
+    except EnumerationLimitError:
+        if not (faulty | repeated).any():
+            raise
+        unreduced = repeated  # rejected either way; name what is known
+    rejected = faulty | unreduced
+    if rejected.any():
+        b = codes[int(rejected.argmax())]
+        _check_element(b, n)
         L = np.uint64(b.lead)
-        if int(((leads & L) == L).sum()) != 1:
+        if np.count_nonzero((leads & L) == L) != 1:
             raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
-        if bool(((trails & L) == L).any()):
-            raise ValueError(f"lead {b.lead:#x} divides a trail: basis not reduced")
+        raise ValueError(f"lead {b.lead:#x} divides a trail: basis not reduced")
     return ReducedGroebnerBasis(n=n, elements=tuple(elems))
+
+
+def _check_element(b: Binomial, n: int) -> None:
+    """Raise the first reason a code binomial is malformed, if it is."""
+    check_word_mask(b.lead, n)
+    check_word_mask(b.trail, n)
+    if weight(b.lead) < 2:
+        raise ValueError(f"degenerate code: single-variable lead x{support(b.lead)}")
+    if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
+        raise ValueError(f"element not oriented lead > trail: {b}")
+
+
+def _leads_below(
+    ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray, limit: int | None
+) -> np.ndarray:
+    """Leads of degree >= 2 that divide a trail or strictly divide another lead.
+
+    ``ordered`` is ``leads`` sorted.  Walks the down-closure of the trails
+    and of every lead ^ bit one weight layer at a time, heaviest first: each
+    layer is de-duplicated, looked up in the sorted leads, and expanded -
+    together with the leads of its weight - by clearing one set bit.  The
+    walk stops at degree 2.  Before each expansion the monomials visited so
+    far plus the words the expansion allocates go to the enumeration guard.
+    """
+    if not leads.size:
+        return leads
+    lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
+    children = np.zeros(0, dtype=np.uint64)
+    found, visited = [leads[:0]], 0
+    for w in range(int(max(lw.max(), tw.max())), 1, -1):
+        layer = np.concatenate((trails[tw == w], children))
+        layer.sort()
+        distinct = np.ones(layer.size, dtype=bool)
+        distinct[1:] = layer[1:] != layer[:-1]
+        layer = layer[distinct]
+        at = np.minimum(np.searchsorted(ordered, layer), ordered.size - 1)
+        found.append(layer[ordered[at] == layer])
+        visited += layer.size
+        if w > 2:
+            parents = np.concatenate((layer, leads[lw == w]))
+            guard_enumeration(visited + parents.size * w, "basis reducedness check", limit)
+            children = np.empty((w, parents.size), dtype=np.uint64)
+            rest = parents.copy()
+            for row in children:  # clear each of the w set bits in turn
+                low = rest & (~rest + np.uint64(1))
+                np.bitwise_xor(parents, low, out=row)
+                rest ^= low
+            children = children.ravel()
+    return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +508,7 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
         for lead, trail in zip(minimal_leads, trails)
     ]
     elements += [field_relation(i) for i in range(1, n + 1)]
-    return _validated_basis(n, elements)
+    return _validated_basis(n, elements, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,16 @@ def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> Cose
     Each word gets the integer key (weight, complemented word), which orders
     words exactly as degrevlex does; the per-syndrome minimum of that key,
     taken in one unbuffered ``np.minimum.at`` pass, is the unique degrevlex
-    coset leader, so the result does not depend on scan order.
+    coset leader, so the result does not depend on scan order.  The key
+    takes n bits plus the bits of the weight, and syndromes are uint32.
     """
     n, k = code.n, code.k
     guard_enumeration(1 << n, "coset leader table", limit)
     code._require_binary()
-    if 2 * n + 7 > 64:
-        raise ValueError(f"coset table scan supports n <= 28, got {n}")
+    if n + n.bit_length() > 64:
+        raise ValueError(f"coset table keys need n + {n.bit_length()} <= 64 bits, got n={n}")
+    if n - k > 32:
+        raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")
     synd = _syndrome_of_all_words(code)
     full = np.uint64((1 << n) - 1)
     key = np.arange(1 << n, dtype=np.uint64)

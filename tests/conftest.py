@@ -41,3 +41,15 @@ def tables(codes):
 @pytest.fixture(scope="session")
 def small_random_codes():
     return random_codes(count=8, seed=11)
+
+
+def wide_lead_basis_text() -> str:
+    """A pairwise-reduced 64-variable basis file whose leads have 40 variables.
+
+    Three overlapping leads, none dividing another, with trail 1: checking it
+    over the standard monomials would walk the 2^40 divisors of each lead.
+    """
+    lines = ["# n=64 order=degrevlex field=GF(2)"]
+    lines += ["*".join(f"x{i}" for i in range(s, s + 40)) + " - 1" for s in (1, 13, 25)]
+    lines += [f"x{i}^2 - 1" for i in range(1, 65)]
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,9 @@ from schubert_gb import fixtures as fixture_mod
 from schubert_gb.cli import main
 from schubert_gb.fixtures import FixtureMissingError, load_generator
 from schubert_gb.formats import parse_basis, parse_matrix
+from schubert_gb.validation import ENUM_ENV_VAR
+
+from conftest import wide_lead_basis_text
 
 
 def run(capsys, *argv):
@@ -159,6 +162,20 @@ class TestDecode:
             capsys, "decode", "--basis", basis_file("1_4"), "--word", "x9"
         )
         assert code == 2 and "error" in err
+
+    def test_wide_lead_basis_exit_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENUM_ENV_VAR, "20")
+        basis = tmp_path / "wide.txt"
+        basis.write_text(wide_lead_basis_text())
+        code, _, err = run(capsys, "decode", "--basis", str(basis), "--word", "x1")
+        assert code == 3 and "basis reducedness check" in err
+
+    def test_basis_wider_than_word_limit_exit_2(self, capsys, tmp_path):
+        basis = tmp_path / "n65.txt"
+        basis.write_text("# n=65 order=degrevlex field=GF(2)\n"
+                         + "".join(f"x{i}^2 - 1\n" for i in range(1, 66)))
+        code, _, err = run(capsys, "decode", "--basis", str(basis), "--word", "x1")
+        assert code == 2 and "word length 65 exceeds limit 64" in err
 
     @pytest.mark.parametrize("tag", ["1_4", "1_5", "2_3", "2_4"])
     def test_every_fixture_table_row_replays(self, capsys, basis_file, tag):

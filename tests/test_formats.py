@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,19 @@ class TestBasisFormat:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             parse_basis("x1^2 - 1\n")
+
+    def test_header_n_above_word_limit_rejected(self):
+        fields = "".join(f"x{i}^2 - 1\n" for i in range(1, 66))
+        with pytest.raises(ValueError, match="word length 65 exceeds limit 64"):
+            parse_basis("# n=65 order=degrevlex field=GF(2)\n" + fields)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds limit 64"):
+                parse_basis("# n=100000 order=degrevlex field=GF(2)\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before anything sized by n is built
 
     def test_other_orders_rejected(self):
         with pytest.raises(ValueError, match="degrevlex"):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -19,7 +20,8 @@ from schubert_gb import (
     reduce_poly,
     spoly,
 )
-from schubert_gb.fixtures import load_basis
+from schubert_gb.fixtures import load_basis, load_code
+from schubert_gb.formats import parse_element_lines
 from schubert_gb.groebner import (
     _element_sort_key,
     _squash_key,
@@ -29,9 +31,10 @@ from schubert_gb.groebner import (
     field_relation,
 )
 from schubert_gb.validation import EnumerationLimitError
-from schubert_gb.verify import coset_minimum
-from schubert_gb.words import mask_from_support, monomial_from_string, weight
+from schubert_gb.verify import coset_minimum, random_codes
+from schubert_gb.words import degrevlex_key, mask_from_support, monomial_from_string, weight
 
+from conftest import wide_lead_basis_text
 
 
 def exps(mon: str, n: int):
@@ -299,10 +302,126 @@ class TestValidation:
         with pytest.raises(ValueError, match="oriented"):
             _validated_basis(4, elements)
 
+    def test_rejects_lead_dividing_trail(self):
+        elements = [field_relation(i) for i in range(1, 6)]
+        elements += [
+            Binomial(mask_from_support([1, 2]), 0, "code"),
+            Binomial(mask_from_support([3, 4, 5]), mask_from_support([1, 2]), "code"),
+        ]
+        with pytest.raises(ValueError, match="lead 0x3 divides a trail: basis not reduced"):
+            _validated_basis(5, elements)
+
+    def test_rejects_duplicate_lead(self):
+        elements = [field_relation(i) for i in range(1, 4)]
+        elements += [
+            Binomial(mask_from_support([1, 2]), 0, "code"),
+            Binomial(mask_from_support([1, 2]), mask_from_support([3]), "code"),
+        ]
+        with pytest.raises(ValueError, match="lead 0x3 divides another lead: basis not reduced"):
+            _validated_basis(3, elements)
+
+    def test_per_element_checks_name_first_offender(self):
+        elements = [field_relation(i) for i in range(1, 5)]
+        elements += [
+            Binomial(mask_from_support([1, 2, 3]), mask_from_support([4]), "code"),
+            Binomial(mask_from_support([3, 4]), mask_from_support([1, 2]), "code"),
+            Binomial(mask_from_support([4]), 0, "code"),
+        ]
+        # ascending order puts x4 first, then x3*x4, then x1*x2*x3
+        with pytest.raises(ValueError, match=r"single-variable lead x\(4,\)"):
+            _validated_basis(4, elements)
+        with pytest.raises(ValueError, match="oriented.*lead=12, trail=3"):
+            _validated_basis(4, elements[:-1])
+        valid = elements[:5]  # the field relations and x1*x2*x3 - x4
+        for wide in (Binomial(1 << 70, 0, "code"), Binomial(0b11, -1, "code"),
+                     Binomial(1 << 10 | 1, 0, "code")):
+            with pytest.raises(ValueError, match="out of range for length 4"):
+                _validated_basis(4, valid + [wide])
+
+    def test_wide_leads_hit_the_guard(self):
+        n, elements = parse_element_lines(wide_lead_basis_text())
+        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+            _validated_basis(n, elements, limit=1 << 20)
+
+    def test_guard_yields_to_a_known_fault(self):
+        n, elements = parse_element_lines(wide_lead_basis_text())
+        misoriented = Binomial(mask_from_support([3, 4]), mask_from_support([1, 2]), "code")
+        with pytest.raises(ValueError, match="not oriented"):
+            _validated_basis(n, elements + [misoriented], limit=1 << 20)
+
+    def test_genuine_bases_pass_at_the_coset_table_limit(self, codes, small_random_codes):
+        for code in list(codes.values()) + small_random_codes:
+            limit = 1 << code.n  # the coset table's own guard count
+            assert coset_engine(code, limit=limit) == coset_engine(code)
+
+    def test_check_counts_against_limit(self, codes):
+        gb = coset_engine(codes["2_4"])
+        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+            _validated_basis(gb.n, gb.elements, limit=1000)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_closure_agrees_with_pairwise_rule(self, data):
+        gb = data.draw(st.sampled_from(_mutation_bases()))
+        n, codes = gb.n, list(gb.code_binomials)
+        mask = st.integers(0, (1 << n) - 1)
+        small = st.one_of(st.just(0), mask)
+        for _ in range(data.draw(st.integers(1, 2))):
+            i = data.draw(st.integers(0, len(codes) - 1))
+            j = data.draw(st.integers(0, len(codes) - 1))
+            lead, kind = codes[i].lead, data.draw(st.sampled_from(MUTATIONS))
+            if kind == "multiple":
+                codes.append(Binomial(lead | data.draw(mask), data.draw(small), "code"))
+            elif kind == "duplicate":
+                codes.append(Binomial(lead, codes[j].trail, "code"))
+            elif kind == "divisible_trail":
+                codes[j] = Binomial(codes[j].lead, lead | data.draw(small), "code")
+            else:
+                codes.append(Binomial(data.draw(mask), data.draw(mask), "code"))
+        fields = [field_relation(v) for v in range(1, n + 1)]
+        expected = pairwise_verdict(n, codes)
+        try:
+            _validated_basis(n, codes + fields)
+        except ValueError as exc:
+            assert expected is not None and expected in str(exc)
+        else:
+            assert expected is None
+
     def test_elements_sorted_ascending(self, bases):
         for gb in bases.values():
             keys = [degrevlex_key_exponents(b.exponent_pair(gb.n)[0]) for b in gb.elements]
             assert keys == sorted(keys)
+
+
+MUTATIONS = ("multiple", "duplicate", "divisible_trail", "random_pair")
+
+
+@functools.cache
+def _mutation_bases():
+    """Real bases to mutate: the two 7-bit fixtures and the 25 random codes."""
+    codes = [load_code("1_4"), load_code("2_3")] + random_codes()
+    return tuple(coset_engine(code) for code in codes)
+
+
+def pairwise_verdict(n, codes):
+    """Reference for _validated_basis's code-binomial checks: lead against lead.
+
+    Walks the elements in ascending order and returns the message fragment of
+    the first failing check (range, degree, orientation, reducedness), or None.
+    """
+    codes = sorted(codes, key=_element_sort_key)
+    for b in codes:
+        if not (0 <= b.lead < 1 << n and 0 <= b.trail < 1 << n):
+            return "out of range"
+        if weight(b.lead) < 2:
+            return "degenerate"
+        if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
+            return f"not oriented lead > trail: {b}"
+        if sum(other.lead & b.lead == b.lead for other in codes) != 1:
+            return f"lead {b.lead:#x} divides another lead"
+        if any(other.trail & b.lead == b.lead for other in codes):
+            return f"lead {b.lead:#x} divides a trail"
+    return None
 
 
 class TestMaskOrderKeys:

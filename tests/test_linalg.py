@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ class TestCosetLeaders:
         code = LinearCode.from_generator(A_1_4, 2)
         with pytest.raises(EnumerationLimitError):
             build_coset_leader_table(code, limit=16)
+
+    def test_width_limits_refused_before_scan(self):
+        # n - k = 33 overflows the uint32 syndromes; the raised limit admits 2^34 words
+        code = LinearCode.from_generator(np.ones((1, 34), dtype=int), 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"syndromes need n - k <= 32, got 33"):
+                build_coset_leader_table(code, limit=1 << 34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # no 2^n array was made
+        # n = 60 needs 60 + 6 key bits
+        G = np.hstack([np.eye(30, dtype=int), np.ones((30, 30), dtype=int)])
+        with pytest.raises(ValueError, match=r"keys need n \+ 6 <= 64 bits, got n=60"):
+            build_coset_leader_table(LinearCode.from_generator(G, 2), limit=1 << 60)
 
     def test_rebuild_is_identical(self, codes):
         a = build_coset_leader_table(codes["2_3"])
