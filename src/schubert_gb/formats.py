@@ -23,12 +23,14 @@ from .groebner import (
     _validated_basis,
 )
 from .validation import check_matrix
-from .words import support
+from .words import WORD_LIMIT, support
 
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
+# bit of each variable index as the writer spells it, for the plain-term path
+_VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 
 
 def format_matrix(matrix: np.ndarray, p: int) -> str:
@@ -81,6 +83,18 @@ def _parse_term(text: str) -> tuple[int, int | None]:
     text = text.strip()
     if text == "1":
         return 0, None
+    if text[:1] == "x":
+        # the writer's form x<i>*x<j>*...: the term is valid when every
+        # index is a known variable name and no bit repeats (a repeat carries)
+        names = text[1:].split("*x")
+        try:
+            mask = sum(map(_VAR_BITS.__getitem__, names))
+        except KeyError:
+            pass
+        else:
+            if mask.bit_count() == len(names):
+                return mask, None
+    # anything else is parsed factor by factor, which names the first fault
     mask = 0
     squared = None
     seen: set[int] = set()

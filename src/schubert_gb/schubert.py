@@ -6,6 +6,9 @@ with the standard flag C_i = span{e_1..e_{a_i}} a subspace lies in the
 Schubert variety of a = (a_1 < ... < a_l) exactly when its pivot tuple is
 componentwise <= a, which coincides with the vanishing of every Pluecker
 coordinate outside the lower Bruhat interval of a.
+
+Points are enumerated in blocks: stacks of basis matrices whose minors are
+all taken at once by batched elimination over GF(q).
 """
 
 from __future__ import annotations
@@ -112,62 +115,98 @@ def _admissible_pivots(spec: SchubertSpec) -> Iterator[IndexTuple]:
             yield piv
 
 
+# A block of points holds at most this many minor entries (C(m, l) l x l
+# minors per point; 8 MiB as int64), so the kernel's temporaries do not grow
+# with the point count.  The basis stack itself (l * m per point) is smaller.
+_BLOCK_ENTRIES = 1 << 20
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _block_size(l: int, m: int) -> int:
+    return max(1, _BLOCK_ENTRIES // (len(index_tuples(l, m)) * l * l))
+
+
 def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterator[np.ndarray]:
-    """Yield one echelon basis matrix per point of the Schubert variety.
+    """Yield the points of the Schubert variety as (N, l, m) stacks of
+    echelon basis matrices, N at most ``_block_size(l, m)``.
 
     Order: pivot tuples lexicographically ascending, then the free entries
     read row-major as a base-q integer, ascending (first free cell = most
-    significant digit).
+    significant digit).  A block never spans two pivot cells.
     """
     guard_enumeration(schubert_params(spec).n, "point enumeration", limit)
     l, m, q = spec.l, spec.m, spec.q
+    step = _block_size(l, m)
     for piv in _admissible_pivots(spec):
         free = [
-            (i, c) for i in range(l) for c in range(1, piv[i]) if c not in piv
+            (i, c - 1) for i in range(l) for c in range(1, piv[i]) if c not in piv
         ]
-        base = np.zeros((l, m), dtype=np.int64)
-        for i, p in enumerate(piv):
-            base[i, p - 1] = 1
-        for v in range(q ** len(free)):
-            A = base.copy()
-            rest = v
-            for (i, c) in reversed(free):
-                A[i, c - 1] = rest % q
-                rest //= q
+        total = q ** len(free)
+        for start in range(0, total, step):
+            v = np.arange(start, min(start + step, total), dtype=np.int64)
+            A = np.zeros((v.size, l, m), dtype=np.int64)
+            A[:, range(l), [p - 1 for p in piv]] = 1
+            for j, (i, c) in enumerate(free):
+                A[:, i, c] = v // q ** (len(free) - 1 - j) % q
             yield A
 
 
-def _det_mod(M: np.ndarray, q: int) -> int:
-    """Determinant of a square residue matrix mod q (cofactors up to 4x4)."""
-    size = M.shape[0]
-    if size == 1:
-        return int(M[0, 0]) % q
-    if size <= 4:
-        det = 0
-        sign = 1
-        rest = np.arange(1, size)
-        for j in range(size):
-            cols = [c for c in range(size) if c != j]
-            det += sign * int(M[0, j]) * _det_mod(M[np.ix_(rest, cols)], q)
-            sign = -sign
-        return det % q
-    # fraction-free style elimination over the prime field
-    A = M.astype(np.int64) % q
-    det = 1
-    for c in range(size):
-        nz = np.nonzero(A[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pr = c + nz[0]
-        if pr != c:
-            A[[c, pr]] = A[[pr, c]]
-            det = -det
-        det = det * int(A[c, c]) % q
-        inv = pow(int(A[c, c]), -1, q)
-        for i in range(c + 1, size):
-            if A[i, c]:
-                A[i] = (A[i] - A[i, c] * inv % q * A[c]) % q
-    return det % q
+def _inv_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise a^(q-2) mod q: the inverse of every nonzero residue."""
+    out = np.ones_like(a)
+    base = a % q
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _det_mod_batch(M: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod q of an (s, s, K) stack of K residue matrices.
+
+    Gaussian elimination over GF(q) on all K matrices at once, the matrix
+    index last so every step runs over contiguous length-K vectors.  A zero
+    pivot is repaired by adding the first lower row with a nonzero entry in
+    that column, which leaves the determinant unchanged; a matrix with no
+    such row keeps its zero pivot and gets determinant 0.
+    """
+    A = M.copy()
+    s = A.shape[0]
+    det = np.ones(A.shape[2], dtype=A.dtype)
+    for c in range(s):
+        for r in range(c + 1, s):
+            fix = (A[c, c] == 0) & (A[r, c] != 0)
+            if fix.any():
+                A[c, c:] = (A[c, c:] + A[r, c:] * fix) % q
+        pivot = A[c, c]
+        det = det * pivot % q
+        factor = A[c + 1:, c] * _inv_mod(pivot, q) % q
+        A[c + 1:, c + 1:] = (A[c + 1:, c + 1:] - factor[:, None] * A[c, c + 1:]) % q
+    return det
+
+
+def _plucker_rows(bases: np.ndarray, q: int) -> np.ndarray:
+    """(N, C(m, l)) Pluecker coordinates of an (N, l, m) stack of residue bases.
+
+    Minors in lexicographic tuple order, each row scaled so its first nonzero
+    coordinate is 1.  Residues whose products overflow int64 are computed
+    with Python integers (object dtype), so the result is exact for every q.
+    """
+    N, l, m = bases.shape
+    if (q - 1) ** 2 > _INT64_MAX:
+        bases = bases.astype(object)
+    cols = np.array(index_tuples(l, m)) - 1
+    # minors[i, j, t, n] = bases[n, i, cols[t, j]]
+    minors = bases.transpose(1, 2, 0)[:, cols.T]
+    coords = _det_mod_batch(minors.reshape(l, l, -1), q).reshape(len(cols), N).T
+    nonzero = coords != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("not a basis")
+    first = coords[np.arange(N), nonzero.argmax(axis=1)]
+    return coords * _inv_mod(first, q)[:, None] % q
 
 
 def plucker(basis: np.ndarray, q: int) -> tuple[int, ...]:
@@ -177,16 +216,27 @@ def plucker(basis: np.ndarray, q: int) -> tuple[int, ...]:
     first nonzero coordinate is 1.  Raises when the rows are dependent.
     """
     B = check_matrix(basis, q)
-    l, m = B.shape
-    coords = [
-        _det_mod(B[:, [c - 1 for c in cols]], q)
-        for cols in index_tuples(l, m)
-    ]
-    first = next((c for c in coords if c), None)
-    if first is None:
-        raise ValueError("not a basis")
-    inv = pow(first, -1, q)
-    return tuple(c * inv % q for c in coords)
+    return tuple(_plucker_rows(B[None], q)[0].tolist())
+
+
+def _below_alpha(spec: SchubertSpec) -> np.ndarray:
+    """Boolean mask over the index tuples: True where tuple <= alpha."""
+    return np.array([bruhat_leq(t, spec.alpha) for t in index_tuples(spec.l, spec.m)])
+
+
+def _point_blocks(spec: SchubertSpec, limit: int | None) -> Iterator[np.ndarray]:
+    """Pluecker coordinate blocks of all points, in enumeration order.
+
+    Every block is checked to vanish outside the lower Bruhat interval of
+    alpha.
+    """
+    outside = ~_below_alpha(spec)
+    for bases in enumerate_cell_bases(spec, limit):
+        coords = _plucker_rows(bases, spec.q)
+        if coords[:, outside].any():
+            raise AssertionError("construction violated variety invariants: "
+                                 "nonzero coordinate outside alpha")
+        yield coords
 
 
 def enumerate_schubert_points(
@@ -197,30 +247,20 @@ def enumerate_schubert_points(
     Every emitted vector vanishes outside the lower Bruhat interval of alpha;
     this is asserted for each point.
     """
-    tuples = index_tuples(spec.l, spec.m)
-    outside = [i for i, t in enumerate(tuples) if not bruhat_leq(t, spec.alpha)]
-    points = []
-    for A in enumerate_cell_bases(spec, limit):
-        vec = plucker(A, spec.q)
-        if any(vec[i] for i in outside):
-            raise AssertionError("construction violated variety invariants: "
-                                 "nonzero coordinate outside alpha")
-        points.append(vec)
-    return points
+    return [pt for coords in _point_blocks(spec, limit) for pt in map(tuple, coords.tolist())]
 
 
 def schubert_points_by_plucker_filter(
     spec: SchubertSpec, limit: int | None = None
 ) -> list[tuple[int, ...]]:
     """Independent route: filter the full Grassmannian by coordinate vanishing."""
-    tuples = index_tuples(spec.l, spec.m)
-    outside = [i for i, t in enumerate(tuples) if not bruhat_leq(t, spec.alpha)]
+    outside = ~_below_alpha(spec)
     full = SchubertSpec.grassmann(spec.l, spec.m, spec.q)
     return [
-        vec
-        for A in enumerate_cell_bases(full, limit)
-        for vec in (plucker(A, spec.q),)
-        if not any(vec[i] for i in outside)
+        pt
+        for bases in enumerate_cell_bases(full, limit)
+        for coords in (_plucker_rows(bases, spec.q),)
+        for pt in map(tuple, coords[~coords[:, outside].any(axis=1)].tolist())
     ]
 
 
@@ -233,12 +273,12 @@ def generator_matrix(spec: SchubertSpec, limit: int | None = None) -> np.ndarray
     """
     from .linalg import rank  # local import keeps module dependencies one-way
 
-    tuples = index_tuples(spec.l, spec.m)
-    keep = [i for i, t in enumerate(tuples) if bruhat_leq(t, spec.alpha)]
-    points = enumerate_schubert_points(spec, limit)
-    G = np.array([[pt[i] for pt in points] for i in keep], dtype=np.int64)
-    if not all(pt_col.any() for pt_col in G.T):
+    keep = _below_alpha(spec)
+    G = np.concatenate(
+        [coords[:, keep].T.astype(np.int64) for coords in _point_blocks(spec, limit)], axis=1
+    )
+    if not G.any(axis=0).all():
         raise AssertionError("construction violated code invariants: zero column")
-    if rank(G, spec.q) != len(keep):
+    if rank(G, spec.q) != int(keep.sum()):
         raise AssertionError("construction violated code invariants: rank defect")
     return G

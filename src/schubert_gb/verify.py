@@ -17,6 +17,7 @@ Every check emits one PASS/FAIL line through ``echo``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -167,6 +168,8 @@ def run_checks(
     codes = {tag: fixtures.load_code(tag) for tag in fixtures.TAGS}
     needs_bases = any(map(run.wants, ("gb", "capability", "decode", "nf", "simulate")))
     bases = _reference_bases(codes) if needs_bases else {}
+    # built on first use and shared by the gb, capability and nf sections
+    seeded_codes = functools.cache(random_codes)
 
     if run.wants("integrity"):
         stale = fixtures.verify_checksums()
@@ -234,7 +237,7 @@ def run_checks(
                 f"engine={len(basis.code_binomials)} oracle={oracle}",
             )
         mismatches = []
-        for i, code in enumerate(random_codes()):
+        for i, code in enumerate(seeded_codes()):
             if buchberger(ideal_generators(code)) != coset_engine(code):
                 mismatches.append(i)
         run.check(
@@ -251,7 +254,7 @@ def run_checks(
             )
         bad = [
             i
-            for i, code in enumerate(random_codes())
+            for i, code in enumerate(seeded_codes())
             if capability(coset_engine(code))
             != (min_distance_bruteforce(code) - 1) // 2
         ]
@@ -283,7 +286,7 @@ def run_checks(
         targets = [(f"c_{tag}", codes[tag], bases[tag]) for tag in ("1_4", "2_3")]
         targets += [
             (f"random_{i}", code, coset_engine(code))
-            for i, code in enumerate(random_codes())
+            for i, code in enumerate(seeded_codes())
         ]
         bad = []
         for name, code, basis in targets:

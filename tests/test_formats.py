@@ -13,6 +13,7 @@ from schubert_gb.formats import (
     parse_matrix,
 )
 from schubert_gb.fixtures import load_basis, load_spot_elements
+from schubert_gb.groebner import Binomial
 
 from conftest import A_1_4
 
@@ -106,6 +107,46 @@ class TestBasisFormat:
             parse_element_lines("x1*x2\n")
         with pytest.raises(ValueError, match="exponent"):
             parse_element_lines("x1^3 - 1\n")
+
+    # each malformed term and its exact message; the first faulty factor from
+    # the left decides, and within one factor: bad factor, repeated
+    # variable, then exponent; mixing squared and plain is checked last
+    @pytest.mark.parametrize("term,message", [
+        ("x1*y2", "bad term factor 'y2'"),
+        ("x1**x2", "bad term factor ''"),
+        ("x", "bad term factor 'x'"),
+        ("x1 * x2^", "bad term factor ' x2^'"),
+        ("x1*x3*x1", "repeated variable x1 in term 'x1*x3*x1'"),
+        ("x2^2*x2", "repeated variable x2 in term 'x2^2*x2'"),
+        ("x1*x01", "repeated variable x1 in term 'x1*x01'"),
+        ("x1^2*x2^2", "more than one squared variable in 'x1^2*x2^2'"),
+        ("x1^2*x2", "mixed squared and plain factors in 'x1^2*x2'"),
+        ("x3*x1^2", "mixed squared and plain factors in 'x3*x1^2'"),
+        ("x1^3", "unsupported exponent 3 in 'x1^3'"),
+        ("x1^0", "unsupported exponent 0 in 'x1^0'"),
+        # precedence: the leftmost fault wins over later ones of any kind
+        ("x1^3*y2", "unsupported exponent 3 in 'x1^3*y2'"),
+        ("y2*x1^3", "bad term factor 'y2'"),
+        ("x1*x1^3", "repeated variable x1 in term 'x1*x1^3'"),
+        ("x1^2*x2^2*x3", "more than one squared variable in 'x1^2*x2^2*x3'"),
+        ("x1^2*x2*x2", "repeated variable x2 in term 'x1^2*x2*x2'"),
+        ("x1^2*x2*x4^5", "unsupported exponent 5 in 'x1^2*x2*x4^5'"),
+    ])
+    def test_malformed_term_messages(self, term, message):
+        with pytest.raises(ValueError) as err:
+            parse_element_lines(f"{term} - 1\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("term,mask", [
+        ("x1*x2*x5", 0b10011),
+        (" x1 * x3 ", 0b101),
+        ("x01*x2", 0b11),
+        ("x2^1", 0b10),
+        ("x64*x1", (1 << 63) | 1),
+        ("x65", 1 << 64),  # parses; range is checked with the header's n
+    ])
+    def test_plain_term_masks(self, term, mask):
+        assert parse_element_lines(f"{term} - 1\n")[1] == [Binomial(mask, 0, "code")]
 
     def test_spot_fixture_files_parse(self):
         for tag in ("1_5", "2_4"):

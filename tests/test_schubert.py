@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,106 @@ from schubert_gb import (
     index_tuples,
     min_distance_bruteforce,
     plucker,
+    schubert,
     schubert_params,
 )
 from schubert_gb.fixtures import TAGS, expected_params, load_generator
-from schubert_gb.schubert import enumerate_cell_bases, schubert_points_by_plucker_filter
+from schubert_gb.linalg import rank
+from schubert_gb.schubert import (
+    _det_mod_batch,
+    _plucker_rows,
+    enumerate_cell_bases,
+    schubert_points_by_plucker_filter,
+)
 from schubert_gb.validation import EnumerationLimitError
+
+# smallest prime above 2^32: products of two residues overflow int64
+LARGE_PRIME = 4294967311
+
+
+def det_mod_reference(M, q):
+    """Reference determinant mod q: cofactors up to 4x4, row elimination above.
+
+    The per-matrix route the batched kernel replaced; exact for any q up to
+    4x4, since the cofactor sum is taken in Python integers.
+    """
+    size = M.shape[0]
+    if size == 1:
+        return int(M[0, 0]) % q
+    if size <= 4:
+        det = 0
+        sign = 1
+        rest = np.arange(1, size)
+        for j in range(size):
+            cols = [c for c in range(size) if c != j]
+            det += sign * int(M[0, j]) * det_mod_reference(M[np.ix_(rest, cols)], q)
+            sign = -sign
+        return det % q
+    A = M.astype(np.int64) % q
+    det = 1
+    for c in range(size):
+        nz = np.nonzero(A[c:, c])[0]
+        if nz.size == 0:
+            return 0
+        pr = c + nz[0]
+        if pr != c:
+            A[[c, pr]] = A[[pr, c]]
+            det = -det
+        det = det * int(A[c, c]) % q
+        inv = pow(int(A[c, c]), -1, q)
+        for i in range(c + 1, size):
+            if A[i, c]:
+                A[i] = (A[i] - A[i, c] * inv % q * A[c]) % q
+    return det % q
+
+
+def plucker_reference(B, q):
+    """Reference Pluecker vector: one reference determinant per index tuple."""
+    l, m = B.shape
+    coords = [det_mod_reference(B[:, [c - 1 for c in cols]], q) for cols in index_tuples(l, m)]
+    first = next((c for c in coords if c), None)
+    if first is None:
+        raise ValueError("not a basis")
+    inv = pow(first, -1, q)
+    return tuple(c * inv % q for c in coords)
+
+
+def random_stack(rng, count, rows, cols, q):
+    """Random residue matrices, a third of them made rank-deficient by
+    overwriting the last row with a combination of the others."""
+    S = rng.integers(0, q, size=(count, rows, cols))
+    if rows > 1:
+        dep = rng.random(count) < 1 / 3
+        coef = rng.integers(0, q, size=(int(dep.sum()), rows - 1))
+        S[dep, -1] = np.einsum("ki,kij->kj", coef, S[dep, :-1]) % q
+    return S
+
+
+def cell_bases_reference(spec):
+    """One basis per point, in the documented order: pivot tuples ascending,
+    then the free entries (row-major) counting up as a base-q integer."""
+    l, m, q = spec.l, spec.m, spec.q
+    for piv in index_tuples(l, m):
+        if not bruhat_leq(piv, spec.alpha):
+            continue
+        free = [(i, c - 1) for i in range(l) for c in range(1, piv[i]) if c not in piv]
+        for values in itertools.product(range(q), repeat=len(free)):
+            A = np.zeros((l, m), dtype=np.int64)
+            A[range(l), [p - 1 for p in piv]] = 1
+            for (i, c), v in zip(free, values):
+                A[i, c] = v
+            yield A
+
+
+def traced_peak(fn):
+    """(result, current bytes, peak bytes) of one call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current, peak
 
 
 def spec_for(tag):
@@ -59,7 +156,7 @@ class TestBruhat:
 
 class TestGaussianBinomial:
     def test_against_cell_enumeration(self):
-        count = sum(1 for _ in enumerate_cell_bases(SchubertSpec.grassmann(2, 5, 2)))
+        count = sum(len(block) for block in enumerate_cell_bases(SchubertSpec.grassmann(2, 5, 2)))
         assert gaussian_binomial(5, 2, 2) == count == 155
 
     @pytest.mark.parametrize("m,q", [(3, 2), (4, 2), (4, 3), (5, 3)])
@@ -134,6 +231,76 @@ class TestPlucker:
         vec = plucker(basis, 3)
         assert vec[0] == 1  # 4 = 1 mod 3, scaled to leading 1
 
+    def test_entries_validated(self):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            plucker(np.array([[1, 3, 0], [0, 1, 1]]), 3)
+        with pytest.raises(ValueError, match="prime"):
+            plucker(np.array([[1, 0, 0], [0, 1, 1]]), 4)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_determinants_match_reference(self, size, q):
+        rng = np.random.default_rng(1000 * size + q)
+        S = random_stack(rng, 300, size, size, q)
+        got = _det_mod_batch(S.transpose(1, 2, 0), q)
+        want = [det_mod_reference(M, q) for M in S]
+        assert got.tolist() == want
+        if size > 1:
+            assert 0 in want  # singular matrices were exercised
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_plucker_rows_match_reference(self, l, q):
+        rng = np.random.default_rng(100 * l + q)
+        m = l + 2
+        S = rng.integers(0, q, size=(60, l, m))
+        full = [B for B in S if rank(B, q) == l]
+        got = _plucker_rows(np.array(full), q)
+        assert [tuple(row) for row in got.tolist()] == [plucker_reference(B, q) for B in full]
+        assert all(plucker(B, q) == plucker_reference(B, q) for B in full[:5])
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_dependent_rows_in_a_stack_raise(self, q):
+        good = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        bad = good.copy()
+        bad[2] = (good[0] + (q - 1) * good[1]) % q
+        with pytest.raises(ValueError, match="not a basis"):
+            _plucker_rows(np.stack([good, good, bad, good]), q)
+        with pytest.raises(ValueError, match="not a basis"):
+            plucker(bad, q)
+        with pytest.raises(ValueError, match="not a basis"):
+            plucker(np.zeros((2, 4), dtype=int), q)
+
+    @pytest.mark.parametrize("l,m", [(1, 3), (2, 4), (3, 5), (4, 5)])
+    def test_large_prime_is_exact(self, l, m):
+        q = LARGE_PRIME
+        assert (q - 1) ** 2 > np.iinfo(np.int64).max
+        rng = np.random.default_rng(l * m)
+        for _ in range(5):
+            B = rng.integers(q - 1000, q, size=(l, m), dtype=np.int64)
+            assert plucker(B, q) == plucker_reference(B, q)
+        # a dependent basis still raises at this q
+        B = np.array([[q - 1] * m] * l) if l > 1 else np.zeros((1, m), dtype=np.int64)
+        with pytest.raises(ValueError, match="not a basis"):
+            plucker(B, q)
+
+    def test_huge_field_allocates_nothing_of_size_q(self):
+        spec = SchubertSpec(l=2, m=2, q=1000000007, alpha=(1, 2))
+
+        def run():
+            return (
+                enumerate_schubert_points(spec),
+                schubert_points_by_plucker_filter(spec),
+                generator_matrix(spec),
+            )
+
+        (pts, filtered, G), _, peak = traced_peak(run)
+        assert pts == filtered == [(1,)]
+        assert G.tolist() == [[1]]
+        assert peak < 1 << 20
+
 
 class TestPointEnumeration:
     def test_truncated_coordinates_cover_nonzero_vectors(self):
@@ -173,6 +340,46 @@ class TestPointEnumeration:
         with pytest.raises(EnumerationLimitError):
             enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2), limit=100)
 
+    def test_point_outside_alpha_is_caught(self, monkeypatch):
+        # feed the pivot route one basis whose pivots (4, 5) exceed alpha
+        stray = np.zeros((1, 2, 5), dtype=np.int64)
+        stray[0, 0, 3] = stray[0, 1, 4] = 1
+        monkeypatch.setattr(schubert, "enumerate_cell_bases", lambda spec, limit: iter([stray]))
+        with pytest.raises(AssertionError, match="outside alpha"):
+            enumerate_schubert_points(spec_for("1_4"))
+        with pytest.raises(AssertionError, match="outside alpha"):
+            generator_matrix(spec_for("1_4"))
+
+    def test_guard_runs_before_any_stack(self):
+        def run():
+            with pytest.raises(EnumerationLimitError):
+                enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2), limit=100)
+
+        _, _, peak = traced_peak(run)
+        assert peak < 1 << 20
+
+    def test_blocks_bound_temporary_memory(self):
+        # G(3,8,2): 97,155 points with 56 minors of size 3x3 each.  Gathered
+        # at once the minors alone would take 97,155 * 56 * 9 * 8 B ~ 390 MB.
+        # A block holds at most 2^20 minor entries (8 MiB as int64), and the
+        # elimination keeps a copy and a few update temporaries of that size,
+        # so memory beyond the returned list stays under 6 * 8 MiB.
+        spec = SchubertSpec.grassmann(3, 8, 2)
+        points, retained, peak = traced_peak(lambda: enumerate_schubert_points(spec))
+        assert len(points) == gaussian_binomial(8, 3, 2) == 97155
+        assert peak - retained < 48 << 20
+
+    def test_blocks_split_large_cells_in_order(self, monkeypatch):
+        # G(2,5,3) at 2 * 2 * C(5,2) = 40 minor entries per point: a 400-entry
+        # budget makes 10-point blocks, so its 3^6-point cell spans many
+        spec = SchubertSpec.grassmann(2, 5, 3)
+        whole = enumerate_schubert_points(spec)
+        monkeypatch.setattr(schubert, "_BLOCK_ENTRIES", 400)
+        blocks = list(enumerate_cell_bases(spec))
+        assert max(map(len, blocks)) == 10 and len(blocks) > 3**6 // 10
+        assert np.array_equal(np.concatenate(blocks), np.array(list(cell_bases_reference(spec))))
+        assert enumerate_schubert_points(spec) == whole
+
 
 class TestGeneratorMatrix:
     @pytest.mark.parametrize("tag", TAGS)
@@ -187,6 +394,21 @@ class TestGeneratorMatrix:
         v = expected_params()[tag]
         code = LinearCode.from_generator(generator_matrix(spec_for(tag)), 2)
         assert min_distance_bruteforce(code) == v["q"] ** v["delta"]
+
+    @pytest.mark.parametrize("tag,want", [
+        ("1_4", "93bed04d6a60a8d41e182da97cad4e3b830f126675903b03fb171ded88246a30"),
+        ("1_5", "fa027b1236cc15c9fc9f770f550db885e12a8b7b6ef816f3a4a9fd127f8ee361"),
+        ("2_3", "6f36b5c23ab943529a7f3180bdbeb822ad6034cf8bd20a0407a0dc5febced415"),
+        ("2_4", "853efb936afe304e16df2543f5554b43bf7bfe73896164769ca57cdb0625b736"),
+        ("2_6_2_1_6", "e723727d6b948cdac94bde872239da10e5ba3dc83fcfa1d83dffc5ce1deefb10"),
+    ])
+    def test_column_order_pinned(self, tag, want):
+        # columns follow the point enumeration order; punctured codes built
+        # by position (the [31,5,16] ladder) depend on it, not just the multiset
+        spec = SchubertSpec(2, 6, 2, (1, 6)) if tag == "2_6_2_1_6" else spec_for(tag)
+        G = generator_matrix(spec)
+        assert G.dtype == np.int64
+        assert hashlib.sha256(G.tobytes()).hexdigest() == want
 
     def test_shape_matches_params(self):
         spec = SchubertSpec(l=2, m=4, q=3, alpha=(2, 4))
