@@ -79,7 +79,8 @@ class GroebnerDecoder(_EstimatorMixin):
         'bounded' refuses words beyond the guarantee radius; 'complete'
         always decodes to the coset leader.
     max_buchberger_vars : guard for the reference engine.
-    limit : optional enumeration-guard override (word count).
+    limit : optional enumeration-guard override; the coset engine counts the
+        2^(n-k) cosets against it.
 
     Attributes (after fit)
     ----------------------
@@ -146,6 +147,11 @@ class SyndromeTableDecoder(_EstimatorMixin):
 
     Complete decoding: every word is corrected by its coset leader.  Within
     the guarantee radius it agrees with :class:`GroebnerDecoder`.
+
+    Parameters
+    ----------
+    limit : optional enumeration-guard override; the table counts the
+        2^(n-k) cosets against it.
     """
 
     def __init__(self, limit: int | None = None):

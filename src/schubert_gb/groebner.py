@@ -14,6 +14,9 @@ Two engines produce the reduced basis and must agree element-for-element:
 * :func:`coset_engine` - the quotient algebra has one standard monomial per
   coset of the code, namely the degrevlex-minimal coset member; elements are
   read off as u - leader(coset(u)) over the minimal non-standard monomials u.
+  One layered walk over the 2^(n-k) cosets yields both the leaders and those
+  u (:func:`~schubert_gb.linalg._coset_walk`), so no array spans all 2^n
+  words, and the enumeration guard counts cosets.
 
 Every rewrite - Buchberger's pair reduction, interreduction, the Groebner
 test and :func:`normal_form` - runs through one kernel, :func:`_reduce`, and
@@ -33,8 +36,8 @@ from typing import Callable, Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from .linalg import LinearCode, build_coset_leader_table
-from .validation import EnumerationLimitError, check_word_mask, guard_enumeration
+from .linalg import _SLICE_WORDS, LinearCode, _coset_walk
+from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
 from .words import WORD_LIMIT, degrevlex_key, support, weight
 
 Monomial = tuple[int, ...]
@@ -225,9 +228,11 @@ def _validated_basis(
     a genuine basis that closure consists of standard monomials, which are
     closed under division and number one per coset, so the check visits at
     most 2^(n-k) monomials, with about n word operations each plus a sort,
-    instead of O(N^2) work in the N code binomials.  Its expansions count
-    against the enumeration guard (``limit``) before they are made, so a
-    hostile basis ends in EnumerationLimitError, not an unbounded allocation.
+    instead of O(N^2) work in the N code binomials.  The distinct monomials
+    it visits count against the enumeration guard (``limit``), so a genuine
+    basis passes wherever its coset table does, and the words it holds stay
+    within a small multiple of the guard, so a hostile basis ends in
+    EnumerationLimitError, not an unbounded allocation.
 
     The first element in ascending order that fails any check is named, with
     its first failing check in the order range, degree, orientation,
@@ -291,37 +296,81 @@ def _leads_below(
     """Leads of degree >= 2 that divide a trail or strictly divide another lead.
 
     ``ordered`` is ``leads`` sorted.  Walks the down-closure of the trails
-    and of every lead ^ bit one weight layer at a time, heaviest first: each
-    layer is de-duplicated, looked up in the sorted leads, and expanded -
-    together with the leads of its weight - by clearing one set bit.  The
-    walk stops at degree 2.  Before each expansion the monomials visited so
-    far plus the words the expansion allocates go to the enumeration guard.
+    and of every lead ^ bit one weight layer at a time, heaviest first: the
+    leads are looked up in each layer of distinct monomials, which is
+    expanded - together with the leads of its weight - by clearing one set
+    bit (:func:`_next_layer`).  The walk stops at degree 2.  The guard counts
+    the distinct monomials visited.
     """
     if not leads.size:
         return leads
     lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
-    children = np.zeros(0, dtype=np.uint64)
+    top = int(max(lw.max(), tw.max()))
+    layer = _next_layer((), top + 1, trails[tw == top], 0, limit)
     found, visited = [leads[:0]], 0
-    for w in range(int(max(lw.max(), tw.max())), 1, -1):
-        layer = np.concatenate((trails[tw == w], children))
-        layer.sort()
-        distinct = np.ones(layer.size, dtype=bool)
-        distinct[1:] = layer[1:] != layer[:-1]
-        layer = layer[distinct]
-        at = np.minimum(np.searchsorted(ordered, layer), ordered.size - 1)
-        found.append(layer[ordered[at] == layer])
+    for w in range(top, 1, -1):
+        if layer.size:  # look the leads up in the layer, which may be far larger
+            at = np.minimum(np.searchsorted(layer, ordered), layer.size - 1)
+            found.append(ordered[layer[at] == ordered])
         visited += layer.size
+        guard_enumeration(visited, "basis reducedness check", limit)
         if w > 2:
-            parents = np.concatenate((layer, leads[lw == w]))
-            guard_enumeration(visited + parents.size * w, "basis reducedness check", limit)
-            children = np.empty((w, parents.size), dtype=np.uint64)
-            rest = parents.copy()
-            for row in children:  # clear each of the w set bits in turn
-                low = rest & (~rest + np.uint64(1))
-                np.bitwise_xor(parents, low, out=row)
-                rest ^= low
-            children = children.ravel()
+            layer = _next_layer((layer, leads[lw == w]), w, trails[tw == w - 1], visited, limit)
     return np.concatenate(found)
+
+
+def _next_layer(
+    parents: tuple[np.ndarray, ...], w: int, seeds: np.ndarray, visited: int, limit: int | None
+) -> np.ndarray:
+    """The distinct words among ``seeds`` and every ``parent ^ bit``, ascending.
+
+    Parents have weight w.  Their divisors are written slice by slice into
+    one buffer, which is sorted and compacted in place whenever the next
+    slice does not fit, and each compaction's distinct count goes to the
+    guard on top of ``visited``.  The buffer holds what the guard has left
+    plus a quarter of that and one slice, so the words held stay near the
+    guard and each compaction is paid for by a quarter of it in new words.
+    """
+    room = enum_limit(limit) - visited
+    total = seeds.size + w * sum(p.size for p in parents)
+    buf = np.empty(min(total, seeds.size + room + room // 4 + _SLICE_WORDS), dtype=np.uint64)
+    buf[:seeds.size] = seeds
+    used = seeds.size
+    step = max(1, _SLICE_WORDS // w)
+    for src in parents:
+        for a in range(0, src.size, step):
+            part = src[a:a + step]
+            if used + w * part.size > buf.size:
+                used = _compact(buf, used)
+                guard_enumeration(visited + used, "basis reducedness check", limit)
+            rest = part.copy()
+            for row in buf[used:used + w * part.size].reshape(w, part.size):
+                low = rest & -rest  # clear each of the w set bits in turn
+                np.bitwise_xor(part, low, out=row)
+                rest ^= low
+            used += w * part.size
+    buf.resize(_compact(buf, used), refcheck=False)
+    return buf
+
+
+def _compact(buf: np.ndarray, used: int) -> int:
+    """Sort ``buf[:used]`` in place and move its distinct words to the front.
+
+    Returns their count; the compaction runs in slices, so it needs no
+    second buffer.
+    """
+    buf[:used].sort()
+    count = 0
+    for a in range(0, used, _SLICE_WORDS):
+        chunk = buf[a:min(a + _SLICE_WORDS, used)]
+        keep = np.empty(chunk.size, dtype=bool)
+        keep[0] = a == 0 or chunk[0] != last
+        keep[1:] = chunk[1:] != chunk[:-1]
+        last = chunk[-1]
+        kept = chunk[keep]
+        buf[count:count + kept.size] = kept
+        count += kept.size
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -469,46 +518,22 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
 # ---------------------------------------------------------------------------
 
 def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerBasis:
-    """Reduced basis via the coset-leader table.
+    """Reduced basis via the layered coset walk.
 
     Standard monomials are the supports of the degrevlex coset leaders; the
     code binomials are X^u - X^leader(coset(u)) over the minimal non-standard
-    monomials u, found by extending standard monomials one variable at a time
-    (standard monomials are closed under divisibility).
+    monomials u.  One run of :func:`~schubert_gb.linalg._coset_walk` yields
+    both, layer by weight layer over the 2^(n-k) cosets, and ``limit``
+    counts cosets.
     """
     if code.p != 2:
         raise ValueError("binary only")
-    n = code.n
-    table = build_coset_leader_table(code, limit)
-    leaders = table.leaders.astype(np.int64)
-    standard = np.zeros(1 << n, dtype=bool)
-    standard[leaders] = True
-    for i in range(n):
-        if not standard[1 << i]:
-            raise ValueError(f"degenerate code: x{i + 1} is not a standard monomial")
-
-    extended = np.zeros(1 << n, dtype=bool)
-    for i in range(n):
-        extended[leaders | (1 << i)] = True
-    candidates = np.flatnonzero(extended & ~standard)
-    keep = np.ones(candidates.shape, dtype=bool)
-    for j in range(n):
-        bit = 1 << j
-        has = (candidates & bit) != 0
-        keep &= ~has | standard[candidates ^ bit]
-    minimal_leads = candidates[keep]
-
-    synd = np.zeros(minimal_leads.shape, dtype=np.int64)
-    for i, col in enumerate(code.column_syndromes):
-        synd[(minimal_leads >> i) & 1 == 1] ^= col
-    trails = leaders[synd]
-
+    _, leads, trails = _coset_walk(code, limit, with_leads=True)
     elements = [
-        Binomial(int(lead), int(trail), "code")
-        for lead, trail in zip(minimal_leads, trails)
+        Binomial(lead, trail, "code") for lead, trail in zip(leads.tolist(), trails.tolist())
     ]
-    elements += [field_relation(i) for i in range(1, n + 1)]
-    return _validated_basis(n, elements, limit)
+    elements += [field_relation(i) for i in range(1, code.n + 1)]
+    return _validated_basis(code.n, elements, limit)
 
 
 # ---------------------------------------------------------------------------

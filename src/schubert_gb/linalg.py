@@ -12,10 +12,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .validation import check_matrix, check_word_mask, guard_enumeration
+from .validation import INT64_MAX, check_matrix, check_word_mask, guard_enumeration
 from .words import WORD_LIMIT, lex_key, mask_from_bits
 
 _CHUNK = 1 << 16
+# candidate extensions per slice of the coset walk: bounds its working memory
+_SLICE_WORDS = 1 << 16
+_ONE = np.uint64(1)
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -23,8 +26,12 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
 
     Returns ``(R, pivot_columns, rank)`` with 1-based, strictly increasing
     pivot columns.  The row space is preserved; a zero matrix has rank 0.
+    When (p - 1)^2 overflows int64 the elimination runs on Python integers
+    (object dtype), so it is exact for every prime; R is int64 either way.
     """
     M = check_matrix(matrix, p).copy()
+    if (p - 1) ** 2 > INT64_MAX:
+        M = M.astype(object)
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
@@ -43,7 +50,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
                 M[i] = (M[i] - M[i, c] * M[r]) % p
         pivots.append(c + 1)
         r += 1
-    return M, tuple(pivots), r
+    return M.astype(np.int64, copy=False), tuple(pivots), r
 
 
 def rank(matrix: np.ndarray, p: int) -> int:
@@ -193,40 +200,112 @@ class CosetLeaderTable:
 
 
 def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> CosetLeaderTable:
-    """Scan all 2^n words and keep the degrevlex-minimal word per syndrome.
+    """Degrevlex-minimal word of every coset, by the layered coset walk.
 
-    Each word gets the integer key (weight, complemented word), which orders
-    words exactly as degrevlex does; the per-syndrome minimum of that key,
-    taken in one unbuffered ``np.minimum.at`` pass, is the unique degrevlex
-    coset leader, so the result does not depend on scan order.  The key
-    takes n bits plus the bits of the weight, and syndromes are uint32.
+    ``limit`` bounds the number of cosets, 2^(n-k), and is checked before
+    anything is allocated.  The walk (:func:`_coset_walk`) makes about n word
+    operations per coset and holds the table plus one bounded slice, never
+    an array over all 2^n words; syndromes are uint32, so n - k <= 32.
+    """
+    return CosetLeaderTable(leaders=_coset_walk(code, limit)[0], n=code.n, k=code.k)
+
+
+def _coset_walk(
+    code: LinearCode, limit: int | None, with_leads: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coset-leader table, and optionally the minimal non-standard monomials.
+
+    The standard monomials - one per coset, its leader - are closed under
+    division, so they are found one weight layer at a time (the FGLM scheme
+    for codes of Borges-Quintana, Borges-Trenard and Martinez-Moro, AAECC-16,
+    LNCS 3857, 2006).  A standard u of weight w is extended only by bits j
+    below its lowest set bit, so each word of weight w + 1 has one parent;
+    its syndrome is carried along.  Among the words of equal weight in a
+    coset that no lighter word reaches, the largest mask is the
+    degrevlex-first, so a per-syndrome ``np.maximum.at`` into the
+    still-uncovered entries gives each newly covered coset its leader, and
+    the next layer is read back from the table.  Parents are expanded in
+    slices of at most ``_SLICE_WORDS`` candidate extensions.
+
+    With ``with_leads`` an extension u | x_j is made only where every other
+    divisor (u ^ bit) | x_j is standard too.  ``below[s]`` answers that: the
+    bits j with leader(s) | x_j standard, recorded when that word's layer is
+    read back.  The extensions that do not become their coset's leader are
+    then exactly the minimal non-standard monomials - the leads of the
+    reduced basis - and the trail of each is the leader of its syndrome.
+    The walk runs one layer past the covering radius and returns
+    ``(leaders, leads, trails)``; without ``with_leads`` leads and trails are
+    empty.  Either way it holds at most two 2^(n-k) arrays, the current
+    layer and one slice, plus the kept extensions of the layer.
     """
     n, k = code.n, code.k
-    guard_enumeration(1 << n, "coset leader table", limit)
+    guard_enumeration(1 << (n - k), "coset leader table", limit)
     code._require_binary()
-    if n + n.bit_length() > 64:
-        raise ValueError(f"coset table keys need n + {n.bit_length()} <= 64 bits, got n={n}")
     if n - k > 32:
         raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")
-    synd = _syndrome_of_all_words(code)
-    full = np.uint64((1 << n) - 1)
-    key = np.arange(1 << n, dtype=np.uint64)
-    weights = np.bitwise_count(key)
-    key ^= full
-    key |= np.left_shift(weights, np.uint64(n), dtype=np.uint64)
-    del weights
-    best = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(best, synd, key)
-    return CosetLeaderTable(leaders=(best & full) ^ full, n=n, k=k)
+    cols = np.array(code.column_syndromes, dtype=np.intp)
+    leaders = np.zeros(1 << (n - k), dtype=np.uint64)
+    below = np.zeros_like(leaders) if with_leads else None
+    words, synd = np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.intp)
+    covered, w = 1, 0
+    leads, lead_synd = [words[:0]], [synd[:0]]
+    while words.size and (with_leads or covered < leaders.size):
+        span = np.minimum(_bit_index(_lowest_bit(words)), n)  # bits below the lowest; n for 0
+        if with_leads and w:  # record each word as a standard child of its parent
+            np.bitwise_or.at(below, synd ^ cols[span], _lowest_bit(words))
+        ends = np.cumsum(span, dtype=np.intp)
+        kids = []
+        a = 0
+        while a < words.size:
+            b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _SLICE_WORDS, "right"))
+            u, s = words[a:b], synd[a:b]
+            allowed = _lowest_bit(u) - _ONE
+            if with_leads:  # keep the bits j where every other divisor (u ^ bit) | x_j is standard
+                rest = u.copy()
+                for _ in range(w):
+                    bit = _lowest_bit(rest)
+                    allowed &= below[s ^ cols[_bit_index(bit)]]
+                    rest ^= bit
+            cand, cs = _children(u, s, span[a:b], allowed, cols)
+            cur = leaders[cs]  # uncovered before this layer: empty, or filled by an earlier slice
+            free = (np.bitwise_count(cur) == w + 1) | ((cur == 0) & (cs != 0))
+            np.maximum.at(leaders, cs[free], cand[free])
+            if with_leads:
+                kids.append((cand, cs))
+            a = b
+        w += 1
+        for cand, cs in kids:  # the children that lead no coset are minimal leads
+            lead = leaders[cs] != cand
+            leads.append(cand[lead])
+            lead_synd.append(cs[lead])
+        if with_leads and w == 1:
+            unit = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
+            bad = np.flatnonzero(leaders[cols] != unit)
+            if bad.size:
+                raise ValueError(f"degenerate code: x{bad[0] + 1} is not a standard monomial")
+        del kids  # before the read-back allocates the next layer
+        synd = np.flatnonzero(np.bitwise_count(leaders) == w)
+        words = leaders[synd]
+        covered += synd.size
+    lead = np.concatenate(leads)
+    return leaders, lead, leaders[np.concatenate(lead_synd)]
 
 
-def _syndrome_of_all_words(code: LinearCode) -> np.ndarray:
-    """Syndrome mask of every word 0..2^n-1 (dynamic programming fill)."""
-    n = code.n
-    synd = np.zeros(1 << n, dtype=np.uint32)
-    for i, col in enumerate(code.column_syndromes):
-        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
-    return synd
+def _children(words, synd, span, allowed, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``u | x_j`` and its syndrome for each parent u and each j < span set in ``allowed``."""
+    parent = np.repeat(np.arange(words.size), span)
+    bit = np.arange(parent.size) - np.repeat(np.cumsum(span, dtype=np.intp) - span, span)
+    keep = np.flatnonzero((allowed[parent] >> bit.astype(np.uint64)) & _ONE)
+    parent, bit = parent[keep], bit[keep]
+    return words[parent] | (_ONE << bit.astype(np.uint64)), synd[parent] ^ cols[bit]
+
+
+def _lowest_bit(masks: np.ndarray) -> np.ndarray:
+    return masks & -masks
+
+
+def _bit_index(single_bits: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(single_bits - _ONE)
 
 
 def syndrome_decode(word: int, table: CosetLeaderTable, code: LinearCode) -> int:

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .validation import check_matrix, check_prime, guard_enumeration
+from .validation import INT64_MAX, check_matrix, check_prime, guard_enumeration
 
 IndexTuple = tuple[int, ...]
 
@@ -119,7 +119,6 @@ def _admissible_pivots(spec: SchubertSpec) -> Iterator[IndexTuple]:
 # minors per point; 8 MiB as int64), so the kernel's temporaries do not grow
 # with the point count.  The basis stack itself (l * m per point) is smaller.
 _BLOCK_ENTRIES = 1 << 20
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _block_size(l: int, m: int) -> int:
@@ -196,7 +195,7 @@ def _plucker_rows(bases: np.ndarray, q: int) -> np.ndarray:
     with Python integers (object dtype), so the result is exact for every q.
     """
     N, l, m = bases.shape
-    if (q - 1) ** 2 > _INT64_MAX:
+    if (q - 1) ** 2 > INT64_MAX:
         bases = bases.astype(object)
     cols = np.array(index_tuples(l, m)) - 1
     # minors[i, j, t, n] = bases[n, i, cols[t, j]]

@@ -11,6 +11,8 @@ from .words import WORD_LIMIT
 
 DEFAULT_MAX_ENUM_EXPONENT = 24
 ENUM_ENV_VAR = "SGB_MAX_N"
+# residues whose products pass this are multiplied as Python integers
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class EnumerationLimitError(ValueError):

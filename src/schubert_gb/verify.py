@@ -50,6 +50,7 @@ from .schubert import (
     schubert_params,
     schubert_points_by_plucker_filter,
 )
+from .validation import guard_enumeration
 
 SECTIONS = (
     "integrity",
@@ -80,8 +81,10 @@ def random_codes(
 ) -> list[LinearCode]:
     """Seeded random binary codes with n <= 10, k <= 5, d >= 3.
 
-    Generators are rejection-sampled until they have full row rank, distinct
-    nonzero columns, and minimum distance at least 3.
+    Generators are rejection-sampled until they have distinct nonzero
+    columns, full row rank, and minimum distance at least 3.  Every draw
+    comes before any test, so the order of the tests (cheapest first) does
+    not change which codes are kept.
     """
     rng = random.Random(seed)
     out: list[LinearCode] = []
@@ -89,10 +92,10 @@ def random_codes(
         n = rng.randint(6, 10)
         k = rng.randint(2, min(5, n - 2))
         G = np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(k)])
-        if rank(G, 2) != k:
-            continue
         cols = {tuple(col) for col in G.T}
         if len(cols) != n or any(not any(col) for col in cols):
+            continue
+        if rank(G, 2) != k:
             continue
         code = LinearCode.from_generator(G, p=2)
         if min_distance_bruteforce(code) < 3:
@@ -119,6 +122,32 @@ def minimal_nonstandard_count(standard: set[int], n: int) -> int:
         if minimal:
             count += 1
     return count
+
+
+def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray:
+    """Oracle coset-leader table: scan all 2^n words, keep each syndrome's
+    degrevlex minimum.
+
+    Each word gets the key (weight, complemented word), which orders words
+    as degrevlex does; the per-syndrome minimum of that key, taken in one
+    unbuffered ``np.minimum.at`` pass, is the degrevlex coset leader.  Shares
+    nothing with the layered walk of :func:`build_coset_leader_table` but the
+    column syndromes; the guard counts the 2^n words.
+    """
+    n, k = code.n, code.k
+    guard_enumeration(1 << n, "coset leader scan", limit)
+    synd = np.zeros(1 << n, dtype=np.uint32)
+    for i, col in enumerate(code.column_syndromes):
+        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
+    full = np.uint64((1 << n) - 1)
+    key = np.arange(1 << n, dtype=np.uint64)
+    weights = np.bitwise_count(key)
+    key ^= full
+    key |= np.left_shift(weights, np.uint64(n), dtype=np.uint64)
+    del weights
+    best = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(best, synd, key)
+    return (best & full) ^ full
 
 
 def coset_minimum(word: int, codeword_masks: np.ndarray) -> int:
@@ -227,9 +256,8 @@ def run_checks(
             nfield = sum(1 for b in basis.elements if b.kind == "field")
             run.check("gb", f"c_{tag}.field_relations", nfield == basis.n,
                       f"{nfield} of n={basis.n}")
-            table = build_coset_leader_table(codes[tag])
             oracle = minimal_nonstandard_count(
-                {int(m) for m in table.leaders}, basis.n
+                set(scan_coset_leaders(codes[tag]).tolist()), basis.n
             )
             run.check(
                 "gb", f"c_{tag}.element_count",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from schubert_gb import LinearCode, build_coset_leader_table, coset_engine
+from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
+from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
 # the four reference codes, keyed by the alpha tag used in the fixture files
@@ -41,6 +42,18 @@ def tables(codes):
 @pytest.fixture(scope="session")
 def small_random_codes():
     return random_codes(count=8, seed=11)
+
+
+@pytest.fixture(scope="session")
+def ladder_rungs() -> dict[int, LinearCode]:
+    """The [31,5,16] code G(2,6) alpha=(1,6) punctured to n = 18 and n = 20.
+
+    The kept positions are the first n of a permutation seeded with 0,
+    in ascending order, as in the benchmark's build ladder.
+    """
+    G = generator_matrix(SchubertSpec(l=2, m=6, q=2, alpha=(1, 6)))
+    order = np.random.default_rng(0).permutation(G.shape[1])
+    return {n: LinearCode.from_generator(G[:, np.sort(order[:n])]) for n in (18, 20)}
 
 
 def wide_lead_basis_text() -> str:

@@ -1,5 +1,8 @@
 import functools
+import hashlib
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +23,11 @@ from schubert_gb import (
     reduce_poly,
     spoly,
 )
+from schubert_gb import groebner, linalg
 from schubert_gb.fixtures import load_basis, load_code
-from schubert_gb.formats import parse_element_lines
+from schubert_gb.formats import format_basis, parse_element_lines
 from schubert_gb.groebner import (
+    ReducedGroebnerBasis,
     _element_sort_key,
     _squash_key,
     _validated_basis,
@@ -31,7 +36,7 @@ from schubert_gb.groebner import (
     field_relation,
 )
 from schubert_gb.validation import EnumerationLimitError
-from schubert_gb.verify import coset_minimum, random_codes
+from schubert_gb.verify import coset_minimum, random_codes, scan_coset_leaders
 from schubert_gb.words import degrevlex_key, mask_from_support, monomial_from_string, weight
 
 from conftest import wide_lead_basis_text
@@ -203,6 +208,72 @@ class TestEngines:
             assert is_groebner(coset_engine(code).elements, n=code.n)
 
 
+def oracle_basis(code: LinearCode) -> ReducedGroebnerBasis:
+    """The reduced basis read off the 2^n scan oracle: every minimal
+    non-standard monomial u over all 2^n masks, with its coset's leader as
+    trail."""
+    n = code.n
+    leaders = scan_coset_leaders(code)
+    synd = np.zeros(1 << n, dtype=np.int64)
+    for i, col in enumerate(code.column_syndromes):
+        synd[1 << i: 2 << i] = synd[: 1 << i] ^ col
+    standard = np.zeros(1 << n, dtype=bool)
+    standard[leaders.astype(np.int64)] = True
+    words = np.arange(1 << n)
+    minimal = ~standard
+    for j in range(n):
+        minimal &= ((words >> j) & 1 == 0) | standard[words ^ (1 << j)]
+    leads = np.flatnonzero(minimal)
+    elements = [Binomial(int(u), int(leaders[synd[u]]), "code") for u in leads]
+    return _validated_basis(n, elements + [field_relation(i) for i in range(1, n + 1)])
+
+
+class TestCosetWalkEngine:
+    """coset_engine against the scan oracle and bases pinned from the former scan engine."""
+
+    def test_equals_scan_oracle(self, codes, small_random_codes):
+        for code in list(codes.values()) + small_random_codes + random_codes():
+            assert coset_engine(code) == oracle_basis(code)
+
+    def test_ladder_rungs(self, ladder_rungs):
+        pinned = {  # sha256 of the basis file text, recorded with the former scan engine
+            18: ("2ef8e5a648e6a98c7844400c8f00f811eff89df716e402023a1f8c76c122ccdb", 2277),
+            20: ("7df7a87156e5bcd8ce252679912528f260aa2f05a575c8af388510e9289dbce5", 5351),
+        }
+        for n, code in ladder_rungs.items():
+            gb = coset_engine(code)
+            assert gb == oracle_basis(code)
+            assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == pinned[n][0]
+            assert len(gb.code_binomials) == pinned[n][1]
+
+    def test_small_slices_change_nothing(self, monkeypatch, codes, ladder_rungs):
+        monkeypatch.setattr(linalg, "_SLICE_WORDS", 64)  # many slices per layer
+        for code in list(codes.values()) + random_codes()[:5] + [ladder_rungs[18]]:
+            assert coset_engine(code) == oracle_basis(code)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0, 1, 0], [0, 1, 0, 1, 1]],  # zero column: x1 + x5 is a codeword
+        [[1, 1, 0], [0, 1, 1]],  # repeated parity-check column
+        [[1, 0, 0, 0], [0, 1, 1, 1]],  # zero parity-check column
+        np.eye(4, dtype=int).tolist(),  # k = n
+    ])
+    def test_degenerate_codes_name_x1(self, rows):
+        code = LinearCode.from_generator(np.array(rows), 2)
+        with pytest.raises(ValueError, match="^degenerate code: x1 is not a standard monomial$"):
+            coset_engine(code)
+
+    def test_repeated_generator_column(self):
+        code = LinearCode.from_generator(np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]]), 2)
+        gb = coset_engine(code)
+        assert len(gb.elements) == 13 and gb == buchberger(ideal_generators(code))
+
+    def test_guard_counts_cosets(self, codes):
+        code = codes["2_4"]  # [19,5,8]: 2^14 cosets
+        assert coset_engine(code, limit=1 << 14) == coset_engine(code)
+        with pytest.raises(EnumerationLimitError, match="coset leader table needs 16384 > 16383"):
+            coset_engine(code, limit=(1 << 14) - 1)
+
+
 class TestNormalForm:
     def test_reference_rewrites(self, bases):
         gb = bases["1_4"]
@@ -350,9 +421,46 @@ class TestValidation:
             _validated_basis(n, elements + [misoriented], limit=1 << 20)
 
     def test_genuine_bases_pass_at_the_coset_table_limit(self, codes, small_random_codes):
-        for code in list(codes.values()) + small_random_codes:
-            limit = 1 << code.n  # the coset table's own guard count
-            assert coset_engine(code, limit=limit) == coset_engine(code)
+        for code in list(codes.values()) + small_random_codes + random_codes():
+            limit = 1 << (code.n - code.k)  # the coset table's own guard count
+            gb = coset_engine(code, limit=limit)
+            assert gb == coset_engine(code)
+            assert _validated_basis(gb.n, gb.elements, limit=limit) == gb
+
+    def test_ladder_bases_pass_at_the_coset_table_limit(self, ladder_rungs):
+        for code in ladder_rungs.values():
+            limit = 1 << (code.n - code.k)
+            gb = coset_engine(code, limit=limit)
+            assert _validated_basis(gb.n, gb.elements, limit=limit) == gb
+
+    @pytest.mark.parametrize("limit", [None, 1000])
+    def test_layer_expansion_in_small_slices(self, monkeypatch, limit):
+        # 8-word slices and, under limit=1000, a buffer that fills and is
+        # compacted several times: the layer is still every distinct divisor
+        monkeypatch.setattr(groebner, "_SLICE_WORDS", 8)
+        fives = [sum(1 << i for i in c) for c in itertools.combinations(range(12), 5)]
+        parents = np.array(fives[::2], dtype=np.uint64)
+        seeds = np.array([0b1111, 0b1111, 0b11110000], dtype=np.uint64)
+        layer = groebner._next_layer((parents, parents[:7]), 5, seeds, 0, limit)
+        want = sorted({int(p) ^ (1 << i) for p in parents for i in range(12) if int(p) >> i & 1}
+                      | {0b1111, 0b11110000})
+        assert layer.tolist() == want
+        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+            groebner._next_layer((parents,), 5, seeds, 0, len(want) // 2)  # at a compaction
+
+    def test_wide_leads_stay_within_memory(self):
+        # the check holds the distinct monomials the guard admits, a quarter
+        # more of buffer and one slice: about 10 bytes per guarded word
+        n, elements = parse_element_lines(wide_lead_basis_text())
+        limit = 1 << 21
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+                _validated_basis(n, elements, limit=limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * limit + (8 << 20)
 
     def test_check_counts_against_limit(self, codes):
         gb = coset_engine(codes["2_4"])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -17,7 +18,10 @@ from schubert_gb import (
     syndrome_decode,
     weight_distribution,
 )
+from schubert_gb import linalg
+from schubert_gb.linalg import rank
 from schubert_gb.validation import EnumerationLimitError
+from schubert_gb.verify import random_codes, scan_coset_leaders
 from schubert_gb.words import degrevlex_key, mask_from_bits, weight, word_from_string
 
 from conftest import A_1_4
@@ -64,6 +68,22 @@ class TestRref:
         orig = {m for m in enumerate_codeword_masks(M)}
         new = {m for m in enumerate_codeword_masks(R[:rk])}
         assert orig == new
+
+    def test_large_prime_products_do_not_overflow(self):
+        # (q-1)^2 overflows int64: the singular [[q-1, q-2], [1, 2]] (det = q) has rank 1
+        q = 4294967311
+        M = np.array([[q - 1, q - 2], [1, 2]])
+        assert rank(M, q) == 1
+        R, pivots, rk = rref(M, q)
+        assert R.dtype == np.int64 and pivots == (1,) and rk == 1
+        assert R.tolist() == [[1, (q - 2) * pow(q - 1, -1, q) % q], [0, 0]]
+        assert rank(np.array([[q - 1, q - 2], [1, 1]]), q) == 2
+        # a product of 4x2 and 2x5 factors with entries near q has rank 2
+        rng = np.random.default_rng(5)
+        B = [[int(x) for x in row] for row in rng.integers(q - 1000, q, size=(4, 2))]
+        C = [[int(x) for x in row] for row in rng.integers(q - 1000, q, size=(2, 5))]
+        P = np.array([[sum(b * c for b, c in zip(row, col)) % q for col in zip(*C)] for row in B])
+        assert rank(P, q) == 2
 
     matrices = st.integers(min_value=2, max_value=3).flatmap(
         lambda rows: st.lists(
@@ -237,10 +257,10 @@ class TestCosetLeaders:
             build_coset_leader_table(gf3)
         code = LinearCode.from_generator(A_1_4, 2)
         with pytest.raises(EnumerationLimitError):
-            build_coset_leader_table(code, limit=16)
+            build_coset_leader_table(code, limit=15)  # [7,3,4] has 16 cosets
 
     def test_width_limits_refused_before_scan(self):
-        # n - k = 33 overflows the uint32 syndromes; the raised limit admits 2^34 words
+        # n - k = 33 overflows the uint32 syndromes; the raised limit admits 2^34 cosets
         code = LinearCode.from_generator(np.ones((1, 34), dtype=int), 2)
         tracemalloc.start()
         try:
@@ -249,16 +269,90 @@ class TestCosetLeaders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20  # no 2^n array was made
-        # n = 60 needs 60 + 6 key bits
-        G = np.hstack([np.eye(30, dtype=int), np.ones((30, 30), dtype=int)])
-        with pytest.raises(ValueError, match=r"keys need n \+ 6 <= 64 bits, got n=60"):
-            build_coset_leader_table(LinearCode.from_generator(G, 2), limit=1 << 60)
+        assert peak < 1 << 20  # refused right after the guard: no 2^33-entry table
+
+    def test_long_code_with_few_cosets_builds(self):
+        # n = 60, n - k = 12: 4,096 cosets under the default 2^24 guard, where a
+        # scan over words would need 2^60; the walk holds the table and one slice
+        vals = [v for v in range(1, 1 << 12) if bin(v).count("1") >= 2][:48]
+        A = np.array([[(v >> j) & 1 for j in range(12)] for v in vals])
+        code = LinearCode.from_generator(np.hstack([np.eye(48, dtype=int), A]), 2)
+        tracemalloc.start()
+        try:
+            table = build_coset_leader_table(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert table.leaders.size == 1 << 12 and len(set(table.leaders.tolist())) == 1 << 12
+        for s in range(1 << 12):
+            assert syndrome(table.leader(s), code) == s
+        # leader weights are the syndrome-space distances, by breadth-first search
+        cols = [syndrome(1 << i, code) for i in range(60)]
+        dist, frontier = {0: 0}, [0]
+        while frontier:
+            reached = []
+            for s in frontier:
+                for c in cols:
+                    if s ^ c not in dist:
+                        dist[s ^ c] = dist[s] + 1
+                        reached.append(s ^ c)
+            frontier = reached
+        assert all(weight(table.leader(s)) == dist[s] for s in range(1 << 12))
+        # every weight-1 word leads its own coset: the leader set is closed under division
+        assert {1 << i for i in range(60)} <= set(table.leaders.tolist())
 
     def test_rebuild_is_identical(self, codes):
         a = build_coset_leader_table(codes["2_3"])
         b = build_coset_leader_table(codes["2_3"])
         assert (a.leaders == b.leaders).all()
+
+
+class TestCosetWalk:
+    """The layered walk against the 2^n scan oracle and tables pinned from the former scan."""
+
+    def test_equals_scan_oracle(self, codes, small_random_codes):
+        for code in list(codes.values()) + small_random_codes + random_codes():
+            assert (build_coset_leader_table(code).leaders == scan_coset_leaders(code)).all()
+
+    def test_ladder_rungs(self, ladder_rungs):
+        pinned = {  # sha256 of the leader bytes, recorded with the former 2^n scan
+            18: "ef521085c093b941fe295cdae46463b632174cf048390f65ffa433fe54518904",
+            20: "dff1f64660243b11084a63fd4d81594532edbd58d65ea418aeaf4ec4a1d3428e",
+        }
+        for n, code in ladder_rungs.items():
+            leaders = build_coset_leader_table(code).leaders
+            assert (leaders == scan_coset_leaders(code)).all()
+            assert hashlib.sha256(leaders.tobytes()).hexdigest() == pinned[n]
+
+    def test_small_slices_change_nothing(self, monkeypatch, codes, ladder_rungs):
+        # 64 candidate extensions per slice: most layers span many slices, so a
+        # coset first reached in one slice may get a larger leader in a later one
+        monkeypatch.setattr(linalg, "_SLICE_WORDS", 64)
+        for code in list(codes.values()) + random_codes()[:5] + [ladder_rungs[18]]:
+            assert (build_coset_leader_table(code).leaders == scan_coset_leaders(code)).all()
+
+    @pytest.mark.parametrize("rows, leaders", [
+        ([[1, 1, 0, 1, 0], [0, 1, 0, 1, 1]], [0, 4, 8, 12, 16, 20, 2, 6]),  # zero column
+        ([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]], [0, 4, 8, 18, 16, 20, 1, 2]),  # repeated column
+        ([[1, 1, 0], [0, 1, 1]], [0, 4]),  # repeated parity-check column
+        ([[1, 0, 0, 0], [0, 1, 1, 1]], [0, 4, 8, 2]),  # zero parity-check column
+        (np.eye(4, dtype=int).tolist(), [0]),  # k = n
+        (np.zeros((0, 5), dtype=int), list(range(32))),  # k = 0
+    ])
+    def test_degenerate_codes(self, rows, leaders):
+        code = LinearCode.from_generator(np.array(rows), 2)
+        table = build_coset_leader_table(code)
+        assert table.leaders.tolist() == leaders  # recorded with the former 2^n scan
+        assert (table.leaders == scan_coset_leaders(code)).all()
+
+    def test_guard_counts_cosets_before_binary_check(self):
+        # [155,10] is too long for masks, but the guard on its 2^145 cosets speaks first
+        I = np.eye(10, dtype=int)
+        code = LinearCode.from_generator(np.hstack([I] * 15 + [I[:, :5]]), 2)
+        assert (code.n, code.k) == (155, 10)
+        with pytest.raises(EnumerationLimitError, match=f"table needs {2**145} > 16777216"):
+            build_coset_leader_table(code)
 
 
 class TestReferenceDecoders:

@@ -59,7 +59,7 @@ class TestEnumerationGuard:
 
     def test_env_gates_table_construction(self, monkeypatch):
         code = LinearCode.from_generator(A_1_4, 2)
-        monkeypatch.setenv("SGB_MAX_N", "5")
+        monkeypatch.setenv("SGB_MAX_N", "3")  # [7,3,4] has 2^4 cosets
         with pytest.raises(EnumerationLimitError):
             build_coset_leader_table(code)
         with pytest.raises(EnumerationLimitError):
