@@ -54,6 +54,17 @@ class _EstimatorMixin:
         return float((self.predict(X) == sent).all(axis=1).mean())
 
 
+def _row_masks(W: np.ndarray) -> list[int]:
+    """The word mask of each 0/1 row, by one matrix product (column 0 = bit 0)."""
+    return (W.astype(np.uint64) @ (np.uint64(1) << np.arange(W.shape[1], dtype=np.uint64))).tolist()
+
+
+def _mask_rows(masks: list[int], n: int) -> np.ndarray:
+    """The int64 0/1 rows of word masks, by one shift-and-mask."""
+    shifted = np.array(masks, dtype=np.uint64).reshape(-1, 1) >> np.arange(n, dtype=np.uint64)
+    return (shifted & np.uint64(1)).astype(np.int64)
+
+
 def _as_mask(word, n: int) -> int:
     """Accept a mask int, a binary/monomial string, or a 0/1 sequence."""
     if isinstance(word, (int, np.integer)):
@@ -133,13 +144,11 @@ class GroebnerDecoder(_EstimatorMixin):
         passes through.
         """
         check_is_fitted(self, "basis_")
-        W = check_words_array(X, self.code_.n)
-        out = np.empty_like(W)
-        for r, row in enumerate(W):
-            outcome = self.decode(mask_from_bits(row))
-            mask = outcome.codeword if outcome.status == DECODED else mask_from_bits(row)
-            out[r] = [(mask >> i) & 1 for i in range(self.code_.n)]
-        return out
+        out = []
+        for w in _row_masks(check_words_array(X, self.code_.n)):
+            outcome = gb_decode(w, self.basis_, mode=self.mode)
+            out.append(outcome.codeword if outcome.status == DECODED else w)
+        return _mask_rows(out, self.code_.n)
 
 
 class SyndromeTableDecoder(_EstimatorMixin):
@@ -176,9 +185,5 @@ class SyndromeTableDecoder(_EstimatorMixin):
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "table_")
-        W = check_words_array(X, self.code_.n)
-        out = np.empty_like(W)
-        for r, row in enumerate(W):
-            mask = syndrome_decode(mask_from_bits(row), self.table_, self.code_)
-            out[r] = [(mask >> i) & 1 for i in range(self.code_.n)]
-        return out
+        words = _row_masks(check_words_array(X, self.code_.n))
+        return _mask_rows([syndrome_decode(w, self.table_, self.code_) for w in words], self.code_.n)

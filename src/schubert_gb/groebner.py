@@ -19,9 +19,15 @@ Two engines produce the reduced basis and must agree element-for-element:
   words, and the enumeration guard counts cosets.
 
 Every rewrite - Buchberger's pair reduction, interreduction, the Groebner
-test and :func:`normal_form` - runs through one kernel, :func:`_reduce`, and
-monomials are ordered by degrevlex keys computed directly on masks.  The
-exponent-tuple code (:func:`spoly`, :func:`reduce_poly`,
+test and :func:`normal_form`, hence every decode - runs through one kernel,
+:func:`_reduce`, and monomials are ordered by degrevlex keys computed
+directly on masks.  The kernel finds the leads dividing a monomial with a
+divisor index (:class:`_DivisorIndex`): the n variables are cut into 4-bit
+slices, and per slice and nibble value one Python-int bitset over the leads
+marks those whose bits in that slice lie inside the nibble.  The AND of one
+bitset per slice is the set of dividing leads, and its lowest bit is the
+first of them in array order, the lead each rewrite uses.  The exponent-tuple
+code (:func:`spoly`, :func:`reduce_poly`,
 :func:`degrevlex_compare`, :meth:`Binomial.exponent_pair` and the
 :func:`is_groebner` fallback for sets lacking field relations) is reference
 only: the slow, auditable counterpart used to cross-check the mask arithmetic.
@@ -194,12 +200,10 @@ class ReducedGroebnerBasis:
         return tuple(b for b in self.elements if b.kind == "code")
 
     @cached_property
-    def _code_leads(self) -> np.ndarray:
-        return np.array([b.lead for b in self.code_binomials], dtype=np.uint64)
-
-    @cached_property
-    def _code_trails(self) -> np.ndarray:
-        return np.array([b.trail for b in self.code_binomials], dtype=np.uint64)
+    def _divisor_index(self) -> _DivisorIndex:
+        """The rewrite index of the code binomials, built on first use."""
+        codes = self.code_binomials
+        return _DivisorIndex(self.n, [b.lead for b in codes], [b.trail for b in codes])
 
     @cached_property
     def _capability(self) -> int:
@@ -300,12 +304,18 @@ def _leads_below(
     leads are looked up in each layer of distinct monomials, which is
     expanded - together with the leads of its weight - by clearing one set
     bit (:func:`_next_layer`).  The walk stops at degree 2.  The guard counts
-    the distinct monomials visited.
+    the distinct monomials visited.  A lead of degree d has 2^d - d - 2
+    proper divisors of degree >= 2, all of which the walk visits, so a lead
+    with more of them than the guard admits is refused before the walk.  A
+    genuine basis never is: a lead's proper divisors are distinct standard
+    monomials, fewer than its 2^(n-k) cosets.
     """
     if not leads.size:
         return leads
     lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
-    top = int(max(lw.max(), tw.max()))
+    d = int(lw.max())
+    guard_enumeration((1 << d) - d - 2, "basis reducedness check", limit)
+    top = int(max(d, tw.max()))
     layer = _next_layer((), top + 1, trails[tw == top], 0, limit)
     found, visited = [leads[:0]], 0
     for w in range(top, 1, -1):
@@ -436,21 +446,20 @@ def buchberger(
         check_word_mask(pair[1], n)
 
     basis: list[tuple[int, int]] = []
-    leads = trails = np.zeros(0, dtype=np.uint64)
+    index = _DivisorIndex(n, [], [])
     pairs: list[tuple] = []  # (lcm degrevlex key, seq, i, j) with j=-v for field pairs
     seq = 0
 
     def add_reduced(a: int, b: int) -> None:
         """Append the oriented remainder of a - b unless it is zero; queue its pairs."""
-        nonlocal leads, trails, seq
-        a, b = _reduce(a, leads, trails), _reduce(b, leads, trails)
+        nonlocal seq
+        a, b = _reduce(a, index), _reduce(b, index)
         if a == b:
             return
         lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
         idx = len(basis)
         basis.append((lead, trail))
-        leads = np.append(leads, np.uint64(lead))
-        trails = np.append(trails, np.uint64(trail))
+        index.add(lead, trail)
         for j in range(idx):
             other = basis[j][0]
             if lead & other:  # coprime-lead pairs are skipped outright
@@ -503,10 +512,9 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
             )
     # no lead divides its own trail (or anything below it), so every minimal
     # lead can take part in reducing every trail
-    leads = np.array(list(minimal), dtype=np.uint64)
-    trails = np.array(list(minimal.values()), dtype=np.uint64)
+    index = _DivisorIndex(n, list(minimal), list(minimal.values()))
     elements = [
-        Binomial(lead, _reduce(trail, leads, trails), "code")
+        Binomial(lead, _reduce(trail, index), "code")
         for lead, trail in minimal.items()
     ]
     elements += [field_relation(i) for i in range(1, n + 1)]
@@ -549,40 +557,89 @@ def normal_form(
 
     Divides by basis elements until nothing applies; each rewrite replaces the
     lead part by the trail and cancels squares via the field relations, i.e.
-    m -> m XOR lead XOR trail.  The result is selection-independent;
+    m -> m XOR lead XOR trail.  The dividing leads are read off the basis's
+    divisor index, built once on first use, and the first of them in
+    ascending element order is taken.  The result is selection-independent;
     ``selector`` picks among applicable divisors (index array -> position)
     and exists so tests can randomize the reduction path.
     """
     m = check_word_mask(monomial, gb.n)
-    return _reduce(m, gb._code_leads, gb._code_trails, selector)
+    return _reduce(m, gb._divisor_index, selector)
+
+
+class _DivisorIndex:
+    """Which leads of a binomial list divide a monomial, as bitsets.
+
+    The n variables are cut into 4-bit slices, kept as ``(shift, table)``
+    pairs.  ``table[v]`` is a Python int with bit i set when lead i's bits
+    in the slice, ``(lead_i >> shift) & 15``, lie inside the nibble v, so
+    lead i divides m exactly when bit i survives the AND of
+    ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
+    lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
+    Leads are numbered in the order given; :meth:`add` appends one.
+    """
+
+    __slots__ = ("slices", "rewrites")
+
+    def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
+        leads = np.array(leads, dtype=np.uint64)
+        trails = np.array(trails, dtype=np.uint64)
+        inside = np.arange(16, dtype=np.uint8)[:, None]
+        self.slices = []
+        for shift in range(0, n, 4):
+            nibbles = ((leads >> np.uint64(shift)) & np.uint64(15)).astype(np.uint8)
+            fits = np.packbits((nibbles & ~inside) == 0, axis=1, bitorder="little")
+            self.slices.append((shift, [int.from_bytes(row.tobytes(), "little") for row in fits]))
+        self.rewrites = (leads ^ trails).tolist()
+
+    def add(self, lead: int, trail: int) -> None:
+        bit = 1 << len(self.rewrites)
+        for shift, table in self.slices:
+            nibble = (lead >> shift) & 15
+            for v in range(16):
+                if nibble & ~v == 0:
+                    table[v] |= bit
+        self.rewrites.append(lead ^ trail)
 
 
 def _reduce(
     m: int,
-    leads: np.ndarray,
-    trails: np.ndarray,
+    index: _DivisorIndex,
     selector: Callable[[np.ndarray], int] | None = None,
 ) -> int:
     """Rewrite m -> m XOR lead XOR trail while some lead divides m.
 
-    The one rewrite kernel.  Without a ``selector`` the first dividing lead
-    in array order is used, so the result is a deterministic function of m
-    even for a set that is not a Groebner basis; otherwise ``selector`` is
-    called once per rewrite with the indices of all dividing leads.
+    The one rewrite kernel.  Each step ANDs one bitset per 4-bit slice of
+    the divisor index to get the set of leads dividing m, a few big-integer
+    operations instead of a pass over every lead.  Without a ``selector``
+    its lowest bit, the first dividing lead in index order, is used, so the
+    result is a deterministic function of m even for a set that is not a
+    Groebner basis; otherwise ``selector`` is called once per rewrite with
+    the ascending indices of all dividing leads.
     """
-    while leads.size:
-        outside = leads & ~np.uint64(m)  # zero exactly where the lead divides m
+    slices, rewrites = index.slices, index.rewrites
+    while rewrites:
+        hits = -1
+        for shift, table in slices:
+            hits &= table[(m >> shift) & 15]
+        if not hits:
+            return m
         if selector is None:
-            pick = int(outside.argmin())
-            if outside[pick]:
-                return m
+            m ^= rewrites[(hits & -hits).bit_length() - 1]
         else:
-            hits = np.flatnonzero(outside == 0)
-            if not hits.size:
-                return m
-            pick = hits[selector(hits)]
-        m ^= leads.item(pick) ^ trails.item(pick)
+            found = _bit_positions(hits)
+            m ^= rewrites[found[selector(found)]]
     return m
+
+
+def _bit_positions(bits: int) -> np.ndarray:
+    """Ascending positions of the set bits of a nonnegative int."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return np.array(out, dtype=np.intp)
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:
@@ -614,11 +671,10 @@ def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
         return _is_groebner_exponents(pairs)
 
     codes = [(b.lead, b.trail) for b in elems if b.kind == "code"]
-    leads = np.array([c[0] for c in codes], dtype=np.uint64)
-    trails = np.array([c[1] for c in codes], dtype=np.uint64)
+    index = _DivisorIndex(n, [c[0] for c in codes], [c[1] for c in codes])
 
     def reduces_to_zero(a: int, b: int) -> bool:
-        return _reduce(a, leads, trails) == _reduce(b, leads, trails)
+        return _reduce(a, index) == _reduce(b, index)
 
     for i, (li, ti) in enumerate(codes):
         for lj, tj in codes[:i]:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import fixtures
-from .decoding import DECODED, FixedWeight, cross_check, gb_decode, simulate
+from .decoding import DECODED, FixedWeight, gb_decode, simulate
 from .groebner import (
     ReducedGroebnerBasis,
     buchberger,
@@ -66,6 +66,8 @@ SECTIONS = (
 
 RANDOM_CODE_SEED = 20250808
 RANDOM_CODE_COUNT = 25
+# entries per block of the radius-t check's word-by-codeword distance array
+_NN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -367,22 +369,41 @@ def run_checks(
 
 def _radius_t_agreement(code: LinearCode, basis: ReducedGroebnerBasis) -> bool:
     """Exhaustive check: every error of weight <= t on every codeword is
-    corrected, and the three decoders agree without nn ambiguity."""
+    corrected, and the three decoders agree without nn ambiguity.
+
+    All (error, codeword) words form one array.  Each word is gb-decoded
+    through the basis's rewrite kernel; the syndrome route XORs the column
+    syndromes of the word and looks its leader up in the table, and the
+    nearest-neighbour route takes the distance to every codeword, in blocks
+    of ``_NN_BLOCK`` distances.  As in
+    :func:`~schubert_gb.decoding.cross_check`, gb decoding must succeed with
+    the error pattern and the sent codeword, the syndrome codeword must equal
+    it, and the nearest codeword must be unique and equal to it.
+    """
     t = capability(basis)
     table = build_coset_leader_table(code)
     cw = code.codeword_masks()
-    for wt_e in range(t + 1):
-        for positions in itertools.combinations(range(code.n), wt_e):
-            error = sum(1 << i for i in positions)
-            for sent in cw:
-                sent = int(sent)
-                received = sent ^ error
-                record = cross_check(received, code, basis, table, cw)
-                if (
-                    record.outcome.status != DECODED
-                    or record.outcome.error != error
-                    or record.outcome.codeword != sent
-                    or not record.agree
-                ):
-                    return False
+    patterns = [
+        sum(1 << i for i in positions)
+        for wt_e in range(t + 1)
+        for positions in itertools.combinations(range(code.n), wt_e)
+    ]
+    error = np.repeat(np.array(patterns, dtype=np.uint64), cw.size)
+    sent = np.tile(cw, len(patterns))
+    received = sent ^ error
+    for word, e, c in zip(received.tolist(), error.tolist(), sent.tolist()):
+        outcome = gb_decode(word, basis)
+        if outcome.status != DECODED or outcome.error != e or outcome.codeword != c:
+            return False
+    synd = np.zeros(received.size, dtype=np.intp)
+    for j, col in enumerate(code.column_syndromes):
+        synd[(received >> np.uint64(j)) & np.uint64(1) == 1] ^= col
+    if ((received ^ table.leaders[synd]) != sent).any():
+        return False
+    step = max(1, _NN_BLOCK // cw.size)  # words per block of the distance array
+    for a in range(0, received.size, step):
+        dist = np.bitwise_count(received[a:a + step, None] ^ cw)
+        unique = np.count_nonzero(dist == dist.min(axis=1, keepdims=True), axis=1) == 1
+        if not (unique & (cw[dist.argmin(axis=1)] == sent[a:a + step])).all():
+            return False
     return True

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ def ladder_rungs() -> dict[int, LinearCode]:
     G = generator_matrix(SchubertSpec(l=2, m=6, q=2, alpha=(1, 6)))
     order = np.random.default_rng(0).permutation(G.shape[1])
     return {n: LinearCode.from_generator(G[:, np.sort(order[:n])]) for n in (18, 20)}
+
+
+@pytest.fixture(scope="session")
+def wide_code() -> LinearCode:
+    """A [64,57] code with distinct parity-check columns: words use bit 63."""
+    cols = random.Random(7).sample([c for c in range(128) if c.bit_count() >= 2], 57)
+    A = np.array([[(c >> i) & 1 for c in cols] for i in range(7)])
+    return LinearCode.from_generator(np.hstack([np.eye(57, dtype=int), A.T]), 2)
 
 
 def wide_lead_basis_text() -> str:

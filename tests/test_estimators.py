@@ -3,7 +3,7 @@ import pytest
 
 from schubert_gb import GroebnerDecoder, NotFittedError, SyndromeTableDecoder
 from schubert_gb.decoding import DECODED
-from schubert_gb.words import bits_from_mask
+from schubert_gb.words import bits_from_mask, mask_from_bits
 
 from conftest import A_1_4
 
@@ -118,3 +118,27 @@ class TestSyndromeTableDecoder:
         sd = SyndromeTableDecoder().fit(codes["1_4"])
         codeword, error = sd.decode("1111100")
         assert codeword == 0b0010111 and error == 0b0001000
+
+
+class TestBatchConversion:
+    """predict converts rows to masks and back in one array step each."""
+
+    def test_predict_equals_per_row_decode_on_64_bit_words(self, wide_code):
+        X = np.random.default_rng(64).integers(0, 2, (40, 64))
+        X[:, 63] = 1
+        for mode in ("bounded", "complete"):
+            est = GroebnerDecoder(mode=mode).fit(wide_code)
+            want = []
+            for row in X:
+                outcome = est.decode(row)
+                mask = outcome.codeword if outcome.status == DECODED else mask_from_bits(row)
+                want.append(bits_from_mask(mask, 64))
+            got = est.predict(X)
+            assert got.dtype == np.int64 and (got == np.array(want)).all()
+        sd = SyndromeTableDecoder().fit(wide_code)
+        want = [bits_from_mask(sd.decode(row)[0], 64) for row in X]
+        assert (sd.predict(X) == np.array(want)).all()
+
+    def test_empty_batch(self, codes):
+        for est in (GroebnerDecoder().fit(codes["1_4"]), SyndromeTableDecoder().fit(codes["1_4"])):
+            assert est.predict(np.zeros((0, 7), dtype=int)).shape == (0, 7)

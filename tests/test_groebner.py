@@ -22,6 +22,7 @@ from schubert_gb import (
     normal_form,
     reduce_poly,
     spoly,
+    syndrome,
 )
 from schubert_gb import groebner, linalg
 from schubert_gb.fixtures import load_basis, load_code
@@ -308,6 +309,122 @@ class TestNormalForm:
             assert normal_form(nf, gb) == nf
 
 
+def scan_reduce(m, leads, trails, selector=None):
+    """The rewrite kernel before the divisor index, kept as the reference:
+    each step scans every lead (``leads & ~m``) and takes the first divisor."""
+    while leads.size:
+        outside = leads & ~np.uint64(m)  # zero exactly where the lead divides m
+        if selector is None:
+            pick = int(outside.argmin())
+            if outside[pick]:
+                return m
+        else:
+            hits = np.flatnonzero(outside == 0)
+            if not hits.size:
+                return m
+            pick = hits[selector(hits)]
+        m ^= leads.item(pick) ^ trails.item(pick)
+    return m
+
+
+def lead_arrays(gb):
+    leads = np.array([b.lead for b in gb.code_binomials], dtype=np.uint64)
+    trails = np.array([b.trail for b in gb.code_binomials], dtype=np.uint64)
+    return leads, trails
+
+
+class TestDivisorIndex:
+    """The bitset rewrite kernel against the former scan kernel and the oracles."""
+
+    def test_equals_scan_and_coset_minimum(self, codes, small_random_codes):
+        targets = [codes["1_4"], codes["2_3"]] + small_random_codes + random_codes()
+        for code in targets:
+            gb = coset_engine(code)
+            leads, trails = lead_arrays(gb)
+            cw = code.codeword_masks()
+            for m in range(1 << code.n):
+                nf = normal_form(m, gb)
+                assert nf == scan_reduce(m, leads, trails) == coset_minimum(m, cw)
+
+    @pytest.mark.parametrize("first_hit", [True, False])
+    def test_selector_sees_the_scan_hits(self, bases, small_random_codes, first_hit):
+        # a first-hit selector also counts the rewrite steps the benchmark reports
+        gbs = [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes[:3]]
+        for gb in gbs:
+            leads, trails = lead_arrays(gb)
+            rng = random.Random(gb.n)
+            for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
+                seen = {"index": [], "scan": []}
+
+                def pick(route, seed=m):
+                    choice = random.Random(seed)
+
+                    def selector(hits):
+                        seen[route].append(hits.tolist())
+                        return 0 if first_hit else choice.randrange(len(hits))
+                    return selector
+                got = normal_form(m, gb, selector=pick("index"))
+                assert got == scan_reduce(m, leads, trails, selector=pick("scan")) == normal_form(m, gb)
+                assert seen["index"] == seen["scan"]
+
+    def test_first_divisor_in_list_order_on_raw_generators(self, codes):
+        # X^w - 1 per generator row is no Groebner basis: the result depends
+        # on which dividing lead each step takes
+        for code in codes.values():
+            rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
+            index = groebner._DivisorIndex(code.n, rows, [0] * len(rows))
+            leads = np.array(rows, dtype=np.uint64)
+            rng = random.Random(code.n)
+            for m in rng.sample(range(1 << code.n), min(500, 1 << code.n)):
+                assert groebner._reduce(m, index) == scan_reduce(m, leads, np.zeros_like(leads))
+
+    def test_no_code_binomials(self):
+        gb = buchberger([field_relation(i) for i in range(1, 6)])  # the k = 0 code
+        assert gb._divisor_index.rewrites == []
+        assert all(normal_form(m, gb) == m for m in range(1 << 5))
+
+    def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
+        for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
+            index = gb._divisor_index
+            assert [shift for shift, _ in index.slices] == list(range(0, gb.n, 4))
+            assert all(len(table) == 16 for _, table in index.slices)
+            assert len(index.rewrites) == len(gb.code_binomials)
+
+    def test_bit_63_of_a_64_bit_word(self, wide_code):
+        gb = coset_engine(wide_code)
+        leads, trails = lead_arrays(gb)
+        assert gb.n == 64 and int((leads | trails).max()) >> 63 == 1
+        leaders = build_coset_leader_table(wide_code).leaders
+        rng = random.Random(64)
+        for _ in range(300):
+            m = rng.getrandbits(64) | 1 << 63
+            nf = normal_form(m, gb)
+            assert nf == scan_reduce(m, leads, trails) == int(leaders[syndrome(m, wide_code)])
+
+    def test_added_leads_equal_a_built_index(self, small_random_codes):
+        for code in small_random_codes:
+            gb = coset_engine(code)
+            grown = groebner._DivisorIndex(gb.n, [], [])
+            for b in gb.code_binomials:
+                grown.add(b.lead, b.trail)
+            built = gb._divisor_index
+            assert grown.slices == built.slices and grown.rewrites == built.rewrites
+
+    def test_buchberger_equals_coset_engine_on_random_codes(self):
+        for code in random_codes():
+            assert buchberger(ideal_generators(code)) == coset_engine(code)
+
+    def test_ladder_rung_18_equals_the_scan(self, ladder_rungs):
+        code = ladder_rungs[18]
+        gb = coset_engine(code)
+        leads, trails = lead_arrays(gb)
+        leaders = build_coset_leader_table(code).leaders
+        words = np.random.default_rng(18).integers(0, 1 << 18, 2000).tolist()
+        for m in words:
+            nf = normal_form(m, gb)
+            assert nf == scan_reduce(m, leads, trails) == int(leaders[syndrome(m, code)])
+
+
 class TestCapability:
     def test_reference_capabilities(self, bases):
         assert capability(bases["1_4"]) == 1
@@ -413,6 +530,16 @@ class TestValidation:
         n, elements = parse_element_lines(wide_lead_basis_text())
         with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
             _validated_basis(n, elements, limit=1 << 20)
+
+    def test_wide_leads_refused_before_the_walk(self, monkeypatch):
+        n, elements = parse_element_lines(wide_lead_basis_text())
+        walked = []
+        monkeypatch.setattr(groebner, "_next_layer", lambda *args: walked.append(args))
+        # a degree-40 lead has 2^40 - 42 proper divisors of degree >= 2
+        with pytest.raises(EnumerationLimitError,
+                           match=f"basis reducedness check needs {2**40 - 42} > {2**24} "):
+            _validated_basis(n, elements, limit=1 << 24)
+        assert not walked
 
     def test_guard_yields_to_a_known_fault(self):
         n, elements = parse_element_lines(wide_lead_basis_text())

@@ -1,8 +1,13 @@
 import hashlib
+import itertools
 
 import numpy as np
+import pytest
 
-from schubert_gb import verify
+from schubert_gb import build_coset_leader_table, capability, cross_check, verify
+from schubert_gb.decoding import DECODED
+from schubert_gb.groebner import Binomial, ReducedGroebnerBasis
+from schubert_gb.words import degrevlex_key
 
 
 def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
@@ -27,3 +32,44 @@ def test_random_codes_are_pinned():
         h.update(np.asarray(code.generator.shape, dtype=np.int64).tobytes())
         h.update(code.generator.astype(np.int64).tobytes())
     assert h.hexdigest() == "b6bb7761e7326dc63ac9cfba88d8cbe6fe3dd7b2f6cb6192b7d631d6c4523d7a"
+
+
+def cross_check_agreement(code, basis) -> bool:
+    """The radius-t check word by word through ``cross_check``."""
+    t = capability(basis)
+    table = build_coset_leader_table(code)
+    cw = code.codeword_masks()
+    for wt_e in range(t + 1):
+        for positions in itertools.combinations(range(code.n), wt_e):
+            error = sum(1 << i for i in positions)
+            for sent in cw.tolist():
+                record = cross_check(sent ^ error, code, basis, table, cw)
+                if (record.outcome.status != DECODED or record.outcome.error != error
+                        or record.outcome.codeword != sent or not record.agree):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("block", [verify._NN_BLOCK, 16])
+def test_radius_t_routes_equal_cross_check(monkeypatch, codes, bases, block):
+    """Array routes give cross_check's verdict on real and on broken bases,
+    also with two words per block of the distance array."""
+    monkeypatch.setattr(verify, "_NN_BLOCK", block)
+    verdicts = []
+    for tag in ("1_4", "2_3"):
+        code, gb = codes[tag], bases[tag]
+        variants = [gb]
+        binomials = gb.code_binomials
+        for b in binomials:  # a wrong trail below the lead keeps the rewriting finite
+            other = next((c.trail for c in binomials
+                          if c.trail != b.trail and degrevlex_key(c.trail) < degrevlex_key(b.lead)),
+                         None)
+            if other is None:
+                continue
+            elements = tuple(Binomial(b.lead, other, "code") if e == b else e for e in gb.elements)
+            variants.append(ReducedGroebnerBasis(gb.n, elements))
+        for basis in variants:
+            verdict = verify._radius_t_agreement(code, basis)
+            assert verdict == cross_check_agreement(code, basis)
+            verdicts.append(verdict)
+    assert verdicts[0] and not all(verdicts)
