@@ -5,16 +5,19 @@ canonical form of that monomial under the reduced basis is the coset's
 standard monomial, i.e. exactly the degrevlex coset leader.  When its weight
 is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
+The seeded channel simulator below classifies such decodes trial by trial.
+
+The check that audits this decoder against syndrome-table and
+nearest-neighbour decoding, ``cross_check``, is in :mod:`schubert_gb.reference`
+with the nearest-neighbour decoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groebner import ReducedGroebnerBasis, capability, normal_form
-from .linalg import CosetLeaderTable, LinearCode, nn_decode, syndrome_decode
+from .linalg import LinearCode
 from .validation import check_word_mask
 from .words import weight
 
@@ -22,7 +25,7 @@ DECODED = "decoded"
 TOO_MANY_ERRORS = "too_many_errors"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeOutcome:
     """Result of bounded-distance decoding.
 
@@ -61,44 +64,6 @@ def gb_decode(
         nf_weight=nf_weight,
         error=canonical,
         codeword=w ^ canonical,
-    )
-
-
-@dataclass(frozen=True)
-class CrossCheck:
-    """Agreement record between the three decoders on one received word."""
-
-    outcome: DecodeOutcome
-    syndrome_codeword: int
-    nn_codeword: int
-    nn_ambiguous: bool
-    agree: bool
-
-
-def cross_check(
-    word: int,
-    code: LinearCode,
-    gb: ReducedGroebnerBasis,
-    table: CosetLeaderTable,
-    codeword_masks: np.ndarray | None = None,
-) -> CrossCheck:
-    """Run gb, syndrome, and nearest-neighbour decoding on the same word.
-
-    Whenever gb decoding succeeds, all three codewords must coincide and the
-    nearest-neighbour minimizer must be unique.
-    """
-    outcome = gb_decode(word, gb)
-    sd = syndrome_decode(word, table, code)
-    nn, ambiguous = nn_decode(word, code, codeword_masks)
-    agree = outcome.status != DECODED or (
-        outcome.codeword == sd and sd == nn and not ambiguous
-    )
-    return CrossCheck(
-        outcome=outcome,
-        syndrome_codeword=sd,
-        nn_codeword=nn,
-        nn_ambiguous=ambiguous,
-        agree=agree,
     )
 
 

@@ -15,12 +15,10 @@ import inspect
 import numpy as np
 
 from .decoding import DECODED, DecodeOutcome, gb_decode
-from .groebner import ReducedGroebnerBasis, buchberger, capability, coset_engine, ideal_generators
+from .groebner import ReducedGroebnerBasis, capability, coset_engine
 from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndrome_decode
 from .validation import check_is_fitted, check_words_array
 from .words import mask_from_bits, monomial_from_string, word_from_string
-
-BUCHBERGER_DEFAULT_MAX_VARS = 12
 
 
 class _EstimatorMixin:
@@ -80,16 +78,13 @@ def _as_mask(word, n: int) -> int:
 class GroebnerDecoder(_EstimatorMixin):
     """Bounded-distance decoder backed by a reduced Groebner basis.
 
+    ``fit`` computes the basis with the coset engine.
+
     Parameters
     ----------
-    engine : 'auto' | 'coset' | 'buchberger'
-        How to compute the basis on fit.  'auto' runs the reference
-        Buchberger engine for small variable counts and the coset-leader
-        engine otherwise.
     mode : 'bounded' | 'complete'
         'bounded' refuses words beyond the guarantee radius; 'complete'
         always decodes to the coset leader.
-    max_buchberger_vars : guard for the reference engine.
     limit : optional enumeration-guard override; the coset engine counts the
         2^(n-k) cosets against it.
 
@@ -99,16 +94,8 @@ class GroebnerDecoder(_EstimatorMixin):
     t_ : capability               n_features_in_ : code length
     """
 
-    def __init__(
-        self,
-        engine: str = "auto",
-        mode: str = "bounded",
-        max_buchberger_vars: int = BUCHBERGER_DEFAULT_MAX_VARS,
-        limit: int | None = None,
-    ):
-        self.engine = engine
+    def __init__(self, mode: str = "bounded", limit: int | None = None):
         self.mode = mode
-        self.max_buchberger_vars = max_buchberger_vars
         self.limit = limit
         self.code_: LinearCode | None = None
         self.basis_: ReducedGroebnerBasis | None = None
@@ -118,14 +105,7 @@ class GroebnerDecoder(_EstimatorMixin):
     def fit(self, X, y=None) -> "GroebnerDecoder":
         """Build the reduced basis from a k x n binary generator matrix X."""
         code = X if isinstance(X, LinearCode) else LinearCode.from_generator(X, p=2)
-        if self.engine == "coset" or (
-            self.engine == "auto" and code.n > self.max_buchberger_vars
-        ):
-            basis = coset_engine(code, limit=self.limit)
-        elif self.engine in ("auto", "buchberger"):
-            basis = buchberger(ideal_generators(code), max_vars=self.max_buchberger_vars)
-        else:
-            raise ValueError(f"unknown engine {self.engine!r}")
+        basis = coset_engine(code, limit=self.limit)
         self.code_ = code
         self.basis_ = basis
         self.t_ = capability(basis)

@@ -71,7 +71,7 @@ def _format_term(binomial: Binomial, which: str) -> str:
 
 
 def format_basis(gb: ReducedGroebnerBasis) -> str:
-    lines = [f"# n={gb.n} order={gb.order_id} field=GF(2)"]
+    lines = [f"# n={gb.n} order={ORDER_ID} field=GF(2)"]
     lines += [
         f"{_format_term(b, 'lead')} - {_format_term(b, 'trail')}" for b in gb.elements
     ]

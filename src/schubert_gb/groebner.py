@@ -18,25 +18,26 @@ Two engines produce the reduced basis and must agree element-for-element:
   u (:func:`~schubert_gb.linalg._coset_walk`), so no array spans all 2^n
   words, and the enumeration guard counts cosets.
 
-Every rewrite - Buchberger's pair reduction, interreduction, the Groebner
-test and :func:`normal_form`, hence every decode - runs through one kernel,
+Every rewrite - Buchberger's pair reduction, interreduction and
+:func:`normal_form`, hence every decode - runs through one kernel,
 :func:`_reduce`, and monomials are ordered by degrevlex keys computed
 directly on masks.  The kernel finds the leads dividing a monomial with a
 divisor index (:class:`_DivisorIndex`): the n variables are cut into 4-bit
 slices, and per slice and nibble value one Python-int bitset over the leads
 marks those whose bits in that slice lie inside the nibble.  The AND of one
 bitset per slice is the set of dividing leads, and its lowest bit is the
-first of them in array order, the lead each rewrite uses.  The exponent-tuple
-code (:func:`spoly`, :func:`reduce_poly`,
-:func:`degrevlex_compare`, :meth:`Binomial.exponent_pair` and the
-:func:`is_groebner` fallback for sets lacking field relations) is reference
-only: the slow, auditable counterpart used to cross-check the mask arithmetic.
+first of them in array order, the lead each rewrite uses.
+
+The coset engine is the production route, the one ``GroebnerDecoder.fit``
+runs; :func:`buchberger` serves ``sgb gb --engine buchberger`` and the
+engine-equivalence checks.  The exponent-tuple arithmetic and the Groebner
+test that audit the mask arithmetic live in :mod:`schubert_gb.reference`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Literal, NamedTuple
 
@@ -46,98 +47,7 @@ from .linalg import _SLICE_WORDS, LinearCode, _coset_walk
 from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
 from .words import WORD_LIMIT, degrevlex_key, support, weight
 
-Monomial = tuple[int, ...]
-BinomialPair = tuple[Monomial, Monomial]
-
 ORDER_ID = "degrevlex"
-
-
-# ---------------------------------------------------------------------------
-# order kernel
-# ---------------------------------------------------------------------------
-
-def degrevlex_key_exponents(exps: Monomial) -> tuple:
-    """Ascending sort key for general exponent vectors under degrevlex."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def degrevlex_compare(a: Monomial, b: Monomial) -> int:
-    """Total degrevlex order on exponent vectors: -1 (a<b), 0, or +1.
-
-    Higher total degree is greater; ties go to the monomial with the smaller
-    exponent at the highest-indexed variable where they differ.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"variable count mismatch: {len(a)} vs {len(b)}")
-    ka, kb = degrevlex_key_exponents(a), degrevlex_key_exponents(b)
-    return (ka > kb) - (ka < kb)
-
-
-def exponents_from_mask(mask: int, n: int) -> Monomial:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# exponent-tuple reference operations
-# ---------------------------------------------------------------------------
-
-def _mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _div(a: Monomial, b: Monomial) -> Monomial | None:
-    out = tuple(x - y for x, y in zip(a, b))
-    return None if any(e < 0 for e in out) else out
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _orient(a: Monomial, b: Monomial) -> BinomialPair:
-    return (a, b) if degrevlex_compare(a, b) > 0 else (b, a)
-
-
-def spoly(f: BinomialPair, g: BinomialPair) -> BinomialPair | None:
-    """S-polynomial of two binomials over GF(2), or None when it cancels.
-
-    S(f, g) = (lcm/lead_f) f - (lcm/lead_g) g; the lcm terms match, so the
-    result is again a binomial (lead first), or zero.
-    """
-    (lf, tf), (lg, tg) = _orient(*f), _orient(*g)
-    lcm = _lcm(lf, lg)
-    a = _mul(_div(lcm, lf), tf)
-    b = _mul(_div(lcm, lg), tg)
-    if a == b:
-        return None
-    return _orient(a, b)
-
-
-def reduce_poly(
-    terms: Iterable[Monomial], basis: Iterable[BinomialPair]
-) -> tuple[Monomial, ...]:
-    """Remainder of a GF(2) term set under division by binomials.
-
-    Repeatedly rewrites the greatest divisible term t as t * trail / lead
-    (equal terms cancel) until nothing is divisible; the degrevlex order is
-    well-founded so this terminates.  Returns terms sorted descending.
-    """
-    basis = [_orient(*b) for b in basis]
-    poly: set[Monomial] = set()
-    for t in terms:
-        poly.symmetric_difference_update({tuple(t)})
-    while True:
-        for t in sorted(poly, key=degrevlex_key_exponents, reverse=True):
-            hit = next(
-                ((lead, trail) for lead, trail in basis if _div(t, lead) is not None),
-                None,
-            )
-            if hit is not None:
-                lead, trail = hit
-                poly.symmetric_difference_update({t, _mul(_div(t, lead), trail)})
-                break
-        else:
-            return tuple(sorted(poly, key=degrevlex_key_exponents, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +65,6 @@ class Binomial(NamedTuple):
     lead: int
     trail: int
     kind: Literal["code", "field"] = "code"
-
-    def exponent_pair(self, n: int) -> BinomialPair:
-        if self.kind == "field":
-            v = self.lead.bit_length()
-            exps = tuple(2 if i == v - 1 else 0 for i in range(n))
-            return exps, (0,) * n
-        return exponents_from_mask(self.lead, n), exponents_from_mask(self.trail, n)
-
-    def lead_degree(self) -> int:
-        return 2 if self.kind == "field" else weight(self.lead)
 
 
 def field_relation(i: int) -> Binomial:
@@ -193,7 +93,6 @@ class ReducedGroebnerBasis:
 
     n: int
     elements: tuple[Binomial, ...]
-    order_id: str = field(default=ORDER_ID)
 
     @cached_property
     def code_binomials(self) -> tuple[Binomial, ...]:
@@ -210,10 +109,6 @@ class ReducedGroebnerBasis:
         if not self.code_binomials:
             raise ValueError("capability undefined: basis has no code binomials")
         return min(weight(b.lead) for b in self.code_binomials) - 1
-
-    def as_pairs(self) -> list[BinomialPair]:
-        """All elements as exponent-tuple pairs (reference representation)."""
-        return [b.exponent_pair(self.n) for b in self.elements]
 
 
 def _validated_basis(
@@ -545,7 +440,7 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
 
 
 # ---------------------------------------------------------------------------
-# normal forms, capability, Groebner test
+# normal forms and capability
 # ---------------------------------------------------------------------------
 
 def normal_form(
@@ -645,55 +540,3 @@ def _bit_positions(bits: int) -> np.ndarray:
 def capability(gb: ReducedGroebnerBasis) -> int:
     """Error-correcting capability: min lead degree over code binomials, - 1."""
     return gb._capability
-
-
-def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero.
-
-    Field-relation pairs with coprime partners are settled analytically; all
-    code-code pairs (coprime or not) are reduced explicitly.  When the field
-    relations do not cover every variable in play, the exponent-tuple route
-    is used instead of mask arithmetic.
-    """
-    elems = list(elements)
-    if n is None:
-        n = max(
-            (b.lead.bit_length() for b in elems), default=0
-        )
-        n = max(n, max((b.trail.bit_length() for b in elems), default=0))
-    field_vars = {b.lead.bit_length() for b in elems if b.kind == "field"}
-    used = 0
-    for b in elems:
-        if b.kind == "code":
-            used |= b.lead | b.trail
-    if not all(((used >> (v - 1)) & 1) == 0 or v in field_vars for v in range(1, n + 1)):
-        pairs = [b.exponent_pair(n) for b in elems]
-        return _is_groebner_exponents(pairs)
-
-    codes = [(b.lead, b.trail) for b in elems if b.kind == "code"]
-    index = _DivisorIndex(n, [c[0] for c in codes], [c[1] for c in codes])
-
-    def reduces_to_zero(a: int, b: int) -> bool:
-        return _reduce(a, index) == _reduce(b, index)
-
-    for i, (li, ti) in enumerate(codes):
-        for lj, tj in codes[:i]:
-            lcm = li | lj
-            if not reduces_to_zero(lcm ^ li ^ ti, lcm ^ lj ^ tj):
-                return False
-        rest = li
-        while rest:  # pairs with x_v^2 - 1 for v in the lead
-            bit = rest & -rest
-            if not reduces_to_zero(li ^ bit, ti ^ bit):
-                return False
-            rest ^= bit
-    return True
-
-
-def _is_groebner_exponents(pairs: list[BinomialPair]) -> bool:
-    for i, f in enumerate(pairs):
-        for g in pairs[:i]:
-            s = spoly(f, g)
-            if s is not None and reduce_poly(s, pairs):
-                return False
-    return True

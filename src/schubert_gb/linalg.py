@@ -7,13 +7,13 @@ function of immutable inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .validation import INT64_MAX, check_matrix, check_word_mask, guard_enumeration
-from .words import WORD_LIMIT, lex_key, mask_from_bits
+from .words import WORD_LIMIT, mask_from_bits
 
 _CHUNK = 1 << 16
 # candidate extensions per slice of the coset walk: bounds its working memory
@@ -193,7 +193,6 @@ class CosetLeaderTable:
     leaders: np.ndarray
     n: int
     k: int
-    tie_break: str = field(default="degrevlex")
 
     def leader(self, syndrome_mask: int) -> int:
         return int(self.leaders[syndrome_mask])
@@ -312,22 +311,3 @@ def syndrome_decode(word: int, table: CosetLeaderTable, code: LinearCode) -> int
     """Decode to word - leader(syndrome(word)); always returns a codeword."""
     w = check_word_mask(word, code.n)
     return w ^ table.leader(syndrome(w, code))
-
-
-def nn_decode(
-    word: int, code: LinearCode, codeword_masks: np.ndarray | None = None
-) -> tuple[int, bool]:
-    """Nearest-neighbour decoding by full codeword enumeration.
-
-    Returns ``(codeword, ambiguous)``; when several codewords are equidistant
-    the lexicographically smallest one (position 1 most significant) is
-    returned and ``ambiguous`` is True.
-    """
-    w = check_word_mask(word, code.n)
-    cw = code.codeword_masks() if codeword_masks is None else codeword_masks
-    dists = np.bitwise_count(cw ^ np.uint64(w))
-    dmin = dists.min()
-    nearest = cw[dists == dmin]
-    ambiguous = nearest.size > 1
-    best = min((int(c) for c in nearest), key=lambda c: lex_key(c, code.n))
-    return best, ambiguous

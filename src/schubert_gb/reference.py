@@ -1,0 +1,301 @@
+"""Reference routes: the slow, auditable counterparts of the production code.
+
+Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
+the exponent-tuple arithmetic and the Buchberger criterion that audit the
+mask arithmetic of :mod:`schubert_gb.groebner`, the brute-force oracles over
+all 2^n words or all codewords that audit the coset walk and the rewrite
+kernel, the three-decoder :func:`cross_check`, and the Pluecker filter that
+audits the Schubert cell enumeration.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .decoding import DECODED, DecodeOutcome, gb_decode
+from .groebner import Binomial, ReducedGroebnerBasis, _DivisorIndex, _reduce
+from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
+from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
+from .validation import check_word_mask, guard_enumeration
+from .words import lex_key
+
+Monomial = tuple[int, ...]
+BinomialPair = tuple[Monomial, Monomial]
+
+
+# ---------------------------------------------------------------------------
+# exponent-tuple arithmetic and the Groebner test
+# ---------------------------------------------------------------------------
+
+def degrevlex_key_exponents(exps: Monomial) -> tuple:
+    """Ascending sort key for general exponent vectors under degrevlex."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def degrevlex_compare(a: Monomial, b: Monomial) -> int:
+    """Total degrevlex order on exponent vectors: -1 (a<b), 0, or +1.
+
+    Higher total degree is greater; ties go to the monomial with the smaller
+    exponent at the highest-indexed variable where they differ.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"variable count mismatch: {len(a)} vs {len(b)}")
+    ka, kb = degrevlex_key_exponents(a), degrevlex_key_exponents(b)
+    return (ka > kb) - (ka < kb)
+
+
+def exponents_from_mask(mask: int, n: int) -> Monomial:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def exponent_pair(b: Binomial, n: int) -> BinomialPair:
+    """A basis element as a (lead, trail) pair of exponent tuples."""
+    if b.kind == "field":
+        v = b.lead.bit_length()
+        exps = tuple(2 if i == v - 1 else 0 for i in range(n))
+        return exps, (0,) * n
+    return exponents_from_mask(b.lead, n), exponents_from_mask(b.trail, n)
+
+
+def as_pairs(gb: ReducedGroebnerBasis) -> list[BinomialPair]:
+    """All elements as exponent-tuple pairs."""
+    return [exponent_pair(b, gb.n) for b in gb.elements]
+
+
+def _mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _div(a: Monomial, b: Monomial) -> Monomial | None:
+    out = tuple(x - y for x, y in zip(a, b))
+    return None if any(e < 0 for e in out) else out
+
+
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _orient(a: Monomial, b: Monomial) -> BinomialPair:
+    return (a, b) if degrevlex_compare(a, b) > 0 else (b, a)
+
+
+def spoly(f: BinomialPair, g: BinomialPair) -> BinomialPair | None:
+    """S-polynomial of two binomials over GF(2), or None when it cancels.
+
+    S(f, g) = (lcm/lead_f) f - (lcm/lead_g) g; the lcm terms match, so the
+    result is again a binomial (lead first), or zero.
+    """
+    (lf, tf), (lg, tg) = _orient(*f), _orient(*g)
+    lcm = _lcm(lf, lg)
+    a = _mul(_div(lcm, lf), tf)
+    b = _mul(_div(lcm, lg), tg)
+    if a == b:
+        return None
+    return _orient(a, b)
+
+
+def reduce_poly(
+    terms: Iterable[Monomial], basis: Iterable[BinomialPair]
+) -> tuple[Monomial, ...]:
+    """Remainder of a GF(2) term set under division by binomials.
+
+    Repeatedly rewrites the greatest divisible term t as t * trail / lead
+    (equal terms cancel) until nothing is divisible; the degrevlex order is
+    well-founded so this terminates.  Returns terms sorted descending.
+    """
+    basis = [_orient(*b) for b in basis]
+    poly: set[Monomial] = set()
+    for t in terms:
+        poly.symmetric_difference_update({tuple(t)})
+    while True:
+        for t in sorted(poly, key=degrevlex_key_exponents, reverse=True):
+            hit = next(
+                ((lead, trail) for lead, trail in basis if _div(t, lead) is not None),
+                None,
+            )
+            if hit is not None:
+                lead, trail = hit
+                poly.symmetric_difference_update({t, _mul(_div(t, lead), trail)})
+                break
+        else:
+            return tuple(sorted(poly, key=degrevlex_key_exponents, reverse=True))
+
+
+def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
+    """Buchberger criterion: every S-polynomial reduces to zero.
+
+    Field-relation pairs with coprime partners are settled analytically; all
+    code-code pairs (coprime or not) are reduced explicitly.  When the field
+    relations do not cover every variable in play, the exponent-tuple route
+    is used instead of mask arithmetic.
+    """
+    elems = list(elements)
+    if n is None:
+        n = max((x.bit_length() for b in elems for x in (b.lead, b.trail)), default=0)
+    field_vars = {b.lead.bit_length() for b in elems if b.kind == "field"}
+    used = 0
+    for b in elems:
+        if b.kind == "code":
+            used |= b.lead | b.trail
+    if not all(((used >> (v - 1)) & 1) == 0 or v in field_vars for v in range(1, n + 1)):
+        pairs = [exponent_pair(b, n) for b in elems]
+        return _is_groebner_exponents(pairs)
+
+    codes = [(b.lead, b.trail) for b in elems if b.kind == "code"]
+    index = _DivisorIndex(n, [c[0] for c in codes], [c[1] for c in codes])
+
+    def reduces_to_zero(a: int, b: int) -> bool:
+        return _reduce(a, index) == _reduce(b, index)
+
+    for i, (li, ti) in enumerate(codes):
+        for lj, tj in codes[:i]:
+            lcm = li | lj
+            if not reduces_to_zero(lcm ^ li ^ ti, lcm ^ lj ^ tj):
+                return False
+        rest = li
+        while rest:  # pairs with x_v^2 - 1 for v in the lead
+            bit = rest & -rest
+            if not reduces_to_zero(li ^ bit, ti ^ bit):
+                return False
+            rest ^= bit
+    return True
+
+
+def _is_groebner_exponents(pairs: list[BinomialPair]) -> bool:
+    for i, f in enumerate(pairs):
+        for g in pairs[:i]:
+            s = spoly(f, g)
+            if s is not None and reduce_poly(s, pairs):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles and decoder agreement
+# ---------------------------------------------------------------------------
+
+def minimal_nonstandard_count(standard: set[int], n: int) -> int:
+    """Divisor-scan oracle: monomials u with u non-standard and every
+    maximal proper divisor u \\ {x_j} standard, over all 2^n masks."""
+    count = 0
+    for u in range(1, 1 << n):
+        if u in standard:
+            continue
+        rest = u
+        minimal = True
+        while rest:
+            bit = rest & -rest
+            if (u ^ bit) not in standard:
+                minimal = False
+                break
+            rest ^= bit
+        if minimal:
+            count += 1
+    return count
+
+
+def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray:
+    """Oracle coset-leader table: scan all 2^n words, keep each syndrome's
+    degrevlex minimum.
+
+    Each word gets the key (weight, complemented word), which orders words
+    as degrevlex does; the per-syndrome minimum of that key, taken in one
+    unbuffered ``np.minimum.at`` pass, is the degrevlex coset leader.  Shares
+    nothing with the layered walk of
+    :func:`~schubert_gb.linalg.build_coset_leader_table` but the column
+    syndromes; the guard counts the 2^n words.
+    """
+    n, k = code.n, code.k
+    guard_enumeration(1 << n, "coset leader scan", limit)
+    synd = np.zeros(1 << n, dtype=np.uint32)
+    for i, col in enumerate(code.column_syndromes):
+        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
+    full = np.uint64((1 << n) - 1)
+    key = np.arange(1 << n, dtype=np.uint64)
+    weights = np.bitwise_count(key)
+    key ^= full
+    key |= np.left_shift(weights, np.uint64(n), dtype=np.uint64)
+    del weights
+    best = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(best, synd, key)
+    return (best & full) ^ full
+
+
+def coset_minimum(word: int, codeword_masks: np.ndarray) -> int:
+    """Degrevlex-minimal member of word + C, by scanning all codewords."""
+    coset = codeword_masks ^ np.uint64(word)
+    wts = np.bitwise_count(coset)
+    least = coset[wts == wts.min()]
+    return int(least.max())  # equal weight: larger mask = degrevlex-smaller
+
+
+def nn_decode(
+    word: int, code: LinearCode, codeword_masks: np.ndarray | None = None
+) -> tuple[int, bool]:
+    """Nearest-neighbour decoding by full codeword enumeration.
+
+    Returns ``(codeword, ambiguous)``; when several codewords are equidistant
+    the lexicographically smallest one (position 1 most significant) is
+    returned and ``ambiguous`` is True.
+    """
+    w = check_word_mask(word, code.n)
+    cw = code.codeword_masks() if codeword_masks is None else codeword_masks
+    dists = np.bitwise_count(cw ^ np.uint64(w))
+    dmin = dists.min()
+    nearest = cw[dists == dmin]
+    ambiguous = nearest.size > 1
+    best = min((int(c) for c in nearest), key=lambda c: lex_key(c, code.n))
+    return best, ambiguous
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """Agreement record between the three decoders on one received word."""
+
+    outcome: DecodeOutcome
+    syndrome_codeword: int
+    nn_codeword: int
+    nn_ambiguous: bool
+    agree: bool
+
+
+def cross_check(
+    word: int,
+    code: LinearCode,
+    gb: ReducedGroebnerBasis,
+    table: CosetLeaderTable,
+    codeword_masks: np.ndarray | None = None,
+) -> CrossCheck:
+    """Run gb, syndrome, and nearest-neighbour decoding on the same word.
+
+    Whenever gb decoding succeeds, all three codewords must coincide and the
+    nearest-neighbour minimizer must be unique.
+    """
+    outcome = gb_decode(word, gb)
+    sd = syndrome_decode(word, table, code)
+    nn, ambiguous = nn_decode(word, code, codeword_masks)
+    agree = outcome.status != DECODED or (
+        outcome.codeword == sd and sd == nn and not ambiguous
+    )
+    return CrossCheck(outcome, sd, nn, ambiguous, agree)
+
+
+# ---------------------------------------------------------------------------
+# Schubert points by filtering the Grassmannian
+# ---------------------------------------------------------------------------
+
+def schubert_points_by_plucker_filter(
+    spec: SchubertSpec, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Independent route: filter the full Grassmannian by coordinate vanishing."""
+    outside = ~_below_alpha(spec)
+    full = SchubertSpec.grassmann(spec.l, spec.m, spec.q)
+    return [
+        pt
+        for bases in enumerate_cell_bases(full, limit)
+        for coords in (_plucker_rows(bases, spec.q),)
+        for pt in map(tuple, coords[~coords[:, outside].any(axis=1)].tolist())
+    ]

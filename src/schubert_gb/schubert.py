@@ -94,7 +94,7 @@ class SchubertParams:
     d: int
 
 
-def schubert_params(spec: SchubertSpec, limit: int | None = None) -> SchubertParams:
+def schubert_params(spec: SchubertSpec) -> SchubertParams:
     """Exact parameters from the Schubert cell decomposition.
 
     n is the total cell count sum_{pivots <= alpha} q^(sum(pivot_i - i)),
@@ -247,20 +247,6 @@ def enumerate_schubert_points(
     this is asserted for each point.
     """
     return [pt for coords in _point_blocks(spec, limit) for pt in map(tuple, coords.tolist())]
-
-
-def schubert_points_by_plucker_filter(
-    spec: SchubertSpec, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """Independent route: filter the full Grassmannian by coordinate vanishing."""
-    outside = ~_below_alpha(spec)
-    full = SchubertSpec.grassmann(spec.l, spec.m, spec.q)
-    return [
-        pt
-        for bases in enumerate_cell_bases(full, limit)
-        for coords in (_plucker_rows(bases, spec.q),)
-        for pt in map(tuple, coords[~coords[:, outside].any(axis=1)].tolist())
-    ]
 
 
 def generator_matrix(spec: SchubertSpec, limit: int | None = None) -> np.ndarray:

@@ -13,6 +13,8 @@ DEFAULT_MAX_ENUM_EXPONENT = 24
 ENUM_ENV_VAR = "SGB_MAX_N"
 # residues whose products pass this are multiplied as Python integers
 INT64_MAX = np.iinfo(np.int64).max
+# Miller-Rabin bases that decide primality exactly below 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class EnumerationLimitError(ValueError):
@@ -45,14 +47,35 @@ def guard_enumeration(count: int, what: str, limit: int | None = None) -> None:
 
 
 def check_prime(p: int) -> int:
+    """Return p when it is a prime that fits an int64 residue, else raise.
+
+    Matrices hold residues as int64, so p > INT64_MAX is refused.  Below
+    that, Miller-Rabin with the twelve prime bases 2..37 is exact (it has
+    no strong pseudoprime below 3.3e24), so the test is deterministic.
+    """
     p = int(p)
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"modulus must be prime, got {p} = {d}*{p // d}")
-        d += 1
+    if p > INT64_MAX:
+        raise ValueError(f"modulus {p} exceeds the int64 residue limit {INT64_MAX}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            if p == a:
+                return p
+            raise ValueError(f"modulus must be prime, got {p} = {a}*{p // a}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"modulus must be prime, got composite {p}")
     return p
 
 

@@ -12,7 +12,11 @@ Sections (selectable via ``only``):
 * count      - subspace/point counting cross-checks
 * simulate   - simulator determinism and soundness
 
-Every check emits one PASS/FAIL line through ``echo``.
+Every check emits one PASS/FAIL line through ``echo``.  The independent
+routes the checks compare against - the 2^n coset-leader scan, the coset
+minimum, the minimal non-standard count and the Pluecker-filter point
+enumeration - come from :mod:`schubert_gb.reference`; this is the one
+module of the package that imports it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ from .linalg import (
     min_distance_bruteforce,
     rank,
 )
+from .reference import (
+    coset_minimum,
+    minimal_nonstandard_count,
+    scan_coset_leaders,
+    schubert_points_by_plucker_filter,
+)
 from .schubert import (
     SchubertSpec,
     enumerate_schubert_points,
@@ -48,9 +58,7 @@ from .schubert import (
     generator_matrix,
     index_tuples,
     schubert_params,
-    schubert_points_by_plucker_filter,
 )
-from .validation import guard_enumeration
 
 SECTIONS = (
     "integrity",
@@ -104,60 +112,6 @@ def random_codes(
             continue
         out.append(code)
     return out
-
-
-def minimal_nonstandard_count(standard: set[int], n: int) -> int:
-    """Divisor-scan oracle: monomials u with u non-standard and every
-    maximal proper divisor u \\ {x_j} standard, over all 2^n masks."""
-    count = 0
-    for u in range(1, 1 << n):
-        if u in standard:
-            continue
-        rest = u
-        minimal = True
-        while rest:
-            bit = rest & -rest
-            if (u ^ bit) not in standard:
-                minimal = False
-                break
-            rest ^= bit
-        if minimal:
-            count += 1
-    return count
-
-
-def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray:
-    """Oracle coset-leader table: scan all 2^n words, keep each syndrome's
-    degrevlex minimum.
-
-    Each word gets the key (weight, complemented word), which orders words
-    as degrevlex does; the per-syndrome minimum of that key, taken in one
-    unbuffered ``np.minimum.at`` pass, is the degrevlex coset leader.  Shares
-    nothing with the layered walk of :func:`build_coset_leader_table` but the
-    column syndromes; the guard counts the 2^n words.
-    """
-    n, k = code.n, code.k
-    guard_enumeration(1 << n, "coset leader scan", limit)
-    synd = np.zeros(1 << n, dtype=np.uint32)
-    for i, col in enumerate(code.column_syndromes):
-        synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
-    full = np.uint64((1 << n) - 1)
-    key = np.arange(1 << n, dtype=np.uint64)
-    weights = np.bitwise_count(key)
-    key ^= full
-    key |= np.left_shift(weights, np.uint64(n), dtype=np.uint64)
-    del weights
-    best = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(best, synd, key)
-    return (best & full) ^ full
-
-
-def coset_minimum(word: int, codeword_masks: np.ndarray) -> int:
-    """Degrevlex-minimal member of word + C, by scanning all codewords."""
-    coset = codeword_masks ^ np.uint64(word)
-    wts = np.bitwise_count(coset)
-    least = coset[wts == wts.min()]
-    return int(least.max())  # equal weight: larger mask = degrevlex-smaller
 
 
 class _Run:
@@ -376,7 +330,7 @@ def _radius_t_agreement(code: LinearCode, basis: ReducedGroebnerBasis) -> bool:
     syndromes of the word and looks its leader up in the table, and the
     nearest-neighbour route takes the distance to every codeword, in blocks
     of ``_NN_BLOCK`` distances.  As in
-    :func:`~schubert_gb.decoding.cross_check`, gb decoding must succeed with
+    :func:`~schubert_gb.reference.cross_check`, gb decoding must succeed with
     the error pattern and the sent codeword, the syndrome codeword must equal
     it, and the nearest codeword must be unique and equal to it.
     """

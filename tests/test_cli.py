@@ -35,6 +35,16 @@ class TestParams:
         code, _, err = run(capsys, "params", "--l", "2", "--m", "5", "--q", "2", "--alpha", "5,5")
         assert code == 2 and "error" in err
 
+    def test_large_prime_modulus_answers(self, capsys):
+        q = 2**61 - 1
+        code, out, _ = run(capsys, "params", "--l", "1", "--m", "2", "--q", str(q), "--alpha", "2")
+        assert code == 0 and out.startswith(f"n={q + 1} k=2 d={q} ")
+
+    def test_modulus_beyond_int64_exits_2(self, capsys):
+        code, _, err = run(capsys, "params", "--l", "1", "--m", "2", "--q", str(2**63),
+                           "--alpha", "2")
+        assert code == 2 and "int64" in err
+
 
 class TestBuild:
     def test_output_matches_fixture_columns(self, capsys, tmp_path):
@@ -121,6 +131,12 @@ class TestGb:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "gb", "--matrix", "/nonexistent/file.txt")
         assert code == 2
+
+    def test_large_prime_matrix_is_binary_only(self, capsys, tmp_path):
+        matrix = tmp_path / "big_q.txt"
+        matrix.write_text(f"1 1 {2**61 - 1}\n1\n")
+        code, _, err = run(capsys, "gb", "--matrix", str(matrix))
+        assert code == 2 and "binary only" in err
 
 
 class TestDecode:

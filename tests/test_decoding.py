@@ -5,13 +5,13 @@ import pytest
 from schubert_gb import (
     BSC,
     FixedWeight,
-    cross_check,
     gb_decode,
     simulate,
     syndrome,
     syndrome_decode,
 )
 from schubert_gb.decoding import DECODED, TOO_MANY_ERRORS
+from schubert_gb.reference import cross_check
 from schubert_gb.words import (
     monomial_from_string,
     monomial_to_string,

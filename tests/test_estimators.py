@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from schubert_gb import GroebnerDecoder, NotFittedError, SyndromeTableDecoder
+from schubert_gb import (
+    EnumerationLimitError,
+    GroebnerDecoder,
+    NotFittedError,
+    SyndromeTableDecoder,
+    capability,
+    coset_engine,
+    estimators,
+)
 from schubert_gb.decoding import DECODED
 from schubert_gb.words import bits_from_mask, mask_from_bits
 
@@ -24,18 +32,18 @@ def corrupted_batch(code, flips_per_row=1):
 
 class TestEstimatorProtocol:
     def test_get_set_params_roundtrip(self):
-        est = GroebnerDecoder(engine="coset", mode="complete")
+        est = GroebnerDecoder(mode="complete", limit=1 << 10)
         params = est.get_params()
-        assert params["engine"] == "coset" and params["mode"] == "complete"
-        est.set_params(engine="buchberger")
-        assert est.engine == "buchberger"
+        assert params == {"mode": "complete", "limit": 1 << 10}
+        est.set_params(mode="bounded", limit=None)
+        assert est.mode == "bounded" and est.limit is None
 
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):
             GroebnerDecoder().set_params(gamma=1)
 
     def test_repr_shows_params(self):
-        assert "engine='auto'" in repr(GroebnerDecoder())
+        assert repr(GroebnerDecoder()) == "GroebnerDecoder(mode='bounded', limit=None)"
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
@@ -59,10 +67,26 @@ class TestGroebnerDecoder:
         assert est.t_ == 1 and est.n_features_in_ == 7
         assert len(est.basis_.elements) == 21
 
-    def test_engines_learn_identical_bases(self):
-        a = GroebnerDecoder(engine="coset").fit(A_1_4)
-        b = GroebnerDecoder(engine="buchberger").fit(A_1_4)
-        assert a.basis_ == b.basis_
+    def test_fit_runs_the_coset_engine(self, monkeypatch, codes):
+        assert set(GroebnerDecoder().get_params()) == {"mode", "limit"}
+        calls = []
+
+        def spy(code, limit=None):
+            calls.append(limit)
+            return coset_engine(code, limit=limit)
+
+        monkeypatch.setattr(estimators, "coset_engine", spy)
+        for code in codes.values():
+            est = GroebnerDecoder().fit(code.generator)
+            assert est.basis_ == coset_engine(code)
+            assert est.t_ == capability(est.basis_)
+        assert calls == [None] * len(codes)
+
+    def test_fit_passes_the_limit_to_the_coset_engine(self, codes):
+        code = codes["2_4"]  # [19,5,8]: 2^14 cosets
+        assert GroebnerDecoder(limit=1 << 14).fit(code).basis_ == coset_engine(code)
+        with pytest.raises(EnumerationLimitError, match="coset leader table"):
+            GroebnerDecoder(limit=(1 << 14) - 1).fit(code)
 
     def test_decode_accepts_every_word_form(self, bases):
         est = GroebnerDecoder().fit(A_1_4)
@@ -97,13 +121,6 @@ class TestGroebnerDecoder:
             mask = sum(int(b) << i for i, b in enumerate(row))
             assert mask in cw
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            GroebnerDecoder(engine="magma").fit(A_1_4)
-
-    def test_auto_prefers_coset_for_wide_codes(self, codes):
-        est = GroebnerDecoder(engine="auto").fit(codes["1_5"])  # n=15 > 12
-        assert est.t_ == 3
 
 
 class TestSyndromeTableDecoder:

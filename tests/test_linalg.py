@@ -11,7 +11,6 @@ from schubert_gb import (
     LinearCode,
     build_coset_leader_table,
     min_distance_bruteforce,
-    nn_decode,
     parity_check_of,
     rref,
     syndrome,
@@ -21,7 +20,8 @@ from schubert_gb import (
 from schubert_gb import linalg
 from schubert_gb.linalg import rank
 from schubert_gb.validation import EnumerationLimitError
-from schubert_gb.verify import random_codes, scan_coset_leaders
+from schubert_gb.reference import nn_decode, scan_coset_leaders
+from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, mask_from_bits, weight, word_from_string
 
 from conftest import A_1_4

@@ -20,11 +20,11 @@ from schubert_gb import (
 )
 from schubert_gb.fixtures import TAGS, expected_params, load_generator
 from schubert_gb.linalg import rank
+from schubert_gb.reference import schubert_points_by_plucker_filter
 from schubert_gb.schubert import (
     _det_mod_batch,
     _plucker_rows,
     enumerate_cell_bases,
-    schubert_points_by_plucker_filter,
 )
 from schubert_gb.validation import EnumerationLimitError
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,39 @@ class TestPrime:
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15])
     def test_rejects_composites(self, p):
         with pytest.raises(ValueError):
+            check_prime(p)
+
+    def test_agrees_with_trial_division_below_20000(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+        def accepted(p):
+            try:
+                return check_prime(p) == p
+            except ValueError:
+                return False
+
+        assert [p for p in range(20000) if accepted(p)] == [p for p in range(20000) if trial(p)]
+
+    def test_mersenne_61_is_fast(self):
+        start = time.perf_counter()
+        assert check_prime(2**61 - 1) == 2**61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_rejects_semiprime_of_31_bit_primes(self):
+        a, b = 2**31 - 1, 2**31 - 19
+        assert check_prime(a) == a and check_prime(b) == b
+        with pytest.raises(ValueError, match="composite"):
+            check_prime(a * b)
+
+    def test_rejects_strong_pseudoprime(self):
+        # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5 and 7
+        with pytest.raises(ValueError, match="composite"):
+            check_prime(3215031751)
+
+    @pytest.mark.parametrize("p", [2**63, 2**63 + 29, 2**89 - 1])
+    def test_rejects_moduli_beyond_int64(self, p):
+        with pytest.raises(ValueError, match="int64"):
             check_prime(p)
 
 

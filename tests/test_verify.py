@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from schubert_gb import build_coset_leader_table, capability, cross_check, verify
+from schubert_gb import build_coset_leader_table, capability, verify
 from schubert_gb.decoding import DECODED
 from schubert_gb.groebner import Binomial, ReducedGroebnerBasis
+from schubert_gb.reference import cross_check
 from schubert_gb.words import degrevlex_key
 
 
