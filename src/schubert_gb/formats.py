@@ -31,6 +31,9 @@ _HEADER = re.compile(
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
 # bit of each variable index as the writer spells it, for the plain-term path
 _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
+# indices past the header's n still parse and are refused against n; only an
+# index this large is refused while parsing, before its bit takes index/8 bytes
+_MAX_INDEX = 1 << 16
 
 
 def format_matrix(matrix: np.ndarray, p: int) -> str:
@@ -57,7 +60,10 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
-    M = np.array(rows, dtype=np.int64).reshape(k, n)
+    try:
+        M = np.array(rows, dtype=np.int64).reshape(k, n)
+    except OverflowError as exc:
+        raise ValueError("matrix entries must fit in int64") from exc
     return check_matrix(M, p), p
 
 
@@ -103,6 +109,8 @@ def _parse_term(text: str) -> tuple[int, int | None]:
         if not m:
             raise ValueError(f"bad term factor {factor!r}")
         idx = int(m.group(1))
+        if idx > _MAX_INDEX:
+            raise ValueError(f"variable index {idx} too large in {text!r}")
         exp = int(m.group(2) or 1)
         if idx in seen:
             raise ValueError(f"repeated variable x{idx} in term {text!r}")

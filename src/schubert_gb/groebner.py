@@ -296,6 +296,10 @@ def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
 # Buchberger reference engine (mask arithmetic, eager field reduction)
 # ---------------------------------------------------------------------------
 
+# larger codes go to the coset engine
+_BUCHBERGER_MAX_VARS = 12
+
+
 def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
     """Degrevlex key of mask * x_square^2 (square=0 for a plain mask).
 
@@ -308,9 +312,7 @@ def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
     )
 
 
-def buchberger(
-    generators: Iterable[Binomial], max_vars: int = 12
-) -> ReducedGroebnerBasis:
+def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
     """Pair-queue Buchberger run followed by interreduction.
 
     Pairs are processed by ascending lcm under degrevlex (normal selection)
@@ -330,9 +332,9 @@ def buchberger(
         or any(b.trail for b in gens if b.kind == "field")
     ):
         raise ValueError("generators must include the field relation of every variable")
-    if n > max_vars:
+    if n > _BUCHBERGER_MAX_VARS:
         raise EnumerationLimitError(
-            f"buchberger guard: n={n} exceeds max_vars={max_vars}; "
+            f"buchberger guard: n={n} exceeds {_BUCHBERGER_MAX_VARS} variables; "
             "use the coset engine for larger codes"
         )
     code_gens = [(b.lead, b.trail) for b in gens if b.kind == "code"]

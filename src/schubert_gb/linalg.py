@@ -3,6 +3,9 @@
 Matrices are dense numpy int arrays with entries in [0, p); binary words are
 int bitmasks (see :mod:`schubert_gb.words`).  Everything here is a pure
 function of immutable inputs, so values can be shared freely across threads.
+
+All GF(p) elimination of the package runs through one batched kernel,
+:func:`_eliminate`, whose residues :func:`_residues` holds.
 """
 
 from __future__ import annotations
@@ -21,36 +24,65 @@ _SLICE_WORDS = 1 << 16
 _ONE = np.uint64(1)
 
 
+def _residues(a: np.ndarray, p: int, terms: int = 1) -> np.ndarray:
+    """A copy of ``a`` as int64, or as Python ints (object dtype) when a sum
+    of ``terms`` products of two residues mod p could overflow int64."""
+    return a.astype(object if terms * (p - 1) ** 2 > INT64_MAX else np.int64)
+
+
+def _inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise a^(p-2) mod p (Fermat): the inverse of each nonzero residue; 0 stays 0."""
+    out, e = a, max(p - 3, 0)
+    while e:
+        if e & 1:
+            out = out * a % p
+        a, e = a * a % p, e >> 1
+    return out
+
+
+def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int, np.ndarray]:
+    """Gauss-Jordan over GF(p), in place, on a (rows, cols, K) stack of K residue matrices.
+
+    Returns ``(A, pivot_columns, rank, pivot_values)``.  One pivot row serves
+    the stack, advancing at each column where any matrix is nonzero at or
+    below it, so for K = 1 the 1-based pivot columns and the rank are the
+    matrix's own.  A zero pivot is repaired by adding the first lower row
+    that is nonzero in its column, which keeps the row space and the
+    determinant.  Row r of ``pivot_values`` is each matrix's r-th pivot before
+    scaling, 0 from the rank on: their product mod p is the determinant of a
+    square matrix, left to the caller so that :func:`rref` does not pay for it.
+    """
+    rows, cols, K = A.shape
+    lanes, pivot_values = np.arange(K), np.zeros((rows, K), dtype=A.dtype)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        col = A[r:, c]
+        if not np.count_nonzero(col):
+            continue
+        if r + 1 < rows and np.count_nonzero(col[0]) < K:
+            first = col.astype(bool).argmax(axis=0)  # 0 where no row needs adding
+            A[r, c:] = (A[r, c:] + A[r + first, c:, lanes].T * (first > 0)) % p
+        pivot_values[r] = col[0]
+        # binary pivots are 1 already
+        row = A[r, c:] * _inverse(col[0], p) % p if p > 2 else A[r, c:].copy()
+        A[:, c:] = (A[:, c:] - A[:, c, None] * row) % p
+        A[r, c:] = row
+        pivots.append(c + 1)
+    return A, tuple(pivots), len(pivots), pivot_values
+
+
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Reduced row echelon form over GF(p).
+    """Reduced row echelon form over GF(p), exact for every prime; R is int64.
 
     Returns ``(R, pivot_columns, rank)`` with 1-based, strictly increasing
     pivot columns.  The row space is preserved; a zero matrix has rank 0.
-    When (p - 1)^2 overflows int64 the elimination runs on Python integers
-    (object dtype), so it is exact for every prime; R is int64 either way.
     """
-    M = check_matrix(matrix, p).copy()
-    if (p - 1) ** 2 > INT64_MAX:
-        M = M.astype(object)
-    rows, cols = M.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + nz[0]
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and M[i, c]:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
-        pivots.append(c + 1)
-        r += 1
-    return M.astype(np.int64, copy=False), tuple(pivots), r
+    M = check_matrix(matrix, p)
+    R, pivots, rk, _ = _eliminate(_residues(M[:, :, None], p), p)
+    return R[:, :, 0].astype(np.int64), pivots, rk
 
 
 def rank(matrix: np.ndarray, p: int) -> int:
@@ -65,18 +97,14 @@ def parity_check_of(generator: np.ndarray, p: int = 2) -> np.ndarray:
     standard [-A^T | I] dual basis with columns restored to their original
     positions.  Raises if G is not of full row rank.
     """
-    G = check_matrix(generator, p)
-    k, n = G.shape
-    R, pivots, rk = rref(G, p)
+    R, pivots, rk = rref(generator, p)
+    k, n = R.shape
     if rk != k:
         raise ValueError("generator not full rank")
-    pivot_idx = [c - 1 for c in pivots]
     non_pivots = [c for c in range(n) if c + 1 not in pivots]
     H = np.zeros((n - k, n), dtype=np.int64)
-    for row, c in enumerate(non_pivots):
-        H[row, c] = 1
-        for i, pc in enumerate(pivot_idx):
-            H[row, pc] = (-R[i, c]) % p
+    H[range(n - k), non_pivots] = 1
+    H[:, [c - 1 for c in pivots]] = -R[:, non_pivots].T % p
     return H
 
 
@@ -102,7 +130,8 @@ class LinearCode:
         return cls(generator=G, parity_check=H, n=n, k=k, p=p)
 
     def __post_init__(self):
-        if (self.generator @ self.parity_check.T % self.p).any():
+        G, H = (_residues(M, self.p, self.n) for M in (self.generator, self.parity_check))
+        if (G @ H.T % self.p).any():
             raise ValueError("generator and parity check are not orthogonal")
 
     def row_masks(self) -> list[int]:

@@ -20,7 +20,6 @@ from .groebner import Binomial, ReducedGroebnerBasis, _DivisorIndex, _reduce
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
 from .validation import check_word_mask, guard_enumeration
-from .words import lex_key
 
 Monomial = tuple[int, ...]
 BinomialPair = tuple[Monomial, Monomial]
@@ -230,6 +229,14 @@ def coset_minimum(word: int, codeword_masks: np.ndarray) -> int:
     wts = np.bitwise_count(coset)
     least = coset[wts == wts.min()]
     return int(least.max())  # equal weight: larger mask = degrevlex-smaller
+
+
+def lex_key(mask: int, n: int) -> int:
+    """Key for lexicographic word order with position 1 most significant."""
+    out = 0
+    for i in range(n):
+        out = (out << 1) | ((mask >> i) & 1)
+    return out
 
 
 def nn_decode(

@@ -8,18 +8,21 @@ componentwise <= a, which coincides with the vanishing of every Pluecker
 coordinate outside the lower Bruhat interval of a.
 
 Points are enumerated in blocks: stacks of basis matrices whose minors are
-all taken at once by batched elimination over GF(q).
+all taken at once by the one GF(q) elimination kernel, which lives in
+:mod:`schubert_gb.linalg` and also serves ``rref`` and the parity checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .validation import INT64_MAX, check_matrix, check_prime, guard_enumeration
+from .linalg import _eliminate, _inverse, _residues, rank
+from .validation import check_matrix, check_prime, guard_enumeration
 
 IndexTuple = tuple[int, ...]
 
@@ -150,62 +153,24 @@ def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterat
             yield A
 
 
-def _inv_mod(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise a^(q-2) mod q: the inverse of every nonzero residue."""
-    out = np.ones_like(a)
-    base = a % q
-    e = q - 2
-    while e:
-        if e & 1:
-            out = out * base % q
-        base = base * base % q
-        e >>= 1
-    return out
-
-
-def _det_mod_batch(M: np.ndarray, q: int) -> np.ndarray:
-    """Determinants mod q of an (s, s, K) stack of K residue matrices.
-
-    Gaussian elimination over GF(q) on all K matrices at once, the matrix
-    index last so every step runs over contiguous length-K vectors.  A zero
-    pivot is repaired by adding the first lower row with a nonzero entry in
-    that column, which leaves the determinant unchanged; a matrix with no
-    such row keeps its zero pivot and gets determinant 0.
-    """
-    A = M.copy()
-    s = A.shape[0]
-    det = np.ones(A.shape[2], dtype=A.dtype)
-    for c in range(s):
-        for r in range(c + 1, s):
-            fix = (A[c, c] == 0) & (A[r, c] != 0)
-            if fix.any():
-                A[c, c:] = (A[c, c:] + A[r, c:] * fix) % q
-        pivot = A[c, c]
-        det = det * pivot % q
-        factor = A[c + 1:, c] * _inv_mod(pivot, q) % q
-        A[c + 1:, c + 1:] = (A[c + 1:, c + 1:] - factor[:, None] * A[c, c + 1:]) % q
-    return det
-
-
 def _plucker_rows(bases: np.ndarray, q: int) -> np.ndarray:
     """(N, C(m, l)) Pluecker coordinates of an (N, l, m) stack of residue bases.
 
     Minors in lexicographic tuple order, each row scaled so its first nonzero
-    coordinate is 1.  Residues whose products overflow int64 are computed
-    with Python integers (object dtype), so the result is exact for every q.
+    coordinate is 1.  Each minor is the product of its pivots in one batched
+    elimination, exact for every q.
     """
     N, l, m = bases.shape
-    if (q - 1) ** 2 > INT64_MAX:
-        bases = bases.astype(object)
     cols = np.array(index_tuples(l, m)) - 1
     # minors[i, j, t, n] = bases[n, i, cols[t, j]]
-    minors = bases.transpose(1, 2, 0)[:, cols.T]
-    coords = _det_mod_batch(minors.reshape(l, l, -1), q).reshape(len(cols), N).T
+    minors = _residues(bases, q).transpose(1, 2, 0)[:, cols.T]
+    pivot_values = _eliminate(minors.reshape(l, l, -1), q)[3]
+    coords = functools.reduce(lambda a, b: a * b % q, pivot_values).reshape(len(cols), N).T
     nonzero = coords != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("not a basis")
     first = coords[np.arange(N), nonzero.argmax(axis=1)]
-    return coords * _inv_mod(first, q)[:, None] % q
+    return coords * _inverse(first, q)[:, None] % q
 
 
 def plucker(basis: np.ndarray, q: int) -> tuple[int, ...]:
@@ -256,8 +221,6 @@ def generator_matrix(spec: SchubertSpec, limit: int | None = None) -> np.ndarray
     lexicographic order) across the points in enumeration order.  Full rank
     and the absence of zero columns are asserted.
     """
-    from .linalg import rank  # local import keeps module dependencies one-way
-
     keep = _below_alpha(spec)
     G = np.concatenate(
         [coords[:, keep].T.astype(np.int64) for coords in _point_blocks(spec, limit)], axis=1

@@ -102,11 +102,3 @@ def degrevlex_key(mask: int) -> tuple[int, int]:
     is simply descending integer order.
     """
     return (mask.bit_count(), -mask)
-
-
-def lex_key(mask: int, n: int) -> int:
-    """Key for lexicographic word order with position 1 most significant."""
-    out = 0
-    for i in range(n):
-        out = (out << 1) | ((mask >> i) & 1)
-    return out

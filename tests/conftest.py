@@ -8,6 +8,9 @@ from schubert_gb.fixtures import TAGS, load_code
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
+# smallest prime above 2^32: products of two residues overflow int64
+LARGE_PRIME = 4294967311
+
 # the four reference codes, keyed by the alpha tag used in the fixture files
 A_1_4 = np.array(
     [

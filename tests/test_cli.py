@@ -132,6 +132,12 @@ class TestGb:
         code, _, _ = run(capsys, "gb", "--matrix", "/nonexistent/file.txt")
         assert code == 2
 
+    def test_entry_beyond_int64_exits_2(self, capsys, tmp_path):
+        matrix = tmp_path / "huge_entry.txt"
+        matrix.write_text("1 2 2\n99999999999999999999999 0\n")
+        code, _, err = run(capsys, "gb", "--matrix", str(matrix))
+        assert code == 2 and "int64" in err
+
     def test_large_prime_matrix_is_binary_only(self, capsys, tmp_path):
         matrix = tmp_path / "big_q.txt"
         matrix.write_text(f"1 1 {2**61 - 1}\n1\n")

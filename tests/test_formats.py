@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubert_gb import SchubertSpec, enumerate_schubert_points, index_tuples
 from schubert_gb.formats import (
@@ -16,6 +18,28 @@ from schubert_gb.fixtures import load_basis, load_spot_elements
 from schubert_gb.groebner import Binomial
 
 from conftest import A_1_4
+
+
+# arbitrary text, and text over the characters both grammars are made of
+FUZZ_TEXT = st.one_of(st.text(max_size=80), st.text(" \t\n-+#*^x0123456789n=.e_", max_size=80))
+
+
+class TestFuzz:
+    @given(st.sampled_from(["", "1 3 2\n", "2 2 5\n", "0 4 3\n"]), FUZZ_TEXT)
+    @settings(max_examples=300)
+    def test_parse_matrix_raises_only_value_error(self, header, body):
+        try:
+            parse_matrix(header + body)
+        except ValueError:
+            pass
+
+    @given(st.sampled_from(["", "# n=3 order=degrevlex field=GF(2)\n"]), FUZZ_TEXT)
+    @settings(max_examples=300)
+    def test_parse_basis_raises_only_value_error(self, header, body):
+        try:
+            parse_basis(header + body)
+        except ValueError:
+            pass
 
 
 class TestMatrixFormat:
@@ -38,6 +62,10 @@ class TestMatrixFormat:
     def test_wrong_row_count(self):
         with pytest.raises(ValueError, match="rows"):
             parse_matrix("2 3 2\n1 0 1\n")
+
+    def test_entry_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match="fit in int64"):
+            parse_matrix("1 2 2\n99999999999999999999 0\n")
 
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
@@ -147,6 +175,10 @@ class TestBasisFormat:
     ])
     def test_plain_term_masks(self, term, mask):
         assert parse_element_lines(f"{term} - 1\n")[1] == [Binomial(mask, 0, "code")]
+
+    def test_huge_variable_index_refused_before_its_bit_is_built(self):
+        with pytest.raises(ValueError, match="variable index 99999999999 too large"):
+            parse_element_lines("x1*x99999999999 - 1\n")
 
     def test_spot_fixture_files_parse(self):
         for tag in ("1_5", "2_4"):

@@ -24,7 +24,7 @@ from schubert_gb.reference import nn_decode, scan_coset_leaders
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, mask_from_bits, weight, word_from_string
 
-from conftest import A_1_4
+from conftest import A_1_4, LARGE_PRIME
 
 
 def enumerate_codeword_masks(G):
@@ -40,7 +40,51 @@ def enumerate_codeword_masks(G):
     return out
 
 
+def rref_reference(rows, p):
+    """Row-swapping Gauss-Jordan on Python integers, one row operation at a time."""
+    A = [[int(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c + 1)
+    return A, tuple(pivots), len(pivots)
+
+
+@st.composite
+def residue_matrices(draw):
+    """(rows, p): a product of rows x inner and inner x cols residue factors,
+    so the rank is at most inner; inner = 0 gives the zero matrix."""
+    p = draw(st.sampled_from([2, 3, 5, 7, LARGE_PRIME]))
+    rows, cols, inner = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(0, 5))
+
+    def factor(r, c):
+        return draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    B, C = factor(rows, inner), factor(inner, cols)
+    return [[sum(B[i][t] * C[t][j] for t in range(inner)) % p for j in range(cols)]
+            for i in range(rows)], p
+
+
 class TestRref:
+    @given(residue_matrices())
+    @settings(max_examples=300)
+    def test_matches_row_swapping_reference(self, case):
+        rows, p = case
+        R, pivots, rk = rref(np.array(rows, dtype=np.int64), p)
+        assert R.dtype == np.int64
+        assert (R.tolist(), pivots, rk) == rref_reference(rows, p)
+
     def test_identity_already_reduced(self):
         I = np.eye(3, dtype=int)
         R, pivots, rk = rref(I, 2)
@@ -143,6 +187,20 @@ class TestParityCheck:
         H = parity_check_of(G, 3)
         assert not (G @ H.T % 3).any()
         assert rref(H, 3)[2] == 2
+
+    def test_large_prime_codes_are_orthogonal(self):
+        # G @ H.T sums n products of residues, which passes int64 where one product does not
+        def orthogonal(code):
+            G, H = code.generator.tolist(), code.parity_check.tolist()
+            return all(sum(g * h for g, h in zip(a, b)) % code.p == 0 for a in G for b in H)
+
+        assert orthogonal(LinearCode.from_generator([[LARGE_PRIME - 1, LARGE_PRIME - 2, 5]],
+                                                    LARGE_PRIME))
+        p = 3037000493  # (p - 1)^2 fits int64, a sum of two such products does not
+        rng = np.random.default_rng(11)
+        built = [LinearCode.from_generator(G, p)
+                 for G in rng.integers(0, p, size=(200, 2, 6)) if rank(G, p) == 2]
+        assert len(built) == 200 and all(map(orthogonal, built))
 
 
 class TestSyndrome:

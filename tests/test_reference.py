@@ -16,7 +16,7 @@ MOVED = (
     "exponents_from_mask", "_mul", "_div", "_lcm", "_orient", "spoly", "reduce_poly",
     "is_groebner", "_is_groebner_exponents", "exponent_pair", "as_pairs",
     "minimal_nonstandard_count", "scan_coset_leaders", "coset_minimum",
-    "schubert_points_by_plucker_filter", "nn_decode", "CrossCheck", "cross_check",
+    "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
 )
 
 

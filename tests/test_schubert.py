@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -19,24 +20,19 @@ from schubert_gb import (
     schubert_params,
 )
 from schubert_gb.fixtures import TAGS, expected_params, load_generator
-from schubert_gb.linalg import rank
+from schubert_gb.linalg import _eliminate, _residues, rank
 from schubert_gb.reference import schubert_points_by_plucker_filter
-from schubert_gb.schubert import (
-    _det_mod_batch,
-    _plucker_rows,
-    enumerate_cell_bases,
-)
+from schubert_gb.schubert import _plucker_rows, enumerate_cell_bases
 from schubert_gb.validation import EnumerationLimitError
 
-# smallest prime above 2^32: products of two residues overflow int64
-LARGE_PRIME = 4294967311
+from conftest import LARGE_PRIME
 
 
 def det_mod_reference(M, q):
     """Reference determinant mod q: cofactors up to 4x4, row elimination above.
 
-    The per-matrix route the batched kernel replaced; exact for any q up to
-    4x4, since the cofactor sum is taken in Python integers.
+    The per-matrix route the batched kernel replaced; exact for any q, since
+    both routes compute in Python integers.
     """
     size = M.shape[0]
     if size == 1:
@@ -50,7 +46,7 @@ def det_mod_reference(M, q):
             det += sign * int(M[0, j]) * det_mod_reference(M[np.ix_(rest, cols)], q)
             sign = -sign
         return det % q
-    A = M.astype(np.int64) % q
+    A = M.astype(object) % q
     det = 1
     for c in range(size):
         nz = np.nonzero(A[c:, c])[0]
@@ -86,7 +82,8 @@ def random_stack(rng, count, rows, cols, q):
     if rows > 1:
         dep = rng.random(count) < 1 / 3
         coef = rng.integers(0, q, size=(int(dep.sum()), rows - 1))
-        S[dep, -1] = np.einsum("ki,kij->kj", coef, S[dep, :-1]) % q
+        combo = np.einsum("ki,kij->kj", coef.astype(object), S[dep, :-1].astype(object))
+        S[dep, -1] = combo % q
     return S
 
 
@@ -239,12 +236,13 @@ class TestPlucker:
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, LARGE_PRIME])
     @pytest.mark.parametrize("size", range(1, 7))
     def test_determinants_match_reference(self, size, q):
         rng = np.random.default_rng(1000 * size + q)
         S = random_stack(rng, 300, size, size, q)
-        got = _det_mod_batch(S.transpose(1, 2, 0), q)
+        pivot_values = _eliminate(_residues(S.transpose(1, 2, 0), q), q)[3]
+        got = functools.reduce(lambda a, b: a * b % q, pivot_values)
         want = [det_mod_reference(M, q) for M in S]
         assert got.tolist() == want
         if size > 1:

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schubert_gb.reference import lex_key
 from schubert_gb.words import (
     bits_from_mask,
     degrevlex_key,
-    lex_key,
     mask_from_bits,
     mask_from_support,
     monomial_from_string,
