@@ -5,7 +5,16 @@ canonical form of that monomial under the reduced basis is the coset's
 standard monomial, i.e. exactly the degrevlex coset leader.  When its weight
 is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
-The seeded channel simulator below classifies such decodes trial by trial.
+
+Single words and batches share one decode path, :func:`_canonical`:
+:func:`gb_decode` wraps its result in a :class:`DecodeOutcome`, while the
+batch callers (:func:`simulate`, ``GroebnerDecoder.predict``) use it
+directly.  The seeded channel simulator draws its trials in blocks of at
+most ``_BLOCK`` as uint64 arrays: trial i is a splitmix64 stream of its own,
+fixed by (seed, i) alone, so a report is bit-identical per seed however the
+trials are blocked.  The scalar form of that stream is kept in
+:mod:`schubert_gb.reference` as the oracle the array stream is tested
+against.
 
 The check that audits this decoder against syndrome-table and
 nearest-neighbour decoding, ``cross_check``, is in :mod:`schubert_gb.reference`
@@ -16,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import ReducedGroebnerBasis, capability, normal_form
+import numpy as np
+
+from .groebner import ReducedGroebnerBasis, _reduce, capability
 from .linalg import LinearCode
 from .validation import check_word_mask
-from .words import weight
 
 DECODED = "decoded"
 TOO_MANY_ERRORS = "too_many_errors"
@@ -41,6 +51,16 @@ class DecodeOutcome:
     codeword: int | None = None
 
 
+def _canonical(word: int, gb: ReducedGroebnerBasis, mode: str) -> tuple[int, bool]:
+    """The one decode path: the canonical form of a word mask already known
+    to be in range, and whether the word decodes, which in ``bounded`` mode
+    means the form's weight is at most t = capability(gb)."""
+    if mode not in ("bounded", "complete"):
+        raise ValueError(f"unknown decode mode {mode!r}")
+    canonical = _reduce(word, gb._divisor_index)
+    return canonical, mode == "complete" or canonical.bit_count() <= capability(gb)
+
+
 def gb_decode(
     word: int, gb: ReducedGroebnerBasis, mode: str = "bounded"
 ) -> DecodeOutcome:
@@ -51,52 +71,39 @@ def gb_decode(
     decodes to the coset leader regardless of weight (this completion is a
     convenience, not part of the published procedure).
     """
-    if mode not in ("bounded", "complete"):
-        raise ValueError(f"unknown decode mode {mode!r}")
     w = check_word_mask(word, gb.n)
-    canonical = normal_form(w, gb)
-    nf_weight = weight(canonical)
-    if mode == "bounded" and nf_weight > capability(gb):
-        return DecodeOutcome(status=TOO_MANY_ERRORS, canonical=canonical, nf_weight=nf_weight)
-    return DecodeOutcome(
-        status=DECODED,
-        canonical=canonical,
-        nf_weight=nf_weight,
-        error=canonical,
-        codeword=w ^ canonical,
-    )
+    canonical, decoded = _canonical(w, gb, mode)
+    if decoded:
+        return DecodeOutcome(DECODED, canonical, canonical.bit_count(), canonical, w ^ canonical)
+    return DecodeOutcome(TOO_MANY_ERRORS, canonical, canonical.bit_count())
 
 
 # ---------------------------------------------------------------------------
 # seeded channel simulation
 # ---------------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# trials drawn and decoded per block: bounds the simulator's memory at O(_BLOCK * n)
+_BLOCK = 1 << 14
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on a uint64 array; products wrap mod 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-class _TrialStream:
-    """splitmix64 stream derived solely from (seed, trial index).
+def _draws(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """Draws 0..count-1 of trials start..stop-1, one row per trial.
 
-    Trials therefore draw identical randomness whether they run sequentially
-    or are farmed out in parallel and merged.
+    Trial i starts from state0 = mix64(seed ^ mix64(i * gamma)), and its draw
+    j is mix64(state0 + (j + 1) * gamma), all mod 2^64: a splitmix64 stream
+    fixed by (seed, i) alone, so a trial draws the same in any block.
     """
-
-    def __init__(self, seed: int, trial: int):
-        self._state = _mix64((seed & _MASK64) ^ _mix64(trial * _GAMMA & _MASK64))
-
-    def next64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-    def below(self, bound: int) -> int:
-        return self.next64() % bound
+    trials = np.arange(start, stop, dtype=np.uint64)
+    state0 = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _mix64(trials * _GAMMA))
+    return _mix64(state0[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA)
 
 
 @dataclass(frozen=True)
@@ -108,16 +115,19 @@ class FixedWeight:
     def label(self) -> str:
         return f"fixed_weight({self.weight})"
 
-    def draw(self, rng: _TrialStream, n: int) -> int:
+    def _check(self, n: int) -> None:
         if not 0 <= self.weight <= n:
             raise ValueError(f"fixed error weight must be in [0, {n}]")
-        positions = list(range(n))
-        mask = 0
+
+    def _errors(self, draws: np.ndarray, n: int) -> np.ndarray:
+        """Error masks from (trials, n) draws: a partial Fisher-Yates shuffle
+        of the positions, swapping position i with i + draw_i mod (n - i)."""
+        rows = np.arange(len(draws))
+        positions = np.tile(np.arange(n, dtype=np.uint64), (len(draws), 1))
         for i in range(self.weight):
-            j = i + rng.below(n - i)
-            positions[i], positions[j] = positions[j], positions[i]
-            mask |= 1 << positions[i]
-        return mask
+            j = i + (draws[:, i] % np.uint64(n - i)).astype(np.intp)
+            positions[rows, i], positions[rows, j] = positions[rows, j], positions[rows, i]
+        return np.bitwise_or.reduce(np.uint64(1) << positions[:, : self.weight], axis=1)
 
 
 @dataclass(frozen=True)
@@ -129,15 +139,18 @@ class BSC:
     def label(self) -> str:
         return f"bsc({self.crossover:g})"
 
-    def draw(self, rng: _TrialStream, n: int) -> int:
+    def _check(self, n: int) -> None:
         if not 0.0 <= self.crossover <= 1.0:
             raise ValueError("crossover probability must be in [0, 1]")
+
+    def _errors(self, draws: np.ndarray, n: int) -> np.ndarray:
+        """Error masks from (trials, n) draws: position i flips when draw i
+        is below crossover * 2^64."""
         threshold = int(self.crossover * (1 << 64))
-        mask = 0
-        for i in range(n):
-            if rng.next64() < threshold:
-                mask |= 1 << i
-        return mask
+        if threshold >> 64:  # crossover 1.0: every 64-bit draw is below 2^64
+            return np.full(len(draws), (1 << n) - 1, dtype=np.uint64)
+        flips = (draws < np.uint64(threshold)).astype(np.uint64)
+        return np.bitwise_or.reduce(flips << np.arange(n, dtype=np.uint64), axis=1)
 
 
 @dataclass(frozen=True)
@@ -172,27 +185,29 @@ def simulate(
     success: the transmitted codeword is recovered; failures_flagged: the
     decoder reported too many errors; miscorrection: it decoded to a wrong
     codeword (impossible within radius t, counted to catch implementation
-    bugs).
+    bugs).  Draw 0 of a trial picks the codeword, the draws after it the error.
     """
-    model.draw(_TrialStream(seed, 0), code.n)  # validate model parameters early
+    n = code.n
+    model._check(n)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     codewords = code.codeword_masks()
-    successes = flagged = miscorrections = 0
-    for trial in range(trials):
-        rng = _TrialStream(seed, trial)
-        sent = int(codewords[rng.below(len(codewords))])
-        received = sent ^ model.draw(rng, code.n)
-        outcome = gb_decode(received, gb)
-        if outcome.status == TOO_MANY_ERRORS:
-            flagged += 1
-        elif outcome.codeword == sent:
-            successes += 1
-        else:
-            miscorrections += 1
+    successes = flagged = 0
+    for start in range(0, trials, _BLOCK):
+        draws = _draws(seed, start, min(start + _BLOCK, trials), n + 1)
+        sent = codewords[(draws[:, 0] % np.uint64(len(codewords))).astype(np.intp)]
+        errors = model._errors(draws[:, 1:], n)
+        for received, error in zip((sent ^ errors).tolist(), errors.tolist()):
+            canonical, decoded = _canonical(received, gb, "bounded")
+            if not decoded:
+                flagged += 1
+            elif canonical == error:  # decoded to received ^ error, the codeword sent
+                successes += 1
     return SimReport(
         trials=trials,
         successes=successes,
         failures_flagged=flagged,
-        miscorrections=miscorrections,
+        miscorrections=trials - successes - flagged,
         seed=seed,
         model=model.label(),
     )

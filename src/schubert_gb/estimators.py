@@ -14,7 +14,7 @@ import inspect
 
 import numpy as np
 
-from .decoding import DECODED, DecodeOutcome, gb_decode
+from .decoding import DecodeOutcome, _canonical, gb_decode
 from .groebner import ReducedGroebnerBasis, capability, coset_engine
 from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndrome_decode
 from .validation import check_is_fitted, check_words_array
@@ -126,8 +126,8 @@ class GroebnerDecoder(_EstimatorMixin):
         check_is_fitted(self, "basis_")
         out = []
         for w in _row_masks(check_words_array(X, self.code_.n)):
-            outcome = gb_decode(w, self.basis_, mode=self.mode)
-            out.append(outcome.codeword if outcome.status == DECODED else w)
+            canonical, decoded = _canonical(w, self.basis_, self.mode)
+            out.append(w ^ canonical if decoded else w)
         return _mask_rows(out, self.code_.n)
 
 

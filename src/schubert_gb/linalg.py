@@ -68,7 +68,8 @@ def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...], int,
         pivot_values[r] = col[0]
         # binary pivots are 1 already
         row = A[r, c:] * _inverse(col[0], p) % p if p > 2 else A[r, c:].copy()
-        A[:, c:] = (A[:, c:] - A[:, c, None] * row) % p
+        if np.count_nonzero(A[:, c]) > np.count_nonzero(col[0]):  # a row besides r to clear
+            A[:, c:] = (A[:, c:] - A[:, c, None] * row) % p
         A[r, c:] = row
         pivots.append(c + 1)
     return A, tuple(pivots), len(pivots), pivot_values

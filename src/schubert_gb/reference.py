@@ -4,8 +4,10 @@ Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
 the exponent-tuple arithmetic and the Buchberger criterion that audit the
 mask arithmetic of :mod:`schubert_gb.groebner`, the brute-force oracles over
 all 2^n words or all codewords that audit the coset walk and the rewrite
-kernel, the three-decoder :func:`cross_check`, and the Pluecker filter that
-audits the Schubert cell enumeration.
+kernel, the three-decoder :func:`cross_check`, the scalar splitmix64 trial
+stream and error draws that audit the simulator's uint64 array stream
+(:func:`schubert_gb.decoding._draws`), and the Pluecker filter that audits
+the Schubert cell enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .decoding import DECODED, DecodeOutcome, gb_decode
+from .decoding import BSC, DECODED, DecodeOutcome, FixedWeight, gb_decode
 from .groebner import Binomial, ReducedGroebnerBasis, _DivisorIndex, _reduce
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
@@ -288,6 +290,53 @@ def cross_check(
         outcome.codeword == sd and sd == nn and not ambiguous
     )
     return CrossCheck(outcome, sd, nn, ambiguous, agree)
+
+
+# ---------------------------------------------------------------------------
+# the simulator's random stream, one trial and one draw at a time
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class TrialStream:
+    """splitmix64 stream derived solely from (seed, trial index), on Python ints."""
+
+    def __init__(self, seed: int, trial: int):
+        self._state = _mix64((seed & _MASK64) ^ _mix64(trial * _GAMMA & _MASK64))
+
+    def next64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
+
+    def below(self, bound: int) -> int:
+        return self.next64() % bound
+
+
+def draw_error(model: FixedWeight | BSC, rng: TrialStream, n: int) -> int:
+    """One trial's error mask: a partial Fisher-Yates shuffle of the positions
+    for ``FixedWeight``, one threshold test per position for ``BSC``."""
+    if isinstance(model, FixedWeight):
+        positions = list(range(n))
+        mask = 0
+        for i in range(model.weight):
+            j = i + rng.below(n - i)
+            positions[i], positions[j] = positions[j], positions[i]
+            mask |= 1 << positions[i]
+        return mask
+    threshold = int(model.crossover * (1 << 64))
+    mask = 0
+    for i in range(n):
+        if rng.next64() < threshold:
+            mask |= 1 << i
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,10 @@ def random_codes(
         cols = {tuple(col) for col in G.T}
         if len(cols) != n or any(not any(col) for col in cols):
             continue
-        if rank(G, 2) != k:
+        try:
+            code = LinearCode.from_generator(G, p=2)
+        except ValueError:  # "generator not full rank": 0/1 entries fail no other check
             continue
-        code = LinearCode.from_generator(G, p=2)
         if min_distance_bruteforce(code) < 3:
             continue
         out.append(code)

@@ -230,6 +230,13 @@ class TestSimulate:
         )
         assert run(capsys, *args)[1] == run(capsys, *args)[1]
 
+    def test_negative_trials_exit_2(self, capsys, fixture_matrix_file):
+        code, out, err = run(
+            capsys, "simulate", "--matrix", fixture_matrix_file("1_4"),
+            "--model", "fixed_weight:1", "--trials", "-1",
+        )
+        assert code == 2 and out == "" and "trials must be >= 0" in err
+
     def test_unknown_model_exit_2(self, capsys, fixture_matrix_file):
         code, _, err = run(
             capsys, "simulate", "--matrix", fixture_matrix_file("1_4"),

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from schubert_gb import (
@@ -10,8 +12,10 @@ from schubert_gb import (
     syndrome,
     syndrome_decode,
 )
+from schubert_gb import decoding
 from schubert_gb.decoding import DECODED, TOO_MANY_ERRORS
-from schubert_gb.reference import cross_check
+from schubert_gb.fixtures import expected_params
+from schubert_gb.reference import TrialStream, cross_check, draw_error
 from schubert_gb.words import (
     monomial_from_string,
     monomial_to_string,
@@ -156,9 +160,82 @@ class TestSimulate:
         with pytest.raises(ValueError, match="weight"):
             simulate(codes["2_3"], bases["2_3"], FixedWeight(8), trials=10, seed=0)
 
+    def test_negative_trials_refused(self, codes, bases):
+        with pytest.raises(ValueError, match=r"trials must be >= 0"):
+            simulate(codes["2_3"], bases["2_3"], FixedWeight(1), trials=-5, seed=0)
+
+    def test_model_checked_before_trials(self, codes, bases):
+        with pytest.raises(ValueError, match="probability"):
+            simulate(codes["2_3"], bases["2_3"], BSC(-0.1), trials=-5, seed=0)
+        with pytest.raises(ValueError, match=r"fixed error weight must be in \[0, 7\]"):
+            simulate(codes["2_3"], bases["2_3"], FixedWeight(-1), trials=10**18, seed=0)
+
     def test_record_field_order(self, codes, bases):
         report = simulate(codes["2_3"], bases["2_3"], FixedWeight(1), trials=10, seed=4)
         assert report.record() == (
             "trials=10 successes=10 failures_flagged=0 miscorrections=0 "
             "seed=4 model=fixed_weight(1)"
         )
+
+
+class TestTrialStream:
+    """The simulator's uint64 array stream against the scalar reference stream."""
+
+    SEEDS = (0, 1, 2024, 2**63 + 5, 2**64 - 1, -1, 2**70 + 3)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_scalar_stream(self, seed):
+        start, stop, count = 5, 45, 12
+        draws = decoding._draws(seed, start, stop, count)
+        assert draws.dtype == np.uint64 and draws.shape == (stop - start, count)
+        for row, trial in zip(draws.tolist(), range(start, stop)):
+            rng = TrialStream(seed, trial)
+            assert row == [rng.next64() for _ in range(count)]
+
+    @pytest.mark.parametrize(
+        "model",
+        [FixedWeight(0), FixedWeight(1), FixedWeight(3), FixedWeight(19),
+         BSC(0.0), BSC(0.05), BSC(0.5), BSC(1.0)],
+        ids=lambda m: m.label(),
+    )
+    def test_errors_match_scalar_draws(self, model):
+        n, trials = 19, 64
+        for seed in self.SEEDS:
+            draws = decoding._draws(seed, 0, trials, n + 1)
+            got = model._errors(draws[:, 1:], n).tolist()
+            want = []
+            for trial in range(trials):
+                rng = TrialStream(seed, trial)
+                rng.next64()  # draw 0 picks the codeword
+                want.append(draw_error(model, rng, n))
+            assert got == want, seed
+            if isinstance(model, FixedWeight):
+                assert all(e.bit_count() == model.weight for e in got)
+
+    def test_full_crossover_flips_every_position_of_a_64_bit_word(self):
+        draws = decoding._draws(3, 0, 4, 65)
+        assert BSC(1.0)._errors(draws[:, 1:], 64).tolist() == [(1 << 64) - 1] * 4
+
+
+# sha256 of the record() lines below, generated by the simulator's scalar
+# per-trial stream before trials were drawn in blocks
+RECORDS_SHA256 = "71959343d67b52784d2e11b95658409073d1e7b0620c4ead23254eaefae3d3bf"
+
+
+def test_records_pinned_across_blocks(codes, bases, monkeypatch):
+    """Trial counts 0, 1, block - 1, block, block + 1 and several blocks, with
+    the block shrunk to 16, at seeds at and beyond the 64-bit edges."""
+    block = 16
+    monkeypatch.setattr(decoding, "_BLOCK", block)
+    lines = []
+    for tag, code in codes.items():
+        t = expected_params()[tag]["t"]
+        models = (FixedWeight(0), FixedWeight(t), FixedWeight(t + 2), FixedWeight(code.n),
+                  BSC(0.0), BSC(0.05), BSC(0.3), BSC(1.0))
+        for model in models:
+            for trials in (0, 1, block - 1, block, block + 1, 100):
+                for seed in (0, 7, 2**63 + 5, 2**64 - 1, -1):
+                    report = simulate(code, bases[tag], model, trials, seed)
+                    lines.append(f"c_{tag} {report.record()}")
+    assert len(lines) == 960
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RECORDS_SHA256

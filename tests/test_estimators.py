@@ -9,6 +9,7 @@ from schubert_gb import (
     capability,
     coset_engine,
     estimators,
+    gb_decode,
 )
 from schubert_gb.decoding import DECODED
 from schubert_gb.words import bits_from_mask, mask_from_bits
@@ -155,6 +156,17 @@ class TestBatchConversion:
         sd = SyndromeTableDecoder().fit(wide_code)
         want = [bits_from_mask(sd.decode(row)[0], 64) for row in X]
         assert (sd.predict(X) == np.array(want)).all()
+
+    def test_predict_equals_gb_decode_on_every_word(self, codes):
+        for tag in ("1_4", "2_3"):
+            X = np.array([bits_from_mask(w, 7) for w in range(1 << 7)])
+            for mode in ("bounded", "complete"):
+                est = GroebnerDecoder(mode=mode).fit(codes[tag])
+                want = []
+                for w in range(1 << 7):
+                    outcome = gb_decode(w, est.basis_, mode)
+                    want.append(bits_from_mask(outcome.codeword if outcome.status == DECODED else w, 7))
+                assert (est.predict(X) == np.array(want)).all(), (tag, mode)
 
     def test_empty_batch(self, codes):
         for est in (GroebnerDecoder().fit(codes["1_4"]), SyndromeTableDecoder().fit(codes["1_4"])):

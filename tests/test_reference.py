@@ -17,6 +17,7 @@ MOVED = (
     "is_groebner", "_is_groebner_exponents", "exponent_pair", "as_pairs",
     "minimal_nonstandard_count", "scan_coset_leaders", "coset_minimum",
     "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
+    "TrialStream", "draw_error",
 )
 
 
