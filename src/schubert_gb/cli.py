@@ -23,9 +23,9 @@ from .schubert import (
     index_tuples,
     schubert_params,
 )
-from .validation import EnumerationLimitError
+from .validation import ENUM_ENV_VAR, EnumerationLimitError, enum_limit
 from .verify import SECTIONS, run_checks
-from .words import monomial_to_string, word_to_string
+from .words import WORD_LIMIT, monomial_to_string, word_to_string
 
 OK, MISMATCH, USAGE, GUARD, MISSING_FIXTURE = 0, 1, 2, 3, 4
 
@@ -63,11 +63,31 @@ def cmd_build(args) -> int:
     return OK
 
 
-def cmd_gb(args) -> int:
-    G, p = parse_matrix(Path(args.matrix).read_text())
+def _binary_code(path: str) -> LinearCode:
+    """The code of a binary generator-matrix file.
+
+    A code longer than a word is refused before ``from_generator`` builds
+    its (n - k) x n parity check, which a header such as ``0 99999999 2``
+    would size.  As in the coset engine, the guard on its 2^(n-k) cosets
+    speaks first; the exponent is compared, so no 2^(n-k) is formed.
+    """
+    G, p = parse_matrix(Path(path).read_text())
     if p != 2:
         raise ValueError("binary only")
-    code = LinearCode.from_generator(G, p=2)
+    k, n = G.shape
+    if n > WORD_LIMIT:
+        bound = enum_limit()
+        if n - k >= bound.bit_length():
+            raise EnumerationLimitError(
+                f"enumeration bound exceeded: coset leader table needs 2^{n - k} > {bound} "
+                f"words (raise the limit explicitly or via {ENUM_ENV_VAR})"
+            )
+        raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
+    return LinearCode.from_generator(G, p=2)
+
+
+def cmd_gb(args) -> int:
+    code = _binary_code(args.matrix)
     if args.engine == "buchberger":
         basis = buchberger(ideal_generators(code))
     else:
@@ -110,10 +130,7 @@ def _parse_model(text: str):
 
 
 def cmd_simulate(args) -> int:
-    G, p = parse_matrix(Path(args.matrix).read_text())
-    if p != 2:
-        raise ValueError("binary only")
-    code = LinearCode.from_generator(G, p=2)
+    code = _binary_code(args.matrix)
     basis = coset_engine(code)
     report = simulate(code, basis, _parse_model(args.model), args.trials, args.seed)
     print(report.record())

@@ -51,12 +51,16 @@ class DecodeOutcome:
     codeword: int | None = None
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("bounded", "complete"):
+        raise ValueError(f"unknown decode mode {mode!r}")
+
+
 def _canonical(word: int, gb: ReducedGroebnerBasis, mode: str) -> tuple[int, bool]:
     """The one decode path: the canonical form of a word mask already known
     to be in range, and whether the word decodes, which in ``bounded`` mode
     means the form's weight is at most t = capability(gb)."""
-    if mode not in ("bounded", "complete"):
-        raise ValueError(f"unknown decode mode {mode!r}")
+    _check_mode(mode)
     canonical = _reduce(word, gb._divisor_index)
     return canonical, mode == "complete" or canonical.bit_count() <= capability(gb)
 

@@ -14,7 +14,7 @@ import inspect
 
 import numpy as np
 
-from .decoding import DecodeOutcome, _canonical, gb_decode
+from .decoding import DecodeOutcome, _canonical, _check_mode, gb_decode
 from .groebner import ReducedGroebnerBasis, capability, coset_engine
 from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndrome_decode
 from .validation import check_is_fitted, check_words_array
@@ -84,7 +84,7 @@ class GroebnerDecoder(_EstimatorMixin):
     ----------
     mode : 'bounded' | 'complete'
         'bounded' refuses words beyond the guarantee radius; 'complete'
-        always decodes to the coset leader.
+        always decodes to the coset leader.  ``fit`` refuses any other.
     limit : optional enumeration-guard override; the coset engine counts the
         2^(n-k) cosets against it.
 
@@ -104,6 +104,7 @@ class GroebnerDecoder(_EstimatorMixin):
 
     def fit(self, X, y=None) -> "GroebnerDecoder":
         """Build the reduced basis from a k x n binary generator matrix X."""
+        _check_mode(self.mode)
         code = X if isinstance(X, LinearCode) else LinearCode.from_generator(X, p=2)
         basis = coset_engine(code, limit=self.limit)
         self.code_ = code

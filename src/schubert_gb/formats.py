@@ -8,10 +8,25 @@ element per line, ``term - term``; a term is ``1`` or ``*``-joined factors
 ``x<i>`` / ``x<i>^2`` with ascending indices.  The writer emits lines sorted
 ascending by lead; the parser accepts any order and extra whitespace, so
 transcribed listings can be compared set-wise.
+
+Both directions work on uint64 mask arrays, in slices of at most
+``_SLICE_LINES`` lines, so no array grows with the file beyond a few bytes
+per line.  The writer lays each slice out as a grid of pieces (``x<i>``,
+``*x<i>``, ``^2``, `` - ``, ``1``, newline), each packed into one uint32,
+and keeps the grid's nonzero bytes.  The reader finds the ``x``, digit,
+``^``, ``-`` and newline bytes of a slice, ORs each variable's bit into its
+line's lead or trail, and accepts the slice only when the writer re-emits
+exactly its bytes.  That byte check is the whole grammar check: writer
+output passes, in any line order, and every other slice - a comment, CRLF
+line ends, extra spaces, a fault - goes to the per-factor parser, which
+reads any layout the format allows and names the first fault.  Slices under
+``_BULK_MIN_BYTES``, such as whole small files, go to it directly, since
+the bulk reader's fixed cost would dominate them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -20,10 +35,14 @@ from .groebner import (
     Binomial,
     ORDER_ID,
     ReducedGroebnerBasis,
+    _binomials,
+    _element_arrays,
     _validated_basis,
+    _validated_masks,
 )
+from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
-from .words import WORD_LIMIT, support
+from .words import WORD_LIMIT
 
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
@@ -34,6 +53,15 @@ _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 # indices past the header's n still parse and are refused against n; only an
 # index this large is refused while parsing, before its bit takes index/8 bytes
 _MAX_INDEX = 1 << 16
+# basis lines are written and read in slices of at most this many, which
+# bounds the arrays sized by lines times n
+_SLICE_LINES = 1 << 12
+# a slice shorter than this is read factor by factor: about here the bulk
+# reader's fixed cost of some 40 numpy calls meets the per-factor parser's
+# cost per line, so small files such as the fixture listings stay cheap
+_BULK_MIN_BYTES = 1 << 11
+# uint64 lead and trail masks and the field flags of a run of elements
+_Masks = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def format_matrix(matrix: np.ndarray, p: int) -> str:
@@ -67,21 +95,65 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
     return check_matrix(M, p), p
 
 
-def _format_term(binomial: Binomial, which: str) -> str:
-    if which == "lead" and binomial.kind == "field":
-        return f"x{binomial.lead.bit_length()}^2"
-    mask = binomial.lead if which == "lead" else binomial.trail
-    if mask == 0:
-        return "1"
-    return "*".join(f"x{i}" for i in support(mask))
+def _packed(pieces) -> np.ndarray:
+    """Each piece of at most 4 bytes as one uint32, zero-padded."""
+    return np.frombuffer(b"".join(p.encode().ljust(4, b"\0") for p in pieces), dtype=np.uint32)
+
+
+# no piece holds a zero byte, so the padding marks the bytes to drop
+_ONE, _SQUARE, _DASH, _NEWLINE = _packed(["1", "^2", " - ", "\n"])
+
+
+@functools.cache
+def _pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed ``x<i>`` and ``*x<i>`` of n <= 64 variables.
+
+    Entry i - 1 of each names x_i; entry 64, which the lowest bit of a
+    zero mask indexes, and those from n to 63 are empty.
+    """
+    names = np.zeros((2, WORD_LIMIT + 1), dtype=np.uint32)
+    names[0, :n] = _packed(f"x{i}" for i in range(1, n + 1))
+    names[1, :n] = _packed(f"*x{i}" for i in range(1, n + 1))
+    names.flags.writeable = False  # shared by every caller
+    return names[0], names[1]
+
+
+def _write_lines(n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> bytes:
+    """The element lines of uint64 lead and trail masks, in array order.
+
+    Each slice of at most ``_SLICE_LINES`` lines becomes a grid of packed
+    pieces, per line a lead and a trail block of w + 3 cells, w the most
+    set bits of any mask in the slice.  A block holds ``1`` for a zero
+    mask, then the variable of each set bit in ascending order, ``x<i>``
+    for the first and ``*x<i>`` after it, and the lead block ends in ``^2``
+    for a field relation and `` - ``, the trail block in the newline.  The
+    grid's bytes, padding dropped, are the lines.
+    """
+    plain, starred = _pieces(n)
+    out = []
+    for a in range(0, leads.size, _SLICE_LINES):
+        masks = np.stack([leads[a:a + _SLICE_LINES], trails[a:a + _SLICE_LINES]], axis=1)
+        blocks = masks.ravel()
+        width = int(np.bitwise_count(blocks).max(initial=0))
+        grid = np.zeros((blocks.size, width + 3), dtype=np.uint32)
+        grid[:, 0] = np.where(blocks == 0, _ONE, 0)
+        rest = blocks.copy()
+        for c in range(1, width + 1):
+            low = _lowest_bit(rest)
+            grid[:, c] = (starred if c > 1 else plain)[_bit_index(low)]
+            rest ^= low
+        lines = grid.reshape(masks.shape[0], 2, width + 3)
+        lines[:, 0, -2] = np.where(is_field[a:a + _SLICE_LINES], _SQUARE, 0)
+        lines[:, 0, -1] = _DASH
+        lines[:, 1, -2] = _NEWLINE
+        raw = grid.view(np.uint8).ravel()
+        out.append(raw[raw != 0].tobytes())
+    return b"".join(out)
 
 
 def format_basis(gb: ReducedGroebnerBasis) -> str:
-    lines = [f"# n={gb.n} order={ORDER_ID} field=GF(2)"]
-    lines += [
-        f"{_format_term(b, 'lead')} - {_format_term(b, 'trail')}" for b in gb.elements
-    ]
-    return "\n".join(lines) + "\n"
+    body = _write_lines(gb.n, *_element_arrays(gb.elements))
+    return f"# n={gb.n} order={ORDER_ID} field=GF(2)\n" + body.decode("ascii")
 
 
 def _parse_term(text: str) -> tuple[int, int | None]:
@@ -128,14 +200,13 @@ def _parse_term(text: str) -> tuple[int, int | None]:
     return mask, squared
 
 
-def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
-    """Parse basis-format lines without reducedness validation.
+def _parse_factorwise(text: str, n: int | None, elements: list[Binomial]) -> int | None:
+    """Parse lines one factor at a time, appending to ``elements``.
 
-    Returns (n from the header if present, elements).  Used for spot-check
-    fixture files that hold only a subset of a basis.
+    Takes any layout the format allows and raises on the first faulty line
+    with a message naming the fault.  Returns n from the last header line,
+    or the ``n`` passed in when the text holds none.
     """
-    n = None
-    elements = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -162,15 +233,108 @@ def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
             elements.append(Binomial(1 << (lead_sq - 1), 0, "field"))
         else:
             elements.append(Binomial(lead, trail, "code"))
+    return n
+
+
+def _parse_written(raw: bytes, n: int) -> _Masks | None:
+    """The masks of a slice of lines, when the writer emits exactly ``raw``.
+
+    Reads every ``x<i>`` (at most two digits) and ORs its bit into the lead
+    or trail of its line, by whether it stands before or after the line's
+    one ``-``; a ``^`` makes the line a field relation.  Whatever that
+    reading yields, the slice is accepted only if :func:`_write_lines`
+    re-emits its bytes exactly, and only with the masks the per-factor
+    parser accepts: a field relation has one lead bit and trail 1.  Such a
+    slice is writer output, which the per-factor parser reads to the same
+    elements, so nothing else needs checking.  Returns (leads, trails,
+    is_field), or None.
+    """
+    a = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    dashes = np.flatnonzero(a == ord("-"))
+    if not ends.size or ends[-1] != a.size - 1 or dashes.size != ends.size:
+        return None
+    if (dashes > ends).any() or (dashes[1:] < ends[:-1]).any():  # one dash per line
+        return None
+    xs = np.flatnonzero(a == ord("x"))  # never the last byte, which is a newline
+    x_line = np.repeat(np.arange(ends.size), np.diff(np.searchsorted(xs, ends), prepend=0))
+    in_trail = xs > dashes[x_line]
+    first = a[xs + 1] - np.uint8(ord("0"))
+    second = a[np.minimum(xs + 2, a.size - 1)] - np.uint8(ord("0"))
+    index = np.where(second < 10, first * np.uint16(10) + second, first)
+    bits = np.uint64(1) << (np.clip(index, 1, n) - 1).astype(np.uint64)
+    leads = np.zeros(ends.size, dtype=np.uint64)
+    trails = np.zeros(ends.size, dtype=np.uint64)
+    np.bitwise_or.at(leads, x_line[~in_trail], bits[~in_trail])
+    np.bitwise_or.at(trails, x_line[in_trail], bits[in_trail])
+    is_field = np.zeros(ends.size, dtype=bool)
+    is_field[np.searchsorted(ends, np.flatnonzero(a == ord("^")))] = True
+    if (is_field & ((trails != 0) | (np.bitwise_count(leads) != 1))).any():
+        return None
+    if _write_lines(n, leads, trails, is_field) != raw:
+        return None
+    return leads, trails, is_field
+
+
+def _read(text: str) -> tuple[int | None, list[_Masks | list[Binomial]]]:
+    """n from the last header line, and the elements slice by slice.
+
+    The first line (the header, in a written file) and then each slice of
+    at most ``_SLICE_LINES`` lines is read by :func:`_parse_written` into
+    arrays when a header with 0 < n <= WORD_LIMIT came before it and the
+    slice holds at least ``_BULK_MIN_BYTES``.  Otherwise, or when that
+    declines, the per-factor parser reads it into Binomials and raises on
+    the first faulty line.  Slices run in file order, so the first fault in
+    the file is the one named.
+    """
+    n: int | None = None
+    if len(text) < _BULK_MIN_BYTES or not text.isascii():  # writer output is ASCII
+        elements: list[Binomial] = []
+        return _parse_factorwise(text, n, elements), [elements]
+    raw = text.encode("ascii")
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")) + 1
+    cuts = [0, *ends[:1].tolist(), *ends[_SLICE_LINES::_SLICE_LINES].tolist(), len(raw)]
+    parts: list[_Masks | list[Binomial]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        chunk = raw[a:b]
+        bulk = n and n <= WORD_LIMIT and len(chunk) >= _BULK_MIN_BYTES
+        masks = _parse_written(chunk, n) if bulk else None
+        if masks is None:
+            elements = []
+            n = _parse_factorwise(chunk.decode("ascii"), n, elements)
+            parts.append(elements)
+        else:
+            parts.append(masks)
+    return n, parts
+
+
+def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
+    """Parse basis-format lines without reducedness validation.
+
+    Returns (n from the header if present, elements).  Used for spot-check
+    fixture files that hold only a subset of a basis.
+    """
+    n, parts = _read(text)
+    elements: list[Binomial] = []
+    for part in parts:
+        elements += part if isinstance(part, list) else _binomials(*part)
     return n, elements
 
 
 def parse_basis(text: str) -> ReducedGroebnerBasis:
-    """Parse and validate a complete reduced basis file."""
-    n, elements = parse_element_lines(text)
+    """Parse and validate a complete reduced basis file.
+
+    The elements reach the checks as mask arrays; only a mask too wide for
+    them, which the checks refuse, takes the element-by-element route.
+    """
+    n, parts = _read(text)
     if n is None:
         raise ValueError("missing '# n=... order=... field=GF(2)' header")
-    return _validated_basis(n, elements)
+    try:
+        masks = [_element_arrays(p) if isinstance(p, list) else p for p in parts]
+    except OverflowError:
+        return _validated_basis(n, parse_element_lines(text)[1])
+    return _validated_masks(n, *map(np.concatenate, zip(*masks)))
 
 
 def format_points(points: list[tuple[int, ...]], tuples: list[tuple[int, ...]]) -> str:

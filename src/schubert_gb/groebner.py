@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Literal, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class Binomial(NamedTuple):
     lead: int
     trail: int
     kind: Literal["code", "field"] = "code"
+
+
+_KINDS = ("code", "field")
 
 
 def field_relation(i: int) -> Binomial:
@@ -116,6 +119,27 @@ def _validated_basis(
 ) -> ReducedGroebnerBasis:
     """Order, then machine-check the reduced-basis invariants.
 
+    The elements go to :func:`_validated_masks` as arrays.  A mask below 0
+    or wider than 64 bits has no array form; it fails the checks, which
+    then run element by element in ascending order to name it.
+    """
+    elems = list(elements)
+    try:
+        leads, trails, is_field = _element_arrays(elems)
+    except OverflowError:
+        fields = [b for b in elems if b.kind == "field"]
+        _check_fields(n, [b.lead for b in fields], [b.trail for b in fields])
+        for b in sorted((b for b in elems if b.kind == "code"), key=_element_sort_key):
+            _check_element(b, n)
+        raise
+    return _validated_masks(n, leads, trails, is_field, limit)
+
+
+def _validated_masks(
+    n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray, limit: int | None = None
+) -> ReducedGroebnerBasis:
+    """The basis of uint64 lead and trail masks and field flags, checked.
+
     Besides the field relations and the per-element checks of
     :func:`_check_element`, the code binomials must be reduced: no lead
     divides another lead or any trail.  That is checked over the standard
@@ -133,50 +157,83 @@ def _validated_basis(
     within a small multiple of the guard, so a hostile basis ends in
     EnumerationLimitError, not an unbounded allocation.
 
-    The first element in ascending order that fails any check is named, with
-    its first failing check in the order range, degree, orientation,
-    reducedness.
+    The elements are put in ascending order by one ``np.lexsort``
+    (:func:`_element_order`), and the first that fails any check is named,
+    with its first failing check in the order range, degree, orientation,
+    reducedness.  The Binomials are built only once every check passed.
     """
-    if n > WORD_LIMIT:
-        raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
-    elems = sorted(elements, key=_element_sort_key)
-    fields = [b for b in elems if b.kind == "field"]
-    codes = [b for b in elems if b.kind == "code"]
-    if sorted(b.lead for b in fields) != [1 << i for i in range(n)] or any(
-        b.trail for b in fields
-    ):
-        raise ValueError(f"basis must contain exactly the {n} field relations")
-    try:
-        leads = np.array([b.lead for b in codes], dtype=np.uint64)
-        trails = np.array([b.trail for b in codes], dtype=np.uint64)
-    except OverflowError:  # a mask below 0 or wider than 64 bits
-        for b in codes:
-            _check_element(b, n)
-        raise
-    lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
+    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    order = _element_order(leads, is_field)
+    rows = order[~is_field[order]]  # the code binomials, in ascending order
+    code_leads, code_trails = leads[rows], trails[rows]
+    lw, tw = np.bitwise_count(code_leads), np.bitwise_count(code_trails)
     faulty = (
-        ((leads | trails) > np.uint64((1 << n) - 1))
+        ((code_leads | code_trails) > np.uint64((1 << n) - 1))
         | (lw < 2)
         | (lw < tw)
-        | ((lw == tw) & (leads >= trails))  # degrevlex: equal degree, larger mask is smaller
+        | ((lw == tw) & (code_leads >= code_trails))  # degrevlex: equal degree, larger mask is smaller
     )
-    ordered = np.sort(leads)
-    repeated = np.isin(leads, ordered[1:][ordered[1:] == ordered[:-1]])
+    ordered = np.sort(code_leads)
+    repeated = np.isin(code_leads, ordered[1:][ordered[1:] == ordered[:-1]])
     try:
-        unreduced = repeated | np.isin(leads, _leads_below(ordered, leads, trails, limit))
+        unreduced = repeated | np.isin(
+            code_leads, _leads_below(ordered, code_leads, code_trails, limit)
+        )
     except EnumerationLimitError:
         if not (faulty | repeated).any():
             raise
         unreduced = repeated  # rejected either way; name what is known
     rejected = faulty | unreduced
     if rejected.any():
-        b = codes[int(rejected.argmax())]
+        at = int(rejected.argmax())
+        b = Binomial(int(code_leads[at]), int(code_trails[at]))
         _check_element(b, n)
-        L = np.uint64(b.lead)
-        if np.count_nonzero((leads & L) == L) != 1:
+        L = code_leads[at]
+        if np.count_nonzero((code_leads & L) == L) != 1:
             raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
         raise ValueError(f"lead {b.lead:#x} divides a trail: basis not reduced")
-    return ReducedGroebnerBasis(n=n, elements=tuple(elems))
+    return ReducedGroebnerBasis(
+        n=n, elements=tuple(_binomials(leads[order], trails[order], is_field[order]))
+    )
+
+
+def _check_fields(n: int, leads: list[int], trails: list[int]) -> None:
+    """Raise unless n fits a word and the field relations, given by their
+    lead and trail masks, are exactly x_1^2 - 1, ..., x_n^2 - 1."""
+    if n > WORD_LIMIT:
+        raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
+    if sorted(leads) != [1 << i for i in range(n)] or any(trails):
+        raise ValueError(f"basis must contain exactly the {n} field relations")
+
+
+def _element_arrays(elems: Sequence[Binomial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """uint64 leads and trails and the field flags of a list of elements.
+
+    Raises OverflowError when a mask is below 0 or wider than 64 bits.
+    """
+    leads, trails, kinds = zip(*elems) if elems else ((), (), ())
+    is_field = np.fromiter(map("field".__eq__, kinds), dtype=bool, count=len(kinds))
+    return np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64), is_field
+
+
+def _binomials(leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> Iterator[Binomial]:
+    """The elements of uint64 mask arrays and field flags, in array order."""
+    kinds = map(_KINDS.__getitem__, is_field.tolist())
+    return map(Binomial, leads.tolist(), trails.tolist(), kinds)
+
+
+def _element_order(leads: np.ndarray, is_field: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts elements by :func:`_element_sort_key`.
+
+    Degree first, then descending masks, a field lead x_v^2 read as the mask
+    2 * 2^(v-1).  That doubled mask passes 64 bits for v = 64, so every
+    mask m is compared as (m >> 1, m & 1), which for the field lead is
+    (2^(v-1), 0).
+    """
+    degree = np.where(is_field, 2, np.bitwise_count(leads))
+    high = np.where(is_field, leads, leads >> np.uint64(1))
+    low = np.where(is_field, np.uint64(0), leads & np.uint64(1))
+    return np.lexsort((~low, ~high, degree))
 
 
 def _check_element(b: Binomial, n: int) -> None:
@@ -434,11 +491,14 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
     if code.p != 2:
         raise ValueError("binary only")
     _, leads, trails = _coset_walk(code, limit, with_leads=True)
-    elements = [
-        Binomial(lead, trail, "code") for lead, trail in zip(leads.tolist(), trails.tolist())
-    ]
-    elements += [field_relation(i) for i in range(1, code.n + 1)]
-    return _validated_basis(code.n, elements, limit)
+    fields = np.uint64(1) << np.arange(code.n, dtype=np.uint64)
+    return _validated_masks(
+        code.n,
+        np.concatenate([leads, fields]),
+        np.concatenate([trails, np.zeros_like(fields)]),
+        np.arange(leads.size + code.n) >= leads.size,
+        limit,
+    )
 
 
 # ---------------------------------------------------------------------------

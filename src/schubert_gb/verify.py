@@ -115,6 +115,16 @@ def random_codes(
     return out
 
 
+@functools.cache
+def _seeded_codes() -> tuple[LinearCode, ...]:
+    """The default :func:`random_codes`, drawn once per process.
+
+    The gb, capability and nf sections all check them; a tuple, so no
+    caller can change what the next one sees.
+    """
+    return tuple(random_codes())
+
+
 class _Run:
     def __init__(self, only: Iterable[str] | None, echo: Callable[[str], None] | None):
         only = set(only) if only else None
@@ -154,8 +164,6 @@ def run_checks(
     codes = {tag: fixtures.load_code(tag) for tag in fixtures.TAGS}
     needs_bases = any(map(run.wants, ("gb", "capability", "decode", "nf", "simulate")))
     bases = _reference_bases(codes) if needs_bases else {}
-    # built on first use and shared by the gb, capability and nf sections
-    seeded_codes = functools.cache(random_codes)
 
     if run.wants("integrity"):
         stale = fixtures.verify_checksums()
@@ -222,7 +230,7 @@ def run_checks(
                 f"engine={len(basis.code_binomials)} oracle={oracle}",
             )
         mismatches = []
-        for i, code in enumerate(seeded_codes()):
+        for i, code in enumerate(_seeded_codes()):
             if buchberger(ideal_generators(code)) != coset_engine(code):
                 mismatches.append(i)
         run.check(
@@ -239,7 +247,7 @@ def run_checks(
             )
         bad = [
             i
-            for i, code in enumerate(seeded_codes())
+            for i, code in enumerate(_seeded_codes())
             if capability(coset_engine(code))
             != (min_distance_bruteforce(code) - 1) // 2
         ]
@@ -271,7 +279,7 @@ def run_checks(
         targets = [(f"c_{tag}", codes[tag], bases[tag]) for tag in ("1_4", "2_3")]
         targets += [
             (f"random_{i}", code, coset_engine(code))
-            for i, code in enumerate(seeded_codes())
+            for i, code in enumerate(_seeded_codes())
         ]
         bad = []
         for name, code, basis in targets:

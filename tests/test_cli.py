@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from schubert_gb import fixtures as fixture_mod
@@ -131,6 +133,30 @@ class TestGb:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "gb", "--matrix", "/nonexistent/file.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["gb", "simulate"])
+    @pytest.mark.parametrize("n", [1000000, 99999999999999])
+    def test_wide_matrix_header_refused_before_allocation(self, capsys, tmp_path, command, n):
+        matrix = tmp_path / "wide.txt"
+        matrix.write_text(f"0 {n} 2\n")
+        args = ["--model", "fixed_weight:1"] if command == "simulate" else []
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, command, "--matrix", str(matrix), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and err.startswith("error: enumeration bound exceeded")
+        assert err.count("\n") == 1
+        assert peak < 1 << 20  # nothing sized by n was built
+
+    def test_long_code_within_the_coset_guard_exits_2(self, capsys, tmp_path):
+        # n = 70, k = 60: 2^10 cosets pass the guard, the length does not fit a word
+        rows = [[int(i == j) for j in range(60)] + [1] * 10 for i in range(60)]
+        matrix = tmp_path / "long.txt"
+        matrix.write_text("60 70 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, _, err = run(capsys, "gb", "--matrix", str(matrix))
+        assert code == 2 and "word length 70 exceeds limit 64" in err
 
     def test_entry_beyond_int64_exits_2(self, capsys, tmp_path):
         matrix = tmp_path / "huge_entry.txt"

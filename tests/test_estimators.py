@@ -61,6 +61,15 @@ class TestEstimatorProtocol:
         est = GroebnerDecoder()
         assert est.fit(A_1_4) is est
 
+    def test_fit_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown decode mode 'maybe'"):
+            GroebnerDecoder(mode="maybe").fit(A_1_4)
+
+    def test_set_params_unknown_mode_rejected_at_fit(self):
+        est = GroebnerDecoder().fit(A_1_4).set_params(mode="maybe")
+        with pytest.raises(ValueError, match="unknown decode mode 'maybe'"):
+            est.fit(A_1_4)
+
 
 class TestGroebnerDecoder:
     def test_fit_learns_capability(self):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_gb import SchubertSpec, enumerate_schubert_points, index_tuples
+from schubert_gb import LinearCode, SchubertSpec, enumerate_schubert_points, index_tuples
+from schubert_gb import formats
 from schubert_gb.formats import (
     format_basis,
     format_matrix,
@@ -15,9 +17,57 @@ from schubert_gb.formats import (
     parse_matrix,
 )
 from schubert_gb.fixtures import load_basis, load_spot_elements
-from schubert_gb.groebner import Binomial
+from schubert_gb.groebner import (
+    Binomial,
+    ReducedGroebnerBasis,
+    _element_sort_key,
+    _validated_basis,
+    coset_engine,
+)
+from schubert_gb.schubert import generator_matrix
 
 from conftest import A_1_4
+
+
+def factorwise(text):
+    """The per-factor parser alone, over the whole text: the reference reader."""
+    elements = []
+    return formats._parse_factorwise(text, None, elements), elements
+
+
+def same_outcome(text):
+    """parse_basis and parse_element_lines agree with the per-factor parser:
+    the same result, or a ValueError with the same message."""
+    try:
+        want = factorwise(text)
+    except ValueError as exc:
+        for read in (parse_element_lines, parse_basis):
+            with pytest.raises(ValueError) as err:
+                read(text)
+            assert str(err.value) == str(exc)
+        return
+    assert parse_element_lines(text) == want
+    try:
+        basis = _validated_basis(*want) if want[0] is not None else None
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_basis(text)
+        assert str(err.value) == str(exc)
+        return
+    if basis is None:
+        with pytest.raises(ValueError, match="missing"):
+            parse_basis(text)
+    else:
+        assert parse_basis(text) == basis
+
+
+# one edit of a written file over the characters its grammar is made of
+EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(min_value=0),
+    st.sampled_from(list("x0123456789*^- \n#\r")),
+)
+FIXTURE_TEXT = format_basis(load_basis("1_4"))
 
 
 # arbitrary text, and text over the characters both grammars are made of
@@ -40,6 +90,31 @@ class TestFuzz:
             parse_basis(header + body)
         except ValueError:
             pass
+
+
+    @given(st.sampled_from(["", "# n=3 order=degrevlex field=GF(2)\n"]), FUZZ_TEXT)
+    @settings(max_examples=300)
+    def test_any_text_reads_as_the_per_factor_parser(self, header, body):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_BULK_MIN_BYTES", 0)  # the bulk reader takes every slice it can
+            same_outcome(header + body)
+
+    @given(st.lists(EDITS, min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_edited_writer_output_reads_as_the_per_factor_parser(self, edits):
+        text = FIXTURE_TEXT
+        for kind, at, char in edits:
+            at %= len(text)
+            if kind == "replace":
+                text = text[:at] + char + text[at + 1:]
+            elif kind == "insert":
+                text = text[:at] + char + text[at:]
+            else:
+                text = text[:at] + text[at + 1:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_BULK_MIN_BYTES", 0)  # the bulk reader takes every slice it can
+            same_outcome(text)
+
 
 
 class TestMatrixFormat:
@@ -185,6 +260,117 @@ class TestBasisFormat:
             spots = load_spot_elements(tag)
             assert len(spots) == 12
             assert all(b.kind == "code" for b in spots)
+
+
+class TestBulkReader:
+    """The sliced array reader against the per-factor parser it falls back to.
+
+    Slices of every size are offered to the bulk reader here, small ones too.
+    """
+
+    @pytest.fixture(autouse=True)
+    def bulk_for_every_slice(self, monkeypatch):
+        monkeypatch.setattr(formats, "_BULK_MIN_BYTES", 0)
+
+    def test_shuffled_writer_lines(self, bases):
+        rng = random.Random(3)
+        for tag in ("1_4", "1_5", "2_3", "2_4"):
+            header, *lines = format_basis(bases[tag]).splitlines(keepends=True)
+            rng.shuffle(lines)
+            text = header + "".join(lines)
+            same_outcome(text)
+            assert parse_basis(text) == bases[tag]
+
+    def test_writer_lines_take_the_bulk_path(self, monkeypatch, bases):
+        monkeypatch.undo()  # the default slice size threshold
+        fallback = []
+
+        def spy(text, n, elements):
+            fallback.append(text)
+            return factorwise_into(text, n, elements)
+
+        factorwise_into = formats._parse_factorwise
+        monkeypatch.setattr(formats, "_parse_factorwise", spy)
+        header, *lines = format_basis(bases["2_4"]).splitlines(keepends=True)
+        assert parse_basis(header + "".join(lines[::-1])) == bases["2_4"]
+        assert fallback == [header]  # 78 kB of writer lines, not in writer order, in bulk
+        for tag in ("1_4", "2_3"):  # the small transcribed listings go factor by factor
+            fallback.clear()
+            assert load_basis(tag) == parse_basis(format_basis(bases[tag])) == bases[tag]
+            assert [t.count("\n") for t in fallback] == [22, 22]  # each file whole
+        monkeypatch.setattr(formats, "_BULK_MIN_BYTES", 0)
+        for tag in ("1_4", "2_3"):  # which the bulk reader takes when offered
+            fallback.clear()
+            assert load_basis(tag) == bases[tag]
+            assert fallback == ["# n=7 order=degrevlex field=GF(2)\n"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" - ", "  -  "),
+        lambda t: t.replace("*", " * ", 3),
+        lambda t: "# a comment\n" + t.replace("x2^2 - 1\n", "x2^2 - 1\n# another\n\n"),
+        lambda t: t.rstrip("\n"),
+        lambda t: t + "x1*x2*x3*x4*x5*x6*x7 - 1",
+        lambda t: t.replace("x1*x2 ", "x2*x1 ", 1),
+        lambda t: t.replace("x7", "x07", 1),
+        lambda t: t.replace("x3^2 - 1", "x3^2 - x1", 1),
+        lambda t: t.replace("x3^2 - 1", "x1*x3^2 - 1", 1),
+        lambda t: t.replace("x3^2 - 1", "x3^3 - 1", 1),
+        lambda t: t.replace("x4", "x8", 1),
+        lambda t: t.replace("x4", "x44", 1),
+        lambda t: t.replace("n=7", "n=8", 1),
+        lambda t: t.replace("n=7", "n=0", 1),
+        lambda t: t + "# n=7 order=lex field=GF(2)\n",
+        lambda t: t.replace("n=7 order=degrevlex", "n=99999 order=degrevlex", 1),
+    ])
+    def test_edited_files_read_as_the_per_factor_parser(self, bases, edit):
+        text = edit(format_basis(bases["1_4"]))
+        same_outcome(text)
+
+    def test_two_digit_indices_and_x64(self, wide_code):
+        gb = coset_engine(wide_code)
+        text = format_basis(gb)
+        assert "x64" in text and "x10" in text
+        same_outcome(text)
+        assert parse_basis(text) == gb
+        assert format_basis(parse_basis(text)) == text
+
+    def test_n64_round_trip(self):
+        leads = [(1 << 63) | (1 << 62), (1 << 63) | 1, 0b11 << 31]
+        elements = [Binomial(lead, 0, "code") for lead in leads]
+        elements += [Binomial(1 << i, 0, "field") for i in range(64)]
+        # the order of the field relation x64^2 - 1 among degree-2 leads
+        # passes 64 bits; the reference sort key has no such limit
+        gb = ReducedGroebnerBasis(64, tuple(sorted(elements, key=_element_sort_key)))
+        text = format_basis(gb)
+        assert text.splitlines()[1] == "x64^2 - 1"
+        same_outcome(text)
+        assert parse_basis(text) == gb
+
+    @pytest.mark.parametrize("size", [1, 5, 2126])  # 2126: a last slice of one line
+    def test_lines_split_across_slices(self, monkeypatch, bases, size):
+        monkeypatch.setattr(formats, "_SLICE_LINES", size)
+        text = format_basis(bases["2_4"])
+        assert parse_basis(text) == bases["2_4"]
+        assert format_basis(bases["2_4"]) == text  # the writer slices too
+        lines = text.splitlines(keepends=True)
+        # a faulty line in the third slice, and one fallback slice among bulk ones
+        for at, bad in ((12, "x1*y2 - 1\n"), (12, "x2*x1 - x3\n"), (1, "# note\n")):
+            same_outcome("".join(lines[:at] + [bad] + lines[at:]))
+
+    def test_format_and_parse_stay_sliced(self):
+        G = generator_matrix(SchubertSpec(l=2, m=6, q=2, alpha=(1, 6)))
+        order = np.random.default_rng(0).permutation(G.shape[1])
+        gb = coset_engine(LinearCode.from_generator(G[:, np.sort(order[:24])]))
+        tracemalloc.start()
+        try:
+            text = format_basis(gb)
+            parsed = parse_basis(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == gb
+        assert peak < len(text) + (8 << 20)
 
 
 class TestPointsFormat:

@@ -253,6 +253,16 @@ class TestCosetWalkEngine:
             assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == pinned[n][0]
             assert len(gb.code_binomials) == pinned[n][1]
 
+    def test_fixture_basis_files(self, bases):
+        pinned = {  # sha256 of the basis file text, recorded with the per-term f-string writer
+            "1_4": "2b83fbeb8f558c1d7f84db7525912cfb9cc2bf702afc65b66182881810cd5d43",
+            "1_5": "9d211e926df0b6dde6df14a23f4f8ee048cb048353fdeccddaa3abfe21163af2",
+            "2_3": "47b8e15e929e00f009a23d0a83efbbba0ca6095bf9e81ae806f9ac3054c6e3ab",
+            "2_4": "eb86ae0f7ddeb197ad85a42bc38ede00c628eb690e5c0b61635c22f6864220e7",
+        }
+        for tag, digest in pinned.items():
+            assert hashlib.sha256(format_basis(bases[tag]).encode()).hexdigest() == digest
+
     def test_small_slices_change_nothing(self, monkeypatch, codes, ladder_rungs):
         monkeypatch.setattr(linalg, "_SLICE_WORDS", 64)  # many slices per layer
         for code in list(codes.values()) + random_codes()[:5] + [ladder_rungs[18]]:
@@ -690,6 +700,20 @@ class TestMaskOrderKeys:
             return degrevlex_key_exponents(tuple(exps))
 
         self._assert_same_order(items, lambda item: _squash_key(*item), reference)
+
+    def test_element_order_is_the_sort_key_order(self):
+        n = self.N
+        items = [Binomial(m, 0, "code") for m in range(1 << n)]
+        items += [field_relation(i) for i in range(1, n + 1)]
+        rng = random.Random(5)
+        wide = [rng.getrandbits(64) for _ in range(300)] + [1 << 63, (1 << 63) | 1, 3 << 62]
+        items += [Binomial(m, 0, "code") for m in wide] + [field_relation(i) for i in (63, 64)]
+        items += items[::7]  # repeated elements keep their input order, as sorted() does
+        rng.shuffle(items)
+        leads = np.array([b.lead for b in items], dtype=np.uint64)
+        is_field = np.array([b.kind == "field" for b in items])
+        order = groebner._element_order(leads, is_field).tolist()
+        assert order == sorted(range(len(items)), key=lambda i: _element_sort_key(items[i]))
 
     def test_element_sort_key_exhaustive(self):
         n = self.N

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -19,10 +20,15 @@ def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
         return small_random_codes[:2]
 
     monkeypatch.setattr(verify, "random_codes", counted)
+    # a fresh cache, so codes drawn earlier in the process do not count
+    monkeypatch.setattr(verify, "_seeded_codes", functools.cache(verify._seeded_codes.__wrapped__))
+    assert verify.run_checks(only=["integrity"]) and calls == []  # lazy: never built
     results = verify.run_checks(only=["capability", "nf"])
     assert calls == [1]  # shared by both sections
     assert all(c.passed for c in results)
-    assert verify.run_checks(only=["integrity"]) and calls == [1]  # lazy: never built
+    assert all(c.passed for c in verify.run_checks(only=["gb"]))
+    assert calls == [1]  # and by later calls in the same process
+    assert isinstance(verify._seeded_codes(), tuple)
 
 
 def test_random_codes_are_pinned():
