@@ -3,25 +3,27 @@
 Matrix format: a header line ``k n p`` followed by k rows of n
 whitespace-separated residues in [0, p).
 
-Basis format: a header ``# n=<n> order=degrevlex field=GF(2)`` and one
-element per line, ``term - term``; a term is ``1`` or ``*``-joined factors
-``x<i>`` / ``x<i>^2`` with ascending indices.  The writer emits lines sorted
-ascending by lead; the parser accepts any order and extra whitespace, so
-transcribed listings can be compared set-wise.
+Basis format: a header ``# n=<n> order=degrevlex field=GF(2)`` with
+n <= 64, and one element per line, ``term - term``; a term is ``1`` or
+``*``-joined factors ``x<i>`` / ``x<i>^2`` with ascending indices i in
+1..64.  A header with n > 64 and an index outside 1..64 are refused as
+they are read, so every element fits a uint64 mask.  The writer emits
+lines sorted ascending by lead; the parser accepts any order and extra
+whitespace, so transcribed listings can be compared set-wise.
 
-Both directions work on uint64 mask arrays, in slices of at most
-``_SLICE_LINES`` lines, so no array grows with the file beyond a few bytes
-per line.  The writer lays each slice out as a grid of pieces (``x<i>``,
-``*x<i>``, ``^2``, `` - ``, ``1``, newline), each packed into one uint32,
-and keeps the grid's nonzero bytes.  The reader finds the ``x``, digit,
-``^``, ``-`` and newline bytes of a slice, ORs each variable's bit into its
-line's lead or trail, and accepts the slice only when the writer re-emits
-exactly its bytes.  That byte check is the whole grammar check: writer
-output passes, in any line order, and every other slice - a comment, CRLF
-line ends, extra spaces, a fault - goes to the per-factor parser, which
-reads any layout the format allows and names the first fault.  Slices under
-``_BULK_MIN_BYTES``, such as whole small files, go to it directly, since
-the bulk reader's fixed cost would dominate them.
+Both directions work on uint64 mask arrays, the only form parsed elements
+take, in slices of at most ``_SLICE_LINES`` lines, so no array grows with
+the file beyond a few bytes per line.  The writer lays each slice out as a
+grid of pieces (``x<i>``, ``*x<i>``, ``^2``, `` - ``, ``1``, newline), each
+packed into one uint32, and keeps the grid's nonzero bytes.  The reader
+finds the ``x``, digit, ``^``, ``-`` and newline bytes of a slice, ORs each
+variable's bit into its line's lead or trail, and accepts the slice only
+when the writer re-emits exactly its bytes.  That byte check is the whole
+grammar check: writer output passes, in any line order, and every other
+slice - a comment, CRLF line ends, extra spaces, a fault - goes to the
+per-factor parser, which reads any layout the format allows and names the
+first fault.  Slices under ``_BULK_MIN_BYTES``, such as whole small files,
+go to it directly, since the bulk reader's fixed cost would dominate them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .groebner import (
     ReducedGroebnerBasis,
     _binomials,
     _element_arrays,
-    _validated_basis,
     _validated_masks,
 )
 from .linalg import _bit_index, _lowest_bit
@@ -47,12 +48,9 @@ from .words import WORD_LIMIT
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
-_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
+_FACTOR = re.compile(r"x(0*[1-9]\d*)(?:\^(\d+))?$")
 # bit of each variable index as the writer spells it, for the plain-term path
 _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
-# indices past the header's n still parse and are refused against n; only an
-# index this large is refused while parsing, before its bit takes index/8 bytes
-_MAX_INDEX = 1 << 16
 # basis lines are written and read in slices of at most this many, which
 # bounds the arrays sized by lines times n
 _SLICE_LINES = 1 << 12
@@ -181,7 +179,7 @@ def _parse_term(text: str) -> tuple[int, int | None]:
         if not m:
             raise ValueError(f"bad term factor {factor!r}")
         idx = int(m.group(1))
-        if idx > _MAX_INDEX:
+        if idx > WORD_LIMIT:
             raise ValueError(f"variable index {idx} too large in {text!r}")
         exp = int(m.group(2) or 1)
         if idx in seen:
@@ -200,13 +198,15 @@ def _parse_term(text: str) -> tuple[int, int | None]:
     return mask, squared
 
 
-def _parse_factorwise(text: str, n: int | None, elements: list[Binomial]) -> int | None:
-    """Parse lines one factor at a time, appending to ``elements``.
+def _parse_factorwise(text: str, n: int | None) -> tuple[int | None, _Masks]:
+    """Parse lines one factor at a time into (n, masks).
 
     Takes any layout the format allows and raises on the first faulty line
-    with a message naming the fault.  Returns n from the last header line,
-    or the ``n`` passed in when the text holds none.
+    with a message naming the fault; a header with n > 64 is such a fault.
+    Returns n from the last header line, or the ``n`` passed in when the
+    text holds none, and the (leads, trails, is_field) of the elements.
     """
+    rows: list[tuple[int, int, bool]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -219,6 +219,8 @@ def _parse_factorwise(text: str, n: int | None, elements: list[Binomial]) -> int
                     raise ValueError(
                         f"unsupported order {m.group(2)!r}: only {ORDER_ID} is implemented"
                     )
+                if n > WORD_LIMIT:
+                    raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
             continue
         parts = line.split("-")
         if len(parts) != 2:
@@ -230,10 +232,11 @@ def _parse_factorwise(text: str, n: int | None, elements: list[Binomial]) -> int
         if lead_sq is not None:
             if trail != 0:
                 raise ValueError(f"field relation must have trail 1: {line!r}")
-            elements.append(Binomial(1 << (lead_sq - 1), 0, "field"))
+            rows.append((1 << (lead_sq - 1), 0, True))
         else:
-            elements.append(Binomial(lead, trail, "code"))
-    return n
+            rows.append((lead, trail, False))
+    table = np.array(rows, dtype=np.uint64).reshape(-1, 3)
+    return n, (table[:, 0], table[:, 1], table[:, 2] == 1)
 
 
 def _parse_written(raw: bytes, n: int) -> _Masks | None:
@@ -276,36 +279,30 @@ def _parse_written(raw: bytes, n: int) -> _Masks | None:
     return leads, trails, is_field
 
 
-def _read(text: str) -> tuple[int | None, list[_Masks | list[Binomial]]]:
-    """n from the last header line, and the elements slice by slice.
+def _read(text: str) -> tuple[int | None, _Masks]:
+    """n from the last header line, and the masks of all elements in file order.
 
     The first line (the header, in a written file) and then each slice of
-    at most ``_SLICE_LINES`` lines is read by :func:`_parse_written` into
-    arrays when a header with 0 < n <= WORD_LIMIT came before it and the
-    slice holds at least ``_BULK_MIN_BYTES``.  Otherwise, or when that
-    declines, the per-factor parser reads it into Binomials and raises on
-    the first faulty line.  Slices run in file order, so the first fault in
-    the file is the one named.
+    at most ``_SLICE_LINES`` lines is read by :func:`_parse_written` when a
+    header with n > 0 came before it and the slice holds at least
+    ``_BULK_MIN_BYTES``.  Otherwise, or when that declines, the per-factor
+    parser reads it and raises on the first faulty line.  Slices run in
+    file order, so the first fault in the file is the one named.
     """
-    n: int | None = None
     if len(text) < _BULK_MIN_BYTES or not text.isascii():  # writer output is ASCII
-        elements: list[Binomial] = []
-        return _parse_factorwise(text, n, elements), [elements]
+        return _parse_factorwise(text, None)
     raw = text.encode("ascii")
     ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")) + 1
     cuts = [0, *ends[:1].tolist(), *ends[_SLICE_LINES::_SLICE_LINES].tolist(), len(raw)]
-    parts: list[_Masks | list[Binomial]] = []
+    n: int | None = None
+    parts: list[_Masks] = []
     for a, b in zip(cuts, cuts[1:]):
         chunk = raw[a:b]
-        bulk = n and n <= WORD_LIMIT and len(chunk) >= _BULK_MIN_BYTES
-        masks = _parse_written(chunk, n) if bulk else None
+        masks = _parse_written(chunk, n) if n and len(chunk) >= _BULK_MIN_BYTES else None
         if masks is None:
-            elements = []
-            n = _parse_factorwise(chunk.decode("ascii"), n, elements)
-            parts.append(elements)
-        else:
-            parts.append(masks)
-    return n, parts
+            n, masks = _parse_factorwise(chunk.decode("ascii"), n)
+        parts.append(masks)
+    return n, tuple(map(np.concatenate, zip(*parts)))
 
 
 def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
@@ -314,27 +311,16 @@ def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
     Returns (n from the header if present, elements).  Used for spot-check
     fixture files that hold only a subset of a basis.
     """
-    n, parts = _read(text)
-    elements: list[Binomial] = []
-    for part in parts:
-        elements += part if isinstance(part, list) else _binomials(*part)
-    return n, elements
+    n, masks = _read(text)
+    return n, list(_binomials(*masks))
 
 
 def parse_basis(text: str) -> ReducedGroebnerBasis:
-    """Parse and validate a complete reduced basis file.
-
-    The elements reach the checks as mask arrays; only a mask too wide for
-    them, which the checks refuse, takes the element-by-element route.
-    """
-    n, parts = _read(text)
+    """Parse and validate a complete reduced basis file."""
+    n, masks = _read(text)
     if n is None:
         raise ValueError("missing '# n=... order=... field=GF(2)' header")
-    try:
-        masks = [_element_arrays(p) if isinstance(p, list) else p for p in parts]
-    except OverflowError:
-        return _validated_basis(n, parse_element_lines(text)[1])
-    return _validated_masks(n, *map(np.concatenate, zip(*masks)))
+    return _validated_masks(n, *masks)
 
 
 def format_points(points: list[tuple[int, ...]], tuples: list[tuple[int, ...]]) -> str:

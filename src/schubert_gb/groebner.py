@@ -75,16 +75,6 @@ def field_relation(i: int) -> Binomial:
     return Binomial(lead=1 << (i - 1), trail=0, kind="field")
 
 
-def _element_sort_key(b: Binomial) -> tuple[int, int]:
-    """Ascending degrevlex key of an element's lead.
-
-    Code leads have degree >= 2, so a field lead x_v^2 only ties in degree
-    with squarefree degree-2 leads; among those, reading x_v^2 as the mask
-    2 * 2^(v-1) keeps degrevlex's descending-integer order on masks.
-    """
-    return (2, -2 * b.lead) if b.kind == "field" else degrevlex_key(b.lead)
-
-
 @dataclass(frozen=True)
 class ReducedGroebnerBasis:
     """The unique reduced degrevlex Groebner basis of a binary-code ideal.
@@ -112,27 +102,6 @@ class ReducedGroebnerBasis:
         if not self.code_binomials:
             raise ValueError("capability undefined: basis has no code binomials")
         return min(weight(b.lead) for b in self.code_binomials) - 1
-
-
-def _validated_basis(
-    n: int, elements: Iterable[Binomial], limit: int | None = None
-) -> ReducedGroebnerBasis:
-    """Order, then machine-check the reduced-basis invariants.
-
-    The elements go to :func:`_validated_masks` as arrays.  A mask below 0
-    or wider than 64 bits has no array form; it fails the checks, which
-    then run element by element in ascending order to name it.
-    """
-    elems = list(elements)
-    try:
-        leads, trails, is_field = _element_arrays(elems)
-    except OverflowError:
-        fields = [b for b in elems if b.kind == "field"]
-        _check_fields(n, [b.lead for b in fields], [b.trail for b in fields])
-        for b in sorted((b for b in elems if b.kind == "code"), key=_element_sort_key):
-            _check_element(b, n)
-        raise
-    return _validated_masks(n, leads, trails, is_field, limit)
 
 
 def _validated_masks(
@@ -207,10 +176,7 @@ def _check_fields(n: int, leads: list[int], trails: list[int]) -> None:
 
 
 def _element_arrays(elems: Sequence[Binomial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """uint64 leads and trails and the field flags of a list of elements.
-
-    Raises OverflowError when a mask is below 0 or wider than 64 bits.
-    """
+    """uint64 leads and trails and the field flags of a list of elements."""
     leads, trails, kinds = zip(*elems) if elems else ((), (), ())
     is_field = np.fromiter(map("field".__eq__, kinds), dtype=bool, count=len(kinds))
     return np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64), is_field
@@ -223,7 +189,8 @@ def _binomials(leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> I
 
 
 def _element_order(leads: np.ndarray, is_field: np.ndarray) -> np.ndarray:
-    """The stable permutation that sorts elements by :func:`_element_sort_key`.
+    """The stable permutation that sorts elements ascending by lead, as
+    :func:`schubert_gb.reference.element_sort_key` does.
 
     Degree first, then descending masks, a field lead x_v^2 read as the mask
     2 * 2^(v-1).  That doubled mask passes 64 bits for v = 64, so every
@@ -467,12 +434,23 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
     # no lead divides its own trail (or anything below it), so every minimal
     # lead can take part in reducing every trail
     index = _DivisorIndex(n, list(minimal), list(minimal.values()))
-    elements = [
-        Binomial(lead, _reduce(trail, index), "code")
-        for lead, trail in minimal.items()
-    ]
-    elements += [field_relation(i) for i in range(1, n + 1)]
-    return _validated_basis(n, elements)
+    leads = np.array(list(minimal), dtype=np.uint64)
+    trails = np.array([_reduce(trail, index) for trail in minimal.values()], dtype=np.uint64)
+    return _with_field_relations(n, leads, trails)
+
+
+def _with_field_relations(
+    n: int, leads: np.ndarray, trails: np.ndarray, limit: int | None = None
+) -> ReducedGroebnerBasis:
+    """The validated basis of uint64 code leads and trails and the n field relations."""
+    fields = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    return _validated_masks(
+        n,
+        np.concatenate([leads, fields]),
+        np.concatenate([trails, np.zeros_like(fields)]),
+        np.arange(leads.size + n) >= leads.size,
+        limit,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +469,7 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
     if code.p != 2:
         raise ValueError("binary only")
     _, leads, trails = _coset_walk(code, limit, with_leads=True)
-    fields = np.uint64(1) << np.arange(code.n, dtype=np.uint64)
-    return _validated_masks(
-        code.n,
-        np.concatenate([leads, fields]),
-        np.concatenate([trails, np.zeros_like(fields)]),
-        np.arange(leads.size + code.n) >= leads.size,
-        limit,
-    )
+    return _with_field_relations(code.n, leads, trails, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ class LinearCode:
     def from_generator(cls, generator, p: int = 2) -> "LinearCode":
         G = check_matrix(generator, p)
         k, n = G.shape
+        # the parity check can dwarf the generator (a 0 x n one has no entries)
+        guard_enumeration((n - k) * n, "parity check entries")
         H = parity_check_of(G, p)
         return cls(generator=G, parity_check=H, n=n, k=k, p=p)
 

@@ -1,13 +1,13 @@
 """Reference routes: the slow, auditable counterparts of the production code.
 
 Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
-the exponent-tuple arithmetic and the Buchberger criterion that audit the
-mask arithmetic of :mod:`schubert_gb.groebner`, the brute-force oracles over
-all 2^n words or all codewords that audit the coset walk and the rewrite
-kernel, the three-decoder :func:`cross_check`, the scalar splitmix64 trial
-stream and error draws that audit the simulator's uint64 array stream
-(:func:`schubert_gb.decoding._draws`), and the Pluecker filter that audits
-the Schubert cell enumeration.
+the exponent-tuple arithmetic, the Buchberger criterion and the element sort
+key that audit the mask arithmetic of :mod:`schubert_gb.groebner`, the
+brute-force oracles over all 2^n words or all codewords that audit the coset
+walk and the rewrite kernel, the three-decoder :func:`cross_check`, the
+scalar splitmix64 trial stream and error draws that audit the simulator's
+uint64 array stream (:func:`schubert_gb.decoding._draws`), and the Pluecker
+filter that audits the Schubert cell enumeration.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .groebner import Binomial, ReducedGroebnerBasis, _DivisorIndex, _reduce
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
 from .validation import check_word_mask, guard_enumeration
+from .words import degrevlex_key
 
 Monomial = tuple[int, ...]
 BinomialPair = tuple[Monomial, Monomial]
@@ -59,6 +60,17 @@ def exponent_pair(b: Binomial, n: int) -> BinomialPair:
         exps = tuple(2 if i == v - 1 else 0 for i in range(n))
         return exps, (0,) * n
     return exponents_from_mask(b.lead, n), exponents_from_mask(b.trail, n)
+
+
+def element_sort_key(b: Binomial) -> tuple[int, int]:
+    """Ascending degrevlex key of an element's lead, the reference for
+    :func:`schubert_gb.groebner._element_order`.
+
+    Code leads have degree >= 2, so a field lead x_v^2 only ties in degree
+    with squarefree degree-2 leads; among those, reading x_v^2 as the mask
+    2 * 2^(v-1) keeps degrevlex's descending-integer order on masks.
+    """
+    return (2, -2 * b.lead) if b.kind == "field" else degrevlex_key(b.lead)
 
 
 def as_pairs(gb: ReducedGroebnerBasis) -> list[BinomialPair]:

@@ -5,6 +5,7 @@ import pytest
 
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
+from schubert_gb.groebner import _element_arrays, _validated_masks
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
@@ -79,3 +80,8 @@ def wide_lead_basis_text() -> str:
     lines += ["*".join(f"x{i}" for i in range(s, s + 40)) + " - 1" for s in (1, 13, 25)]
     lines += [f"x{i}^2 - 1" for i in range(1, 65)]
     return "\n".join(lines) + "\n"
+
+
+def validated(n, elements, limit=None):
+    """A list of Binomials through the basis checks, as mask arrays."""
+    return _validated_masks(n, *_element_arrays(elements), limit)

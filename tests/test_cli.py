@@ -225,6 +225,19 @@ class TestDecode:
         code, _, err = run(capsys, "decode", "--basis", str(basis), "--word", "x1")
         assert code == 2 and "word length 65 exceeds limit 64" in err
 
+    @pytest.mark.parametrize("body,message", [
+        ("x65*x1 - 1\n", "variable index 65 too large in 'x65*x1'"),
+        ("x0 - 1\n", "bad term factor 'x0'"),
+        ("".join(f"x{i}^2 - 1\n" for i in range(1, 64)),  # x64^2 - 1 dropped
+         "basis must contain exactly the 64 field relations"),
+        ("x1^2*x2 - 1\n", "mixed squared and plain factors in 'x1^2*x2'"),
+    ], ids=["x65", "x0", "dropped_field_relation", "mixed_square"])
+    def test_hostile_basis_file_exit_2(self, capsys, tmp_path, body, message):
+        basis = tmp_path / "hostile.txt"
+        basis.write_text("# n=64 order=degrevlex field=GF(2)\n" + body)
+        code, _, err = run(capsys, "decode", "--basis", str(basis), "--word", "x1")
+        assert code == 2 and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tag", ["1_4", "1_5", "2_3", "2_4"])
     def test_every_fixture_table_row_replays(self, capsys, basis_file, tag):
         from schubert_gb.fixtures import load_decode_table

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,16 @@ class TestGroebnerDecoder:
         assert GroebnerDecoder(limit=1 << 14).fit(code).basis_ == coset_engine(code)
         with pytest.raises(EnumerationLimitError, match="coset leader table"):
             GroebnerDecoder(limit=(1 << 14) - 1).fit(code)
+
+    def test_fit_refuses_a_long_code_before_its_parity_check(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="parity check entries"):
+                GroebnerDecoder().fit(np.zeros((0, 10**6), dtype=int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the 10^6 x 10^6 parity check is sized
 
     def test_decode_accepts_every_word_form(self, bases):
         est = GroebnerDecoder().fit(A_1_4)

@@ -20,35 +20,31 @@ from schubert_gb.fixtures import load_basis, load_spot_elements
 from schubert_gb.groebner import (
     Binomial,
     ReducedGroebnerBasis,
-    _element_sort_key,
-    _validated_basis,
+    _binomials,
+    _validated_masks,
     coset_engine,
 )
+from schubert_gb.reference import element_sort_key
 from schubert_gb.schubert import generator_matrix
 
 from conftest import A_1_4
 
 
-def factorwise(text):
-    """The per-factor parser alone, over the whole text: the reference reader."""
-    elements = []
-    return formats._parse_factorwise(text, None, elements), elements
-
-
 def same_outcome(text):
-    """parse_basis and parse_element_lines agree with the per-factor parser:
-    the same result, or a ValueError with the same message."""
+    """parse_basis and parse_element_lines agree with the per-factor parser
+    over the whole text, the reference reader, and with the basis checks
+    over its masks: the same result, or a ValueError with the same message."""
     try:
-        want = factorwise(text)
+        n, masks = formats._parse_factorwise(text, None)
     except ValueError as exc:
         for read in (parse_element_lines, parse_basis):
             with pytest.raises(ValueError) as err:
                 read(text)
             assert str(err.value) == str(exc)
         return
-    assert parse_element_lines(text) == want
+    assert parse_element_lines(text) == (n, list(_binomials(*masks)))
     try:
-        basis = _validated_basis(*want) if want[0] is not None else None
+        basis = _validated_masks(n, *masks) if n is not None else None
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
             parse_basis(text)
@@ -198,6 +194,9 @@ class TestBasisFormat:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # refused before anything sized by n is built
+        with pytest.raises(ValueError, match="^word length 65 exceeds limit 64$"):
+            parse_basis("# n=65 order=degrevlex field=GF(2)\n# n=2 order=degrevlex field=GF(2)\n"
+                        "x1^2 - 1\nx2^2 - 1\n")  # refused where it is read
 
     def test_other_orders_rejected(self):
         with pytest.raises(ValueError, match="degrevlex"):
@@ -234,6 +233,10 @@ class TestBasisFormat:
         ("x1^2*x2^2*x3", "more than one squared variable in 'x1^2*x2^2*x3'"),
         ("x1^2*x2*x2", "repeated variable x2 in term 'x1^2*x2*x2'"),
         ("x1^2*x2*x4^5", "unsupported exponent 5 in 'x1^2*x2*x4^5'"),
+        # x1..x64 only: x0 is no variable name, while x01 reads as x1
+        ("x0", "bad term factor 'x0'"),
+        ("x00*x1", "bad term factor 'x00'"),
+        ("x0^2", "bad term factor 'x0^2'"),
     ])
     def test_malformed_term_messages(self, term, message):
         with pytest.raises(ValueError) as err:
@@ -246,7 +249,6 @@ class TestBasisFormat:
         ("x01*x2", 0b11),
         ("x2^1", 0b10),
         ("x64*x1", (1 << 63) | 1),
-        ("x65", 1 << 64),  # parses; range is checked with the header's n
     ])
     def test_plain_term_masks(self, term, mask):
         assert parse_element_lines(f"{term} - 1\n")[1] == [Binomial(mask, 0, "code")]
@@ -254,6 +256,9 @@ class TestBasisFormat:
     def test_huge_variable_index_refused_before_its_bit_is_built(self):
         with pytest.raises(ValueError, match="variable index 99999999999 too large"):
             parse_element_lines("x1*x99999999999 - 1\n")
+        # past x64 no mask fits a uint64 word, whatever the header's n
+        with pytest.raises(ValueError, match="^variable index 65 too large in 'x65'$"):
+            parse_element_lines("x65 - 1\n")
 
     def test_spot_fixture_files_parse(self):
         for tag in ("1_5", "2_4"):
@@ -285,9 +290,9 @@ class TestBulkReader:
         monkeypatch.undo()  # the default slice size threshold
         fallback = []
 
-        def spy(text, n, elements):
+        def spy(text, n):
             fallback.append(text)
-            return factorwise_into(text, n, elements)
+            return factorwise_into(text, n)
 
         factorwise_into = formats._parse_factorwise
         monkeypatch.setattr(formats, "_parse_factorwise", spy)
@@ -341,7 +346,7 @@ class TestBulkReader:
         elements += [Binomial(1 << i, 0, "field") for i in range(64)]
         # the order of the field relation x64^2 - 1 among degree-2 leads
         # passes 64 bits; the reference sort key has no such limit
-        gb = ReducedGroebnerBasis(64, tuple(sorted(elements, key=_element_sort_key)))
+        gb = ReducedGroebnerBasis(64, tuple(sorted(elements, key=element_sort_key)))
         text = format_basis(gb)
         assert text.splitlines()[1] == "x64^2 - 1"
         same_outcome(text)
