@@ -2,13 +2,13 @@
 
 The pipeline: construct a Schubert-code generator matrix over GF(2) via the
 Pluecker embedding (:mod:`schubert_gb.schubert`), form the binomial ideal of
-the code and compute its reduced degrevlex Groebner basis
-(:mod:`schubert_gb.groebner`), then decode received words through canonical
-forms (:mod:`schubert_gb.decoding`).  :class:`GroebnerDecoder` wraps the
+the code and compute its reduced degrevlex Groebner basis with the coset
+engine (:mod:`schubert_gb.groebner`), then decode received words through
+canonical forms (:mod:`schubert_gb.decoding`).  :class:`GroebnerDecoder` wraps the
 pipeline in a fit/predict estimator; the ``sgb`` command line exposes it all,
 including a verification suite over the bundled reference fixtures.  The
-slow routes that audit the pipeline are in :mod:`schubert_gb.reference` and
-are not exported here.
+slow routes that audit the pipeline, the Buchberger run among them, are in
+:mod:`schubert_gb.reference` and are not exported here.
 """
 
 from .decoding import (
@@ -23,10 +23,8 @@ from .estimators import GroebnerDecoder, SyndromeTableDecoder
 from .groebner import (
     Binomial,
     ReducedGroebnerBasis,
-    buchberger,
     capability,
     coset_engine,
-    ideal_generators,
     normal_form,
 )
 from .linalg import (
@@ -71,7 +69,6 @@ __all__ = [
     "SimReport",
     "SyndromeTableDecoder",
     "bruhat_leq",
-    "buchberger",
     "build_coset_leader_table",
     "capability",
     "coset_engine",
@@ -79,7 +76,6 @@ __all__ = [
     "gaussian_binomial",
     "gb_decode",
     "generator_matrix",
-    "ideal_generators",
     "index_tuples",
     "min_distance_bruteforce",
     "normal_form",

@@ -14,7 +14,7 @@ from .decoding import BSC, DECODED, FixedWeight, gb_decode, simulate
 from .estimators import _as_mask
 from .fixtures import FixtureMissingError
 from .formats import format_basis, format_matrix, format_points, parse_basis, parse_matrix
-from .groebner import buchberger, capability, coset_engine, ideal_generators
+from .groebner import capability, coset_engine
 from .linalg import LinearCode
 from .schubert import (
     SchubertSpec,
@@ -87,11 +87,7 @@ def _binary_code(path: str) -> LinearCode:
 
 
 def cmd_gb(args) -> int:
-    code = _binary_code(args.matrix)
-    if args.engine == "buchberger":
-        basis = buchberger(ideal_generators(code))
-    else:
-        basis = coset_engine(code)
+    basis = coset_engine(_binary_code(args.matrix))
     if args.output:
         Path(args.output).write_text(format_basis(basis))
     print(f"elements={len(basis.elements)} t={capability(basis)}")
@@ -162,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-points", help="also write the point coordinates here")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("gb", help="compute the reduced Groebner basis of a code")
+    p = sub.add_parser("gb", help="compute the reduced Groebner basis of a code", description=(
+        "Compute the reduced degrevlex Groebner basis of a binary code with the coset engine; "
+        "'sgb verify-paper --only gb' checks it against a Buchberger run."))
     p.add_argument("--matrix", required=True, help="generator matrix file")
-    p.add_argument("--engine", choices=("coset", "buchberger"), default="coset")
     p.add_argument("-o", "--output", help="basis output file")
     p.set_defaults(func=cmd_gb)
 

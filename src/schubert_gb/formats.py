@@ -38,19 +38,17 @@ from .groebner import (
     ORDER_ID,
     ReducedGroebnerBasis,
     _binomials,
+    _check_fields,
     _element_arrays,
     _validated_masks,
 )
 from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
-from .words import WORD_LIMIT
+from .words import WORD_LIMIT, _parse_term
 
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
-_FACTOR = re.compile(r"x(0*[1-9]\d*)(?:\^(\d+))?$")
-# bit of each variable index as the writer spells it, for the plain-term path
-_VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 # basis lines are written and read in slices of at most this many, which
 # bounds the arrays sized by lines times n
 _SLICE_LINES = 1 << 12
@@ -152,50 +150,6 @@ def _write_lines(n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.nda
 def format_basis(gb: ReducedGroebnerBasis) -> str:
     body = _write_lines(gb.n, *_element_arrays(gb.elements))
     return f"# n={gb.n} order={ORDER_ID} field=GF(2)\n" + body.decode("ascii")
-
-
-def _parse_term(text: str) -> tuple[int, int | None]:
-    """Parse one term to (mask, squared_var | None)."""
-    text = text.strip()
-    if text == "1":
-        return 0, None
-    if text[:1] == "x":
-        # the writer's form x<i>*x<j>*...: the term is valid when every
-        # index is a known variable name and no bit repeats (a repeat carries)
-        names = text[1:].split("*x")
-        try:
-            mask = sum(map(_VAR_BITS.__getitem__, names))
-        except KeyError:
-            pass
-        else:
-            if mask.bit_count() == len(names):
-                return mask, None
-    # anything else is parsed factor by factor, which names the first fault
-    mask = 0
-    squared = None
-    seen: set[int] = set()
-    for factor in text.split("*"):
-        m = _FACTOR.match(factor.strip())
-        if not m:
-            raise ValueError(f"bad term factor {factor!r}")
-        idx = int(m.group(1))
-        if idx > WORD_LIMIT:
-            raise ValueError(f"variable index {idx} too large in {text!r}")
-        exp = int(m.group(2) or 1)
-        if idx in seen:
-            raise ValueError(f"repeated variable x{idx} in term {text!r}")
-        seen.add(idx)
-        if exp == 1:
-            mask |= 1 << (idx - 1)
-        elif exp == 2:
-            if squared is not None:
-                raise ValueError(f"more than one squared variable in {text!r}")
-            squared = idx
-        else:
-            raise ValueError(f"unsupported exponent {exp} in {text!r}")
-    if squared is not None and mask:
-        raise ValueError(f"mixed squared and plain factors in {text!r}")
-    return mask, squared
 
 
 def _parse_factorwise(text: str, n: int | None) -> tuple[int | None, _Masks]:
@@ -316,11 +270,13 @@ def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
 
 
 def parse_basis(text: str) -> ReducedGroebnerBasis:
-    """Parse and validate a complete reduced basis file."""
-    n, masks = _read(text)
+    """Parse and validate a complete reduced basis file: its field relations
+    first, then its code binomials."""
+    n, (leads, trails, is_field) = _read(text)
     if n is None:
         raise ValueError("missing '# n=... order=... field=GF(2)' header")
-    return _validated_masks(n, *masks)
+    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    return _validated_masks(n, leads[~is_field], trails[~is_field])
 
 
 def format_points(points: list[tuple[int, ...]], tuples: list[tuple[int, ...]]) -> str:

@@ -5,38 +5,30 @@ rows w together with the field relations x_i^2 - 1.  Everything in sight is a
 difference of two monomials over GF(2), so polynomials never grow past two
 terms and a basis element is just a (lead, trail) pair.
 
-Two engines produce the reduced basis and must agree element-for-element:
+The reduced basis comes from :func:`coset_engine`: the quotient algebra has
+one standard monomial per coset of the code, namely the degrevlex-minimal
+coset member, and the code binomials are u - leader(coset(u)) over the
+minimal non-standard monomials u.  One layered walk over the 2^(n-k) cosets
+yields both the leaders and those u (:func:`~schubert_gb.linalg._coset_walk`),
+so no array spans all 2^n words, and the enumeration guard counts cosets.
 
-* :func:`buchberger` - a reference pair-queue run (normal selection, coprime
-  criterion, final interreduction).  Monomials are carried as squarefree
-  bitmasks; reduction by the field relations is folded into S-polynomial
-  formation, which is just a fixed choice of reduction order.
-* :func:`coset_engine` - the quotient algebra has one standard monomial per
-  coset of the code, namely the degrevlex-minimal coset member; elements are
-  read off as u - leader(coset(u)) over the minimal non-standard monomials u.
-  One layered walk over the 2^(n-k) cosets yields both the leaders and those
-  u (:func:`~schubert_gb.linalg._coset_walk`), so no array spans all 2^n
-  words, and the enumeration guard counts cosets.
+Every rewrite - :func:`normal_form`, hence every decode - runs through one
+kernel, :func:`_reduce`, and monomials are ordered by degrevlex keys
+computed directly on masks.  The kernel finds the leads dividing a monomial
+with a divisor index (:class:`_DivisorIndex`): the n variables are cut into
+4-bit slices, and per slice and nibble value one Python-int bitset over the
+leads marks those whose bits in that slice lie inside the nibble.  The AND
+of one bitset per slice is the set of dividing leads, and its lowest bit is
+the first of them in array order, the lead each rewrite uses.
 
-Every rewrite - Buchberger's pair reduction, interreduction and
-:func:`normal_form`, hence every decode - runs through one kernel,
-:func:`_reduce`, and monomials are ordered by degrevlex keys computed
-directly on masks.  The kernel finds the leads dividing a monomial with a
-divisor index (:class:`_DivisorIndex`): the n variables are cut into 4-bit
-slices, and per slice and nibble value one Python-int bitset over the leads
-marks those whose bits in that slice lie inside the nibble.  The AND of one
-bitset per slice is the set of dividing leads, and its lowest bit is the
-first of them in array order, the lead each rewrite uses.
-
-The coset engine is the production route, the one ``GroebnerDecoder.fit``
-runs; :func:`buchberger` serves ``sgb gb --engine buchberger`` and the
-engine-equivalence checks.  The exponent-tuple arithmetic and the Groebner
-test that audit the mask arithmetic live in :mod:`schubert_gb.reference`.
+This module holds the production route only.  The Buchberger run that the
+coset engine is checked against, the ideal generators it starts from, the
+exponent-tuple arithmetic and the Groebner test live in
+:mod:`schubert_gb.reference`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -70,11 +62,6 @@ class Binomial(NamedTuple):
 _KINDS = ("code", "field")
 
 
-def field_relation(i: int) -> Binomial:
-    """The relation x_i^2 - 1 (1-based variable index)."""
-    return Binomial(lead=1 << (i - 1), trail=0, kind="field")
-
-
 @dataclass(frozen=True)
 class ReducedGroebnerBasis:
     """The unique reduced degrevlex Groebner basis of a binary-code ideal.
@@ -105,11 +92,12 @@ class ReducedGroebnerBasis:
 
 
 def _validated_masks(
-    n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray, limit: int | None = None
+    n: int, leads: np.ndarray, trails: np.ndarray, limit: int | None = None
 ) -> ReducedGroebnerBasis:
-    """The basis of uint64 lead and trail masks and field flags, checked.
+    """The basis of uint64 code-binomial lead and trail masks, checked, and
+    the n field relations x_i^2 - 1.
 
-    Besides the field relations and the per-element checks of
+    Besides the per-element checks of
     :func:`_check_element`, the code binomials must be reduced: no lead
     divides another lead or any trail.  That is checked over the standard
     monomials (those no lead divides) rather than lead against lead.  A lead
@@ -126,12 +114,17 @@ def _validated_masks(
     within a small multiple of the guard, so a hostile basis ends in
     EnumerationLimitError, not an unbounded allocation.
 
-    The elements are put in ascending order by one ``np.lexsort``
-    (:func:`_element_order`), and the first that fails any check is named,
-    with its first failing check in the order range, degree, orientation,
-    reducedness.  The Binomials are built only once every check passed.
+    The field relations are made here, so they need no check; those read
+    from a file are checked by :func:`_check_fields` first.  They are merged
+    in only to put all elements in ascending order by one ``np.lexsort``
+    (:func:`_element_order`).  The first code binomial in that order that
+    fails any check is named, with its first failing check in the order
+    range, degree, orientation, reducedness.  The Binomials are built only
+    once every check passed.
     """
-    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    leads = np.concatenate([leads, np.uint64(1) << np.arange(n, dtype=np.uint64)])
+    trails = np.concatenate([trails, np.zeros(n, dtype=np.uint64)])
+    is_field = np.arange(leads.size) >= leads.size - n
     order = _element_order(leads, is_field)
     rows = order[~is_field[order]]  # the code binomials, in ascending order
     code_leads, code_trails = leads[rows], trails[rows]
@@ -303,157 +296,6 @@ def _compact(buf: np.ndarray, used: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ideal generators
-# ---------------------------------------------------------------------------
-
-def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
-    """Eq-style generating set: X^w - 1 per generator row, plus x_i^2 - 1."""
-    rows = code.row_masks()
-    if any(r == 0 for r in rows):
-        raise ValueError("degenerate generator row")
-    gens = [Binomial(lead=r, trail=0, kind="code") for r in rows]
-    gens += [field_relation(i) for i in range(1, code.n + 1)]
-    return tuple(gens)
-
-
-# ---------------------------------------------------------------------------
-# Buchberger reference engine (mask arithmetic, eager field reduction)
-# ---------------------------------------------------------------------------
-
-# larger codes go to the coset engine
-_BUCHBERGER_MAX_VARS = 12
-
-
-def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
-    """Degrevlex key of mask * x_square^2 (square=0 for a plain mask).
-
-    Exponents stay below 4, so the exponent vector read as base-4 digits
-    (highest variable most significant) breaks degree ties as degrevlex does.
-    """
-    return (
-        mask.bit_count() + 2 * bool(square),
-        -(int(f"{mask:b}", 4) + 2 * square * square),
-    )
-
-
-def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
-    """Pair-queue Buchberger run followed by interreduction.
-
-    Pairs are processed by ascending lcm under degrevlex (normal selection)
-    and pairs with coprime leads are dropped (product criterion); nothing
-    else is pruned, keeping the run auditable.  The unique reduced basis of
-    the generated ideal is returned.
-    """
-    gens = list(generators)
-    field_vars = sorted(b.lead.bit_length() for b in gens if b.kind == "field")
-    n = len(field_vars)
-    used = max(
-        ((b.lead | b.trail).bit_length() for b in gens if b.kind == "code"), default=0
-    )
-    if (
-        field_vars != list(range(1, n + 1))
-        or used > n
-        or any(b.trail for b in gens if b.kind == "field")
-    ):
-        raise ValueError("generators must include the field relation of every variable")
-    if n > _BUCHBERGER_MAX_VARS:
-        raise EnumerationLimitError(
-            f"buchberger guard: n={n} exceeds {_BUCHBERGER_MAX_VARS} variables; "
-            "use the coset engine for larger codes"
-        )
-    code_gens = [(b.lead, b.trail) for b in gens if b.kind == "code"]
-    for pair in code_gens:
-        check_word_mask(pair[0], n)
-        check_word_mask(pair[1], n)
-
-    basis: list[tuple[int, int]] = []
-    index = _DivisorIndex(n, [], [])
-    pairs: list[tuple] = []  # (lcm degrevlex key, seq, i, j) with j=-v for field pairs
-    seq = 0
-
-    def add_reduced(a: int, b: int) -> None:
-        """Append the oriented remainder of a - b unless it is zero; queue its pairs."""
-        nonlocal seq
-        a, b = _reduce(a, index), _reduce(b, index)
-        if a == b:
-            return
-        lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
-        idx = len(basis)
-        basis.append((lead, trail))
-        index.add(lead, trail)
-        for j in range(idx):
-            other = basis[j][0]
-            if lead & other:  # coprime-lead pairs are skipped outright
-                lcm = lead | other
-                heapq.heappush(pairs, (_squash_key(lcm), seq, j, idx))
-                seq += 1
-        rest = lead
-        while rest:
-            bit = rest & -rest
-            # lcm with x_v^2 - 1 raises v's exponent from 1 to 2
-            heapq.heappush(
-                pairs, (_squash_key(lead ^ bit, bit), seq, idx, -bit.bit_length())
-            )
-            seq += 1
-            rest ^= bit
-
-    for lead, trail in code_gens:
-        add_reduced(lead, trail)
-
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if j < 0:  # pair with the field relation of variable -j
-            lead, trail = basis[i]
-            bit = 1 << (-j - 1)
-            if lead & bit:
-                add_reduced(lead ^ bit, trail ^ bit)
-        else:
-            li, ti = basis[i]
-            lj, tj = basis[j]
-            lcm = li | lj
-            add_reduced(lcm ^ li ^ ti, lcm ^ lj ^ tj)
-
-    return _interreduce(basis, n)
-
-
-def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
-    """Minimalize leads, reduce trails to normal form, sort, validate."""
-    minimal: dict[int, int] = {}
-    all_leads = {lead for lead, _ in basis}
-    for lead, trail in basis:
-        strictly_divisible = any(
-            other != lead and other & lead == other for other in all_leads
-        )
-        if not strictly_divisible and lead not in minimal:
-            minimal[lead] = trail
-    for lead in minimal:
-        if weight(lead) < 2:
-            raise ValueError(
-                f"degenerate code: x{lead.bit_length()} is not a standard monomial"
-            )
-    # no lead divides its own trail (or anything below it), so every minimal
-    # lead can take part in reducing every trail
-    index = _DivisorIndex(n, list(minimal), list(minimal.values()))
-    leads = np.array(list(minimal), dtype=np.uint64)
-    trails = np.array([_reduce(trail, index) for trail in minimal.values()], dtype=np.uint64)
-    return _with_field_relations(n, leads, trails)
-
-
-def _with_field_relations(
-    n: int, leads: np.ndarray, trails: np.ndarray, limit: int | None = None
-) -> ReducedGroebnerBasis:
-    """The validated basis of uint64 code leads and trails and the n field relations."""
-    fields = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    return _validated_masks(
-        n,
-        np.concatenate([leads, fields]),
-        np.concatenate([trails, np.zeros_like(fields)]),
-        np.arange(leads.size + n) >= leads.size,
-        limit,
-    )
-
-
-# ---------------------------------------------------------------------------
 # coset-leader engine
 # ---------------------------------------------------------------------------
 
@@ -469,7 +311,7 @@ def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerB
     if code.p != 2:
         raise ValueError("binary only")
     _, leads, trails = _coset_walk(code, limit, with_leads=True)
-    return _with_field_relations(code.n, leads, trails, limit)
+    return _validated_masks(code.n, leads, trails, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +346,7 @@ class _DivisorIndex:
     lead i divides m exactly when bit i survives the AND of
     ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
     lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
-    Leads are numbered in the order given; :meth:`add` appends one.
+    Leads are numbered in the order given.
     """
 
     __slots__ = ("slices", "rewrites")
@@ -519,15 +361,6 @@ class _DivisorIndex:
             fits = np.packbits((nibbles & ~inside) == 0, axis=1, bitorder="little")
             self.slices.append((shift, [int.from_bytes(row.tobytes(), "little") for row in fits]))
         self.rewrites = (leads ^ trails).tolist()
-
-    def add(self, lead: int, trail: int) -> None:
-        bit = 1 << len(self.rewrites)
-        for shift, table in self.slices:
-            nibble = (lead >> shift) & 15
-            for v in range(16):
-                if nibble & ~v == 0:
-                    table[v] |= bit
-        self.rewrites.append(lead ^ trail)
 
 
 def _reduce(

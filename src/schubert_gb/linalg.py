@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .validation import INT64_MAX, check_matrix, check_word_mask, guard_enumeration
+from .validation import ENUM_ENV_VAR, INT64_MAX, EnumerationLimitError, check_matrix
+from .validation import check_word_mask, enum_limit, guard_enumeration
 from .words import WORD_LIMIT, mask_from_bits
 
 _CHUNK = 1 << 16
@@ -127,8 +128,13 @@ class LinearCode:
     def from_generator(cls, generator, p: int = 2) -> "LinearCode":
         G = check_matrix(generator, p)
         k, n = G.shape
-        # the parity check can dwarf the generator (a 0 x n one has no entries)
-        guard_enumeration((n - k) * n, "parity check entries")
+        # the parity check can dwarf the generator (a 0 x n one has no
+        # entries): refuse it only when it outgrows both G and the guard
+        entries, bound = (n - k) * n, max(k * n, enum_limit())
+        if entries > bound:
+            raise EnumerationLimitError(
+                f"enumeration bound exceeded: {entries} parity check entries > {bound}, the larger "
+                f"of the generator's {k * n} entries and the guard (raise it via {ENUM_ENV_VAR})")
         H = parity_check_of(G, p)
         return cls(generator=G, parity_check=H, n=n, k=k, p=p)
 

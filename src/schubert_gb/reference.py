@@ -1,8 +1,11 @@
 """Reference routes: the slow, auditable counterparts of the production code.
 
 Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
-the exponent-tuple arithmetic, the Buchberger criterion and the element sort
-key that audit the mask arithmetic of :mod:`schubert_gb.groebner`, the
+the Buchberger run (:func:`buchberger`, n <= 12) from the ideal generators,
+the independent route that :func:`~schubert_gb.groebner.coset_engine` is
+checked against, together with the divisor-index growth it alone needs; the
+exponent-tuple arithmetic, the Buchberger criterion and the element sort
+key that audit the mask arithmetic of :mod:`schubert_gb.groebner`; the
 brute-force oracles over all 2^n words or all codewords that audit the coset
 walk and the rewrite kernel, the three-decoder :func:`cross_check`, the
 scalar splitmix64 trial stream and error draws that audit the simulator's
@@ -12,17 +15,24 @@ filter that audits the Schubert cell enumeration.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .decoding import BSC, DECODED, DecodeOutcome, FixedWeight, gb_decode
-from .groebner import Binomial, ReducedGroebnerBasis, _DivisorIndex, _reduce
+from .groebner import (
+    Binomial,
+    ReducedGroebnerBasis,
+    _DivisorIndex,
+    _reduce,
+    _validated_masks,
+)
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
-from .validation import check_word_mask, guard_enumeration
-from .words import degrevlex_key
+from .validation import EnumerationLimitError, check_word_mask, guard_enumeration
+from .words import degrevlex_key, weight
 
 Monomial = tuple[int, ...]
 BinomialPair = tuple[Monomial, Monomial]
@@ -184,6 +194,156 @@ def _is_groebner_exponents(pairs: list[BinomialPair]) -> bool:
             if s is not None and reduce_poly(s, pairs):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Buchberger route (mask arithmetic, eager field reduction)
+# ---------------------------------------------------------------------------
+
+def field_relation(i: int) -> Binomial:
+    """The relation x_i^2 - 1 (1-based variable index)."""
+    return Binomial(lead=1 << (i - 1), trail=0, kind="field")
+
+
+def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
+    """Eq-style generating set: X^w - 1 per generator row, plus x_i^2 - 1."""
+    rows = code.row_masks()
+    if any(r == 0 for r in rows):
+        raise ValueError("degenerate generator row")
+    gens = [Binomial(lead=r, trail=0, kind="code") for r in rows]
+    gens += [field_relation(i) for i in range(1, code.n + 1)]
+    return tuple(gens)
+
+
+# larger codes go to the coset engine
+_BUCHBERGER_MAX_VARS = 12
+
+
+def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
+    """Degrevlex key of mask * x_square^2 (square=0 for a plain mask).
+
+    Exponents stay below 4, so the exponent vector read as base-4 digits
+    (highest variable most significant) breaks degree ties as degrevlex does.
+    """
+    return (
+        mask.bit_count() + 2 * bool(square),
+        -(int(f"{mask:b}", 4) + 2 * square * square),
+    )
+
+
+def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
+    """Append one lead and its trail to a divisor index, numbered after the
+    leads it holds, as building the index over all of them would."""
+    bit = 1 << len(index.rewrites)
+    for shift, table in index.slices:
+        nibble = (lead >> shift) & 15
+        for v in range(16):
+            if nibble & ~v == 0:
+                table[v] |= bit
+    index.rewrites.append(lead ^ trail)
+
+
+def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
+    """Pair-queue Buchberger run followed by interreduction.
+
+    Pairs are processed by ascending lcm under degrevlex (normal selection)
+    and pairs with coprime leads are dropped (product criterion); nothing
+    else is pruned, keeping the run auditable.  The unique reduced basis of
+    the generated ideal is returned.
+    """
+    gens = list(generators)
+    field_vars = sorted(b.lead.bit_length() for b in gens if b.kind == "field")
+    n = len(field_vars)
+    used = max(
+        ((b.lead | b.trail).bit_length() for b in gens if b.kind == "code"), default=0
+    )
+    if (
+        field_vars != list(range(1, n + 1))
+        or used > n
+        or any(b.trail for b in gens if b.kind == "field")
+    ):
+        raise ValueError("generators must include the field relation of every variable")
+    if n > _BUCHBERGER_MAX_VARS:
+        raise EnumerationLimitError(
+            f"buchberger guard: n={n} exceeds {_BUCHBERGER_MAX_VARS} variables; "
+            "use the coset engine for larger codes"
+        )
+    code_gens = [(b.lead, b.trail) for b in gens if b.kind == "code"]
+    for pair in code_gens:
+        check_word_mask(pair[0], n)
+        check_word_mask(pair[1], n)
+
+    basis: list[tuple[int, int]] = []
+    index = _DivisorIndex(n, [], [])
+    pairs: list[tuple] = []  # (lcm degrevlex key, seq, i, j) with j=-v for field pairs
+    seq = 0
+
+    def add_reduced(a: int, b: int) -> None:
+        """Append the oriented remainder of a - b unless it is zero; queue its pairs."""
+        nonlocal seq
+        a, b = _reduce(a, index), _reduce(b, index)
+        if a == b:
+            return
+        lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
+        idx = len(basis)
+        basis.append((lead, trail))
+        _grow_index(index, lead, trail)
+        for j in range(idx):
+            other = basis[j][0]
+            if lead & other:  # coprime-lead pairs are skipped outright
+                lcm = lead | other
+                heapq.heappush(pairs, (_squash_key(lcm), seq, j, idx))
+                seq += 1
+        rest = lead
+        while rest:
+            bit = rest & -rest
+            # lcm with x_v^2 - 1 raises v's exponent from 1 to 2
+            heapq.heappush(
+                pairs, (_squash_key(lead ^ bit, bit), seq, idx, -bit.bit_length())
+            )
+            seq += 1
+            rest ^= bit
+
+    for lead, trail in code_gens:
+        add_reduced(lead, trail)
+
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        if j < 0:  # pair with the field relation of variable -j
+            lead, trail = basis[i]
+            bit = 1 << (-j - 1)
+            if lead & bit:
+                add_reduced(lead ^ bit, trail ^ bit)
+        else:
+            li, ti = basis[i]
+            lj, tj = basis[j]
+            lcm = li | lj
+            add_reduced(lcm ^ li ^ ti, lcm ^ lj ^ tj)
+
+    return _interreduce(basis, n)
+
+
+def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
+    """Minimalize leads, reduce trails to normal form, sort, validate."""
+    minimal: dict[int, int] = {}
+    all_leads = {lead for lead, _ in basis}
+    for lead, trail in basis:
+        strictly_divisible = any(
+            other != lead and other & lead == other for other in all_leads
+        )
+        if not strictly_divisible and lead not in minimal:
+            minimal[lead] = trail
+    for lead in minimal:
+        if weight(lead) < 2:
+            raise ValueError(
+                f"degenerate code: x{lead.bit_length()} is not a standard monomial"
+            )
+    # no lead divides its own trail (or anything below it), so every minimal
+    # lead can take part in reducing every trail
+    index = _DivisorIndex(n, list(minimal), list(minimal.values()))
+    leads = np.array(list(minimal), dtype=np.uint64)
+    trails = np.array([_reduce(trail, index) for trail in minimal.values()], dtype=np.uint64)
+    return _validated_masks(n, leads, trails)
 
 
 # ---------------------------------------------------------------------------

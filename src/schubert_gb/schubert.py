@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,9 +29,13 @@ IndexTuple = tuple[int, ...]
 
 
 def index_tuples(l: int, m: int) -> tuple[IndexTuple, ...]:
-    """All strictly increasing l-tuples in [1, m], in lexicographic order."""
+    """All strictly increasing l-tuples in [1, m], in lexicographic order.
+
+    Their count C(m, l) goes to the enumeration guard before any is built.
+    """
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
+    guard_enumeration(math.comb(m, l), "index tuple enumeration")
     return tuple(itertools.combinations(range(1, m + 1), l))
 
 
@@ -104,18 +109,23 @@ def schubert_params(spec: SchubertSpec) -> SchubertParams:
     k counts the index tuples below alpha, and d = q^delta with
     delta = sum(alpha_i - i).
     """
-    n = 0
+    n = k = 0
     for piv in _admissible_pivots(spec):
         n += spec.q ** sum(p - i - 1 for i, p in enumerate(piv))
-    k = sum(1 for t in index_tuples(spec.l, spec.m) if bruhat_leq(t, spec.alpha))
+        k += 1
     delta = sum(a - i - 1 for i, a in enumerate(spec.alpha))
     return SchubertParams(n=n, k=k, delta=delta, d=spec.q**delta)
 
 
-def _admissible_pivots(spec: SchubertSpec) -> Iterator[IndexTuple]:
-    for piv in index_tuples(spec.l, spec.m):
-        if bruhat_leq(piv, spec.alpha):
-            yield piv
+def _admissible_pivots(spec: SchubertSpec, prefix: IndexTuple = ()) -> Iterator[IndexTuple]:
+    """The index tuples <= alpha that extend ``prefix``, in lexicographic
+    order and one at a time: entry i runs from one past entry i - 1 up to
+    alpha_i, so none of the other C(m, l) tuples is visited."""
+    if len(prefix) == spec.l:
+        yield prefix
+        return
+    for v in range(prefix[-1] + 1 if prefix else 1, spec.alpha[len(prefix)] + 1):
+        yield from _admissible_pivots(spec, prefix + (v,))
 
 
 # A block of points holds at most this many minor entries (C(m, l) l x l
@@ -125,7 +135,7 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def _block_size(l: int, m: int) -> int:
-    return max(1, _BLOCK_ENTRIES // (len(index_tuples(l, m)) * l * l))
+    return max(1, _BLOCK_ENTRIES // (math.comb(m, l) * l * l))
 
 
 def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterator[np.ndarray]:

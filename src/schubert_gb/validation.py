@@ -95,11 +95,14 @@ def check_matrix(matrix: Any, p: int) -> np.ndarray:
 
 
 def check_word_mask(mask: int, n: int) -> int:
+    """The mask as an int, when it is a word of length n <= 64; a refused
+    mask past 64 bits is named by its bit length, so the message stays short."""
     mask = int(mask)
     if n > WORD_LIMIT:
         raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
     if not 0 <= mask < (1 << n):
-        raise ValueError(f"word mask {mask:#x} out of range for length {n}")
+        shown = f"{mask:#x}" if mask.bit_length() <= WORD_LIMIT else f"of {mask.bit_length()} bits"
+        raise ValueError(f"word mask {shown} out of range for length {n}")
     return mask
 
 

@@ -13,10 +13,11 @@ Sections (selectable via ``only``):
 * simulate   - simulator determinism and soundness
 
 Every check emits one PASS/FAIL line through ``echo``.  The independent
-routes the checks compare against - the 2^n coset-leader scan, the coset
-minimum, the minimal non-standard count and the Pluecker-filter point
-enumeration - come from :mod:`schubert_gb.reference`; this is the one
-module of the package that imports it.
+routes the checks compare against - the Buchberger run that the gb section
+checks the coset engine with, the 2^n coset-leader scan, the coset minimum,
+the minimal non-standard count and the Pluecker-filter point enumeration -
+come from :mod:`schubert_gb.reference`; this is the one module of the
+package that imports it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ import numpy as np
 
 from . import fixtures
 from .decoding import DECODED, FixedWeight, gb_decode, simulate
-from .groebner import (
-    ReducedGroebnerBasis,
-    buchberger,
-    capability,
-    coset_engine,
-    ideal_generators,
-    normal_form,
-)
+from .groebner import ReducedGroebnerBasis, capability, coset_engine, normal_form
 from .linalg import (
     LinearCode,
     build_coset_leader_table,
@@ -46,7 +40,9 @@ from .linalg import (
     rank,
 )
 from .reference import (
+    buchberger,
     coset_minimum,
+    ideal_generators,
     minimal_nonstandard_count,
     scan_coset_leaders,
     schubert_points_by_plucker_filter,

@@ -15,7 +15,9 @@ from collections.abc import Iterable, Sequence
 
 WORD_LIMIT = 64
 
-_MONOMIAL_FACTOR = re.compile(r"x(\d+)$")
+_FACTOR = re.compile(r"x(0*[1-9]\d*)(?:\^(\d+))?$")
+# bit of each variable index as the writer spells it, for the plain-term path
+_VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 
 
 def weight(mask: int) -> int:
@@ -72,20 +74,57 @@ def word_to_string(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
-def monomial_from_string(s: str) -> int:
-    """Parse a squarefree monomial like 'x1*x2*x13' (or '1') to its mask."""
-    s = s.strip()
-    if s == "1":
-        return 0
-    positions = []
-    for factor in s.split("*"):
-        m = _MONOMIAL_FACTOR.match(factor.strip())
+def _parse_term(text: str) -> tuple[int, int | None]:
+    """Parse one term to (mask, squared_var | None)."""
+    text = text.strip()
+    if text == "1":
+        return 0, None
+    if text[:1] == "x":
+        # the writer's form x<i>*x<j>*...: the term is valid when every
+        # index is a known variable name and no bit repeats (a repeat carries)
+        names = text[1:].split("*x")
+        try:
+            mask = sum(map(_VAR_BITS.__getitem__, names))
+        except KeyError:
+            pass
+        else:
+            if mask.bit_count() == len(names):
+                return mask, None
+    # anything else is parsed factor by factor, which names the first fault
+    mask = 0
+    squared = None
+    seen: set[int] = set()
+    for factor in text.split("*"):
+        m = _FACTOR.match(factor.strip())
         if not m:
-            raise ValueError(f"bad monomial factor {factor!r} in {s!r}")
-        positions.append(int(m.group(1)))
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"repeated variable in monomial {s!r}")
-    return mask_from_support(positions)
+            raise ValueError(f"bad term factor {factor!r}")
+        idx = int(m.group(1))
+        if idx > WORD_LIMIT:
+            raise ValueError(f"variable index {idx} too large in {text!r}")
+        exp = int(m.group(2) or 1)
+        if idx in seen:
+            raise ValueError(f"repeated variable x{idx} in term {text!r}")
+        seen.add(idx)
+        if exp == 1:
+            mask |= 1 << (idx - 1)
+        elif exp == 2:
+            if squared is not None:
+                raise ValueError(f"more than one squared variable in {text!r}")
+            squared = idx
+        else:
+            raise ValueError(f"unsupported exponent {exp} in {text!r}")
+    if squared is not None and mask:
+        raise ValueError(f"mixed squared and plain factors in {text!r}")
+    return mask, squared
+
+
+def monomial_from_string(s: str) -> int:
+    """Parse a squarefree monomial like 'x1*x2*x13' (or '1') to its mask,
+    by the basis-file term grammar less squares: indices 1..64 only."""
+    mask, squared = _parse_term(s)
+    if squared is not None:
+        raise ValueError(f"squared factor x{squared}^2 in monomial {s.strip()!r}")
+    return mask
 
 
 def monomial_to_string(mask: int) -> str:

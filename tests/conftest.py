@@ -5,7 +5,7 @@ import pytest
 
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
-from schubert_gb.groebner import _element_arrays, _validated_masks
+from schubert_gb.groebner import _check_fields, _element_arrays, _validated_masks
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
@@ -82,6 +82,13 @@ def wide_lead_basis_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def validated_masks(n, leads, trails, is_field, limit=None):
+    """Mask arrays and field flags through the basis checks, as parse_basis
+    runs them: the field relations first, then the code binomials."""
+    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    return _validated_masks(n, leads[~is_field], trails[~is_field], limit)
+
+
 def validated(n, elements, limit=None):
     """A list of Binomials through the basis checks, as mask arrays."""
-    return _validated_masks(n, *_element_arrays(elements), limit)
+    return validated_masks(n, *_element_arrays(elements), limit)

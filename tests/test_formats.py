@@ -21,13 +21,12 @@ from schubert_gb.groebner import (
     Binomial,
     ReducedGroebnerBasis,
     _binomials,
-    _validated_masks,
     coset_engine,
 )
 from schubert_gb.reference import element_sort_key
 from schubert_gb.schubert import generator_matrix
 
-from conftest import A_1_4
+from conftest import A_1_4, validated_masks
 
 
 def same_outcome(text):
@@ -44,7 +43,7 @@ def same_outcome(text):
         return
     assert parse_element_lines(text) == (n, list(_binomials(*masks)))
     try:
-        basis = _validated_masks(n, *masks) if n is not None else None
+        basis = validated_masks(n, *masks) if n is not None else None
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
             parse_basis(text)

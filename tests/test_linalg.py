@@ -19,7 +19,7 @@ from schubert_gb import (
 )
 from schubert_gb import linalg
 from schubert_gb.linalg import rank
-from schubert_gb.validation import EnumerationLimitError
+from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.reference import nn_decode, scan_coset_leaders
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, mask_from_bits, weight, word_from_string
@@ -164,6 +164,15 @@ class TestRref:
 
 
 class TestParityCheck:
+    def test_guard_admits_a_parity_check_no_larger_than_the_generator(self, monkeypatch):
+        # [40,32] under a guard of 2^8: H has 320 entries, G holds 1,280
+        monkeypatch.setenv(ENUM_ENV_VAR, "8")
+        G = np.hstack([np.eye(32, dtype=int), np.ones((32, 8), dtype=int)])
+        code = LinearCode.from_generator(G)
+        assert code.parity_check.shape == (8, 40)
+        with pytest.raises(EnumerationLimitError, match="1440 parity check entries > 256"):
+            LinearCode.from_generator(G[:4])  # [40,4]: 1,440 entries against 160 and 256
+
     def test_full_space_has_empty_dual(self):
         H = parity_check_of(np.eye(2, dtype=int), 2)
         assert H.shape == (0, 2)

@@ -18,6 +18,8 @@ MOVED = (
     "minimal_nonstandard_count", "scan_coset_leaders", "coset_minimum",
     "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
     "TrialStream", "draw_error",
+    "buchberger", "_interreduce", "_squash_key", "_BUCHBERGER_MAX_VARS",
+    "ideal_generators", "field_relation", "_grow_index",
 )
 
 
@@ -66,4 +68,16 @@ def test_moved_names_are_defined_only_in_reference():
     assert _defined_names(_tree("reference")) >= set(MOVED)
     for module in PRODUCTION + ("verify", "__init__"):
         assert not _defined_names(_tree(module)) & set(MOVED), module
+    for module in PRODUCTION + ("__init__",):
+        imported = {name.rpartition(".")[2] for name in _imported_modules(_tree(module))}
+        assert not imported & set(MOVED), module
     assert not set(MOVED) & set(schubert_gb.__all__)
+
+
+def test_production_divisor_index_does_not_grow():
+    # the coset engine builds each index once; only Buchberger appends leads
+    from schubert_gb.groebner import _DivisorIndex
+
+    assert {name for name in vars(_DivisorIndex) if not name.startswith("__")} == {
+        "slices", "rewrites",
+    }

@@ -192,6 +192,28 @@ class TestParams:
         p = schubert_params(SchubertSpec.grassmann(2, 5, 2))
         assert p.n == 155 and p.k == 10
 
+    def test_pivots_are_the_tuples_below_alpha(self):
+        for l, m in [(1, 4), (2, 5), (3, 6), (4, 7)]:
+            for alpha in index_tuples(l, m):
+                want = [t for t in index_tuples(l, m) if bruhat_leq(t, alpha)]
+                assert list(schubert._admissible_pivots(SchubertSpec(l, m, 2, alpha))) == want
+
+    def test_one_point_variety_in_a_huge_ambient_space(self):
+        # C(10^5, 2) is about 5 * 10^9 index tuples; only the one below alpha is built
+        def run():
+            return schubert_params(SchubertSpec(2, 10**5, 2, (1, 2)))
+
+        p, _, peak = traced_peak(run)
+        assert (p.n, p.k) == (1, 1) and peak < 1 << 20
+
+    def test_generator_refused_before_its_index_tuples(self):
+        def run():
+            with pytest.raises(EnumerationLimitError, match="index tuple enumeration"):
+                generator_matrix(SchubertSpec(2, 10**5, 2, (1, 2)))
+
+        _, _, peak = traced_peak(run)
+        assert peak < 1 << 20
+
 
 class TestPlucker:
     def test_identity_minor(self):

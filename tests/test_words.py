@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schubert_gb.reference import lex_key
+from schubert_gb.validation import check_word_mask
 from schubert_gb.words import (
     bits_from_mask,
     degrevlex_key,
@@ -48,6 +51,32 @@ def test_monomial_strings():
         monomial_from_string("x1*x1")
     with pytest.raises(ValueError):
         monomial_from_string("y3")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x0", "bad term factor 'x0'"),
+    ("x65", "variable index 65 too large in 'x65'"),
+    ("x1*x100000000", "variable index 100000000 too large in 'x1*x100000000'"),
+    ("x1^2", "squared factor x1^2 in monomial 'x1^2'"),
+    ("x1*x1", "repeated variable x1 in term 'x1*x1'"),
+])
+def test_monomial_strings_refused_before_any_shift(text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            monomial_from_string(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1 << 16  # no mask of 10^8 bits was built
+
+
+def test_word_mask_message_is_bounded():
+    with pytest.raises(ValueError, match=r"^word mask 0x80 out of range for length 7$"):
+        check_word_mask(1 << 7, 7)
+    with pytest.raises(ValueError, match=r"^word mask of 100000000 bits out of range for length 7$"):
+        check_word_mask(1 << 99999999, 7)
 
 
 def test_degrevlex_key_on_masks():
