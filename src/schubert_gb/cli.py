@@ -25,7 +25,7 @@ from .schubert import (
 )
 from .validation import ENUM_ENV_VAR, EnumerationLimitError, enum_limit
 from .verify import SECTIONS, run_checks
-from .words import WORD_LIMIT, monomial_to_string, word_to_string
+from .words import WORD_LIMIT, monomial_to_string, quoted, word_to_string
 
 OK, MISMATCH, USAGE, GUARD, MISSING_FIXTURE = 0, 1, 2, 3, 4
 
@@ -122,7 +122,7 @@ def _parse_model(text: str):
         return FixedWeight(int(value))
     if kind == "bsc":
         return BSC(float(value))
-    raise ValueError(f"unknown model {text!r}; use fixed_weight:<w> or bsc:<p>")
+    raise ValueError(f"unknown model {quoted(text)}; use fixed_weight:<w> or bsc:<p>")
 
 
 def cmd_simulate(args) -> int:

@@ -44,7 +44,7 @@ from .groebner import (
 )
 from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
-from .words import WORD_LIMIT, _parse_term
+from .words import WORD_LIMIT, _parse_term, quoted
 
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
@@ -75,7 +75,7 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
     try:
         k, n, p = (int(x) for x in lines[0].split())
     except ValueError as exc:
-        raise ValueError(f"bad matrix header {lines[0]!r}: expected 'k n p'") from exc
+        raise ValueError(f"bad matrix header {quoted(lines[0])}: expected 'k n p'") from exc
     if len(lines) != k + 1:
         raise ValueError(f"expected {k} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -171,21 +171,21 @@ def _parse_factorwise(text: str, n: int | None) -> tuple[int | None, _Masks]:
                 n = int(m.group(1))
                 if m.group(2) != ORDER_ID:
                     raise ValueError(
-                        f"unsupported order {m.group(2)!r}: only {ORDER_ID} is implemented"
+                        f"unsupported order {quoted(m.group(2))}: only {ORDER_ID} is implemented"
                     )
                 if n > WORD_LIMIT:
                     raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
             continue
         parts = line.split("-")
         if len(parts) != 2:
-            raise ValueError(f"expected 'term - term', got {line!r}")
+            raise ValueError(f"expected 'term - term', got {quoted(line)}")
         (lead, lead_sq) = _parse_term(parts[0])
         (trail, trail_sq) = _parse_term(parts[1])
         if trail_sq is not None:
-            raise ValueError(f"squared trail not supported: {line!r}")
+            raise ValueError(f"squared trail not supported: {quoted(line)}")
         if lead_sq is not None:
             if trail != 0:
-                raise ValueError(f"field relation must have trail 1: {line!r}")
+                raise ValueError(f"field relation must have trail 1: {quoted(line)}")
             rows.append((1 << (lead_sq - 1), 0, True))
         else:
             rows.append((lead, trail, False))

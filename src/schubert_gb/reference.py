@@ -5,12 +5,15 @@ the Buchberger run (:func:`buchberger`, n <= 12) from the ideal generators,
 the independent route that :func:`~schubert_gb.groebner.coset_engine` is
 checked against, together with the divisor-index growth it alone needs; the
 exponent-tuple arithmetic, the Buchberger criterion and the element sort
-key that audit the mask arithmetic of :mod:`schubert_gb.groebner`; the
+key that audit the mask arithmetic of :mod:`schubert_gb.groebner`, and
+the support and bit-list conversions of masks that only the tests use; the
 brute-force oracles over all 2^n words or all codewords that audit the coset
-walk and the rewrite kernel, the three-decoder :func:`cross_check`, the
-scalar splitmix64 trial stream and error draws that audit the simulator's
-uint64 array stream (:func:`schubert_gb.decoding._draws`), and the Pluecker
-filter that audits the Schubert cell enumeration.
+walk and the rewrite kernel: the coset-leader scan, the one basis oracle
+read off it (:func:`scan_basis`) and the batched :func:`coset_minimum`;
+the three-decoder :func:`cross_check`; the scalar splitmix64 trial stream
+and error draws that audit the simulator's uint64 array stream
+(:func:`schubert_gb.decoding._draws`); and the Pluecker filter that audits
+the Schubert cell enumeration.
 """
 
 from __future__ import annotations
@@ -61,6 +64,21 @@ def degrevlex_compare(a: Monomial, b: Monomial) -> int:
 
 def exponents_from_mask(mask: int, n: int) -> Monomial:
     return tuple((mask >> i) & 1 for i in range(n))
+
+
+def mask_from_support(positions: Iterable[int]) -> int:
+    """Mask with the given 1-based positions set."""
+    m = 0
+    for i in positions:
+        if i < 1:
+            raise ValueError(f"positions are 1-based, got {i}")
+        m |= 1 << (i - 1)
+    return m
+
+
+def bits_from_mask(mask: int, n: int) -> list[int]:
+    """0/1 list of length n, entry i-1 = position i."""
+    return [(mask >> i) & 1 for i in range(n)]
 
 
 def exponent_pair(b: Binomial, n: int) -> BinomialPair:
@@ -350,26 +368,6 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
 # brute-force oracles and decoder agreement
 # ---------------------------------------------------------------------------
 
-def minimal_nonstandard_count(standard: set[int], n: int) -> int:
-    """Divisor-scan oracle: monomials u with u non-standard and every
-    maximal proper divisor u \\ {x_j} standard, over all 2^n masks."""
-    count = 0
-    for u in range(1, 1 << n):
-        if u in standard:
-            continue
-        rest = u
-        minimal = True
-        while rest:
-            bit = rest & -rest
-            if (u ^ bit) not in standard:
-                minimal = False
-                break
-            rest ^= bit
-        if minimal:
-            count += 1
-    return count
-
-
 def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray:
     """Oracle coset-leader table: scan all 2^n words, keep each syndrome's
     degrevlex minimum.
@@ -397,12 +395,46 @@ def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray
     return (best & full) ^ full
 
 
-def coset_minimum(word: int, codeword_masks: np.ndarray) -> int:
-    """Degrevlex-minimal member of word + C, by scanning all codewords."""
-    coset = codeword_masks ^ np.uint64(word)
+def scan_basis(code: LinearCode) -> ReducedGroebnerBasis:
+    """Oracle reduced basis read off :func:`scan_coset_leaders`.
+
+    The standard monomials are the 2^(n-k) coset leaders; the code
+    binomials are u - leader(coset(u)) over the minimal non-standard u,
+    those whose maximal proper divisors u ^ x_j are all standard.  Two
+    boolean arrays over the 2^n masks mark both sets, bit by bit through
+    views, and syndromes are worked out for the leads only, so the peak
+    memory stays that of the scan.  The elements are put in order by
+    :func:`element_sort_key`, so the oracle shares nothing with
+    :func:`~schubert_gb.groebner.coset_engine` but the column syndromes and
+    the basis container.
+    """
+    n = code.n
+    leaders = scan_coset_leaders(code)
+    standard = np.zeros(1 << n, dtype=bool)
+    standard[leaders.astype(np.intp)] = True
+    minimal = ~standard
+    for j in range(n):  # u with bit j set needs u ^ x_j standard
+        minimal.reshape(-1, 2, 1 << j)[:, 1] &= standard.reshape(-1, 2, 1 << j)[:, 0]
+    leads = np.flatnonzero(minimal).astype(np.uint64)
+    synd = np.zeros(leads.size, dtype=np.intp)
+    for j, col in enumerate(code.column_syndromes):
+        synd[(leads >> np.uint64(j)) & np.uint64(1) == 1] ^= col
+    elements = list(map(Binomial, leads.tolist(), leaders[synd].tolist()))
+    elements += [field_relation(i) for i in range(1, n + 1)]
+    return ReducedGroebnerBasis(n, tuple(sorted(elements, key=element_sort_key)))
+
+
+def coset_minimum(words: np.ndarray, codeword_masks: np.ndarray) -> np.ndarray:
+    """Degrevlex-minimal member of each word + C, by scanning all codewords.
+
+    Takes a uint64 array of word masks and builds one words-by-codewords
+    array: of each coset's least-weight members the largest mask is the
+    degrevlex-smallest.
+    """
+    coset = np.asarray(words, dtype=np.uint64)[:, None] ^ codeword_masks
     wts = np.bitwise_count(coset)
-    least = coset[wts == wts.min()]
-    return int(least.max())  # equal weight: larger mask = degrevlex-smaller
+    least = wts == wts.min(axis=1, keepdims=True)
+    return np.where(least, coset, np.uint64(0)).max(axis=1)
 
 
 def lex_key(mask: int, n: int) -> int:

@@ -108,11 +108,28 @@ def schubert_params(spec: SchubertSpec) -> SchubertParams:
     n is the total cell count sum_{pivots <= alpha} q^(sum(pivot_i - i)),
     k counts the index tuples below alpha, and d = q^delta with
     delta = sum(alpha_i - i).
+
+    No tuple is built.  With c_i = pivot_i - i the tuples below alpha are
+    the sequences 0 <= c_1 <= ... <= c_l with c_i <= alpha_i - i, so both
+    sums run entry by entry over the value of c_i, each from the prefix sums
+    over the value of c_(i-1): O(l * m) integer operations.
     """
-    n = k = 0
-    for piv in _admissible_pivots(spec):
-        n += spec.q ** sum(p - i - 1 for i, p in enumerate(piv))
-        k += 1
+    q = spec.q
+    cells, tuples = [1], [1]  # prefix sums over the value of the previous entry
+    for i, a in enumerate(spec.alpha):
+        last = len(cells) - 1  # the previous entry's largest value
+        cell_sums, tuple_sums = [], []
+        cell_sum = tuple_sum = 0
+        power = 1
+        for c in range(a - i):
+            below = min(c, last)
+            cell_sum += power * cells[below]
+            tuple_sum += tuples[below]
+            cell_sums.append(cell_sum)
+            tuple_sums.append(tuple_sum)
+            power *= q
+        cells, tuples = cell_sums, tuple_sums
+    n, k = cells[-1], tuples[-1]
     delta = sum(a - i - 1 for i, a in enumerate(spec.alpha))
     return SchubertParams(n=n, k=k, delta=delta, d=spec.q**delta)
 

@@ -5,7 +5,8 @@ Sections (selectable via ``only``):
 * integrity  - fixture files match their recorded checksums
 * params     - code parameters and brute-force minimum distances
 * construct  - generator construction vs the fixture matrices
-* gb         - reduced bases vs listings/spots/oracle, engine equivalence
+* gb         - reduced bases vs listings, spots and the 2^n scan basis,
+               engine equivalence
 * capability - capability values from the bases
 * decode     - decoding-table replay and exhaustive radius-t agreement
 * nf         - canonical forms vs the coset-minimum brute-force oracle
@@ -14,10 +15,11 @@ Sections (selectable via ``only``):
 
 Every check emits one PASS/FAIL line through ``echo``.  The independent
 routes the checks compare against - the Buchberger run that the gb section
-checks the coset engine with, the 2^n coset-leader scan, the coset minimum,
-the minimal non-standard count and the Pluecker-filter point enumeration -
-come from :mod:`schubert_gb.reference`; this is the one module of the
-package that imports it.
+checks the coset engine with, the basis read off the 2^n coset-leader scan
+that the two long bases are compared with element by element, the coset
+minimum and the Pluecker-filter point enumeration - come from
+:mod:`schubert_gb.reference`; this is the one module of the package that
+imports it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .reference import (
     buchberger,
     coset_minimum,
     ideal_generators,
-    minimal_nonstandard_count,
-    scan_coset_leaders,
+    scan_basis,
     schubert_points_by_plucker_filter,
 )
 from .schubert import (
@@ -217,13 +218,10 @@ def run_checks(
             nfield = sum(1 for b in basis.elements if b.kind == "field")
             run.check("gb", f"c_{tag}.field_relations", nfield == basis.n,
                       f"{nfield} of n={basis.n}")
-            oracle = minimal_nonstandard_count(
-                set(scan_coset_leaders(codes[tag]).tolist()), basis.n
-            )
+            oracle = scan_basis(codes[tag])
             run.check(
-                "gb", f"c_{tag}.element_count",
-                len(basis.code_binomials) == oracle,
-                f"engine={len(basis.code_binomials)} oracle={oracle}",
+                "gb", f"c_{tag}.element_count", basis == oracle,
+                f"engine={len(basis.code_binomials)} oracle={len(oracle.code_binomials)}",
             )
         mismatches = []
         for i, code in enumerate(_seeded_codes()):
@@ -279,11 +277,10 @@ def run_checks(
         ]
         bad = []
         for name, code, basis in targets:
-            cw = code.codeword_masks()
-            for m in range(1 << code.n):
-                if normal_form(m, basis) != coset_minimum(m, cw):
-                    bad.append(name)
-                    break
+            words = np.arange(1 << code.n, dtype=np.uint64)
+            want = coset_minimum(words, code.codeword_masks()).tolist()
+            if [normal_form(m, basis) for m in range(1 << code.n)] != want:
+                bad.append(name)
         run.check("nf", "canonical_vs_coset_minimum", not bad,
                   f"{len(targets)} codes, all 2^n monomials" + (f"; bad {bad}" if bad else ""))
 

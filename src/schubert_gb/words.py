@@ -11,28 +11,34 @@ Words are limited to n <= 64 positions.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 WORD_LIMIT = 64
 
-_FACTOR = re.compile(r"x(0*[1-9]\d*)(?:\^(\d+))?$")
+# an index or an exponent of more digits than these is no factor, so each
+# number read stays small and each number a message names stays short
+_FACTOR = re.compile(r"x(0{0,18}[1-9]\d{0,18})(?:\^(\d{1,19}))?$")
 # bit of each variable index as the writer spells it, for the plain-term path
 _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
+# characters of an input that an error message quotes
+_QUOTED_CHARS = 40
+
+
+def quoted(text: str) -> str:
+    """The repr of an input for an error message, cut to a fixed prefix.
+
+    A text of at most ``_QUOTED_CHARS`` characters is quoted whole; a longer
+    one by its prefix of that many characters and then its length, so the
+    message does not grow with the input.
+    """
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def weight(mask: int) -> int:
     """Hamming weight of a word / total degree of a squarefree monomial."""
     return mask.bit_count()
-
-
-def mask_from_support(positions: Iterable[int]) -> int:
-    """Mask with the given 1-based positions set."""
-    m = 0
-    for i in positions:
-        if i < 1:
-            raise ValueError(f"positions are 1-based, got {i}")
-        m |= 1 << (i - 1)
-    return m
 
 
 def support(mask: int) -> tuple[int, ...]:
@@ -55,16 +61,11 @@ def mask_from_bits(bits: Sequence[int]) -> int:
     return m
 
 
-def bits_from_mask(mask: int, n: int) -> list[int]:
-    """0/1 list of length n, entry i-1 = position i."""
-    return [(mask >> i) & 1 for i in range(n)]
-
-
 def word_from_string(s: str) -> tuple[int, int]:
     """Parse a binary word string (leftmost char = position 1) to (mask, n)."""
     s = s.strip()
     if not s or any(c not in "01" for c in s):
-        raise ValueError(f"not a binary word: {s!r}")
+        raise ValueError(f"not a binary word: {quoted(s)}")
     if len(s) > WORD_LIMIT:
         raise ValueError(f"word length {len(s)} exceeds limit {WORD_LIMIT}")
     return mask_from_bits([int(c) for c in s]), len(s)
@@ -97,24 +98,24 @@ def _parse_term(text: str) -> tuple[int, int | None]:
     for factor in text.split("*"):
         m = _FACTOR.match(factor.strip())
         if not m:
-            raise ValueError(f"bad term factor {factor!r}")
+            raise ValueError(f"bad term factor {quoted(factor)}")
         idx = int(m.group(1))
         if idx > WORD_LIMIT:
-            raise ValueError(f"variable index {idx} too large in {text!r}")
+            raise ValueError(f"variable index {idx} too large in {quoted(text)}")
         exp = int(m.group(2) or 1)
         if idx in seen:
-            raise ValueError(f"repeated variable x{idx} in term {text!r}")
+            raise ValueError(f"repeated variable x{idx} in term {quoted(text)}")
         seen.add(idx)
         if exp == 1:
             mask |= 1 << (idx - 1)
         elif exp == 2:
             if squared is not None:
-                raise ValueError(f"more than one squared variable in {text!r}")
+                raise ValueError(f"more than one squared variable in {quoted(text)}")
             squared = idx
         else:
-            raise ValueError(f"unsupported exponent {exp} in {text!r}")
+            raise ValueError(f"unsupported exponent {exp} in {quoted(text)}")
     if squared is not None and mask:
-        raise ValueError(f"mixed squared and plain factors in {text!r}")
+        raise ValueError(f"mixed squared and plain factors in {quoted(text)}")
     return mask, squared
 
 
@@ -123,7 +124,7 @@ def monomial_from_string(s: str) -> int:
     by the basis-file term grammar less squares: indices 1..64 only."""
     mask, squared = _parse_term(s)
     if squared is not None:
-        raise ValueError(f"squared factor x{squared}^2 in monomial {s.strip()!r}")
+        raise ValueError(f"squared factor x{squared}^2 in monomial {quoted(s.strip())}")
     return mask
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from schubert_gb import (
     gb_decode,
 )
 from schubert_gb.decoding import DECODED
-from schubert_gb.words import bits_from_mask, mask_from_bits
+from schubert_gb.reference import bits_from_mask
+from schubert_gb.words import mask_from_bits
 
 from conftest import A_1_4
 
@@ -192,3 +194,23 @@ class TestBatchConversion:
     def test_empty_batch(self, codes):
         for est in (GroebnerDecoder().fit(codes["1_4"]), SyndromeTableDecoder().fit(codes["1_4"])):
             assert est.predict(np.zeros((0, 7), dtype=int)).shape == (0, 7)
+
+    @pytest.mark.parametrize("decoder", [GroebnerDecoder, SyndromeTableDecoder])
+    def test_predict_takes_a_1d_row_as_one_row(self, codes, decoder):
+        est = decoder().fit(codes["1_4"])
+        row = np.array(bits_from_mask(0b1000011, 7))
+        assert (est.predict(row) == est.predict(row[None])).all()
+        assert est.predict(row).shape == (1, 7)
+
+    @pytest.mark.parametrize("decoder", [GroebnerDecoder, SyndromeTableDecoder])
+    @pytest.mark.parametrize("X,message", [
+        (np.zeros((2, 6), dtype=int), "expected words of length 7, got shape (2, 6)"),
+        (np.zeros(8, dtype=int), "expected words of length 7, got shape (1, 8)"),
+        (np.zeros((1, 2, 7), dtype=int), "expected words of length 7, got shape (1, 2, 7)"),
+        (np.full((3, 7), 2), "words must be 0/1 arrays"),
+        (-np.ones((1, 7), dtype=int), "words must be 0/1 arrays"),
+    ], ids=["width", "1d-width", "3d", "two", "minus-one"])
+    def test_predict_refuses_malformed_batches(self, codes, decoder, X, message):
+        est = decoder().fit(codes["1_4"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            est.predict(X)

@@ -16,7 +16,7 @@ from schubert_gb.formats import (
     parse_element_lines,
     parse_matrix,
 )
-from schubert_gb.fixtures import load_basis, load_spot_elements
+from schubert_gb.fixtures import FixtureMissingError, load_basis, load_spot_elements
 from schubert_gb.groebner import (
     Binomial,
     ReducedGroebnerBasis,
@@ -25,6 +25,7 @@ from schubert_gb.groebner import (
 )
 from schubert_gb.reference import element_sort_key
 from schubert_gb.schubert import generator_matrix
+from schubert_gb.words import monomial_from_string, word_from_string
 
 from conftest import A_1_4, validated_masks
 
@@ -242,6 +243,37 @@ class TestBasisFormat:
             parse_element_lines(f"{term} - 1\n")
         assert str(err.value) == message
 
+    # each message that quotes input, on an input of about 10^5 characters;
+    # blanks around a factor are dropped, so a term can be long without repeats
+    PAD = " " * 10**5
+
+    QUOTING = [
+        (monomial_from_string, "x2*" * 33_333 + "x2", "repeated variable x2 in term 'x2*x2*"),
+        (monomial_from_string, f"x65*{PAD}x2", "variable index 65 too large in 'x65*  "),
+        (monomial_from_string, f"x1^2*{PAD}x2^2", "more than one squared variable in 'x1^2*  "),
+        (monomial_from_string, f"x1^3*{PAD}x2", "unsupported exponent 3 in 'x1^3*  "),
+        (monomial_from_string, f"x1^2*{PAD}x2", "mixed squared and plain factors in 'x1^2*  "),
+        (monomial_from_string, f"x2^2{PAD}", "squared factor x2^2 in monomial 'x2^2'"),
+        (monomial_from_string, "y" * 10**5, "bad term factor 'yyy"),
+        (monomial_from_string, "x" + "1" * 10**5, "bad term factor 'x111"),
+        (monomial_from_string, "x1^" + "2" * 10**5, "bad term factor 'x1^222"),
+        (monomial_from_string, "x" + "0" * 10**5 + "1", "bad term factor 'x000"),
+        (word_from_string, "2" * 10**5, "not a binary word: '222"),
+        (parse_element_lines, f"x1*{PAD}x2\n", "expected 'term - term', got 'x1*  "),
+        (parse_element_lines, f"x1*x2 -{PAD}x3^2\n", "squared trail not supported: 'x1*x2 -  "),
+        (parse_element_lines, f"x1^2 -{PAD}x2\n", "field relation must have trail 1: 'x1^2 -  "),
+        (parse_element_lines, f"# n=3 order={'a' * 10**5} field=GF(2)\n", "unsupported order 'aaa"),
+        (parse_matrix, f"3 7 {PAD}x\n", "bad matrix header '3 7  "),
+    ]
+
+    @pytest.mark.parametrize("parse,text,head", QUOTING,
+                             ids=[head.partition(" '")[0] for _, _, head in QUOTING])
+    def test_messages_quote_a_bounded_prefix(self, parse, text, head):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        message = str(err.value)
+        assert message.startswith(head) and len(message) < 200
+
     @pytest.mark.parametrize("term,mask", [
         ("x1*x2*x5", 0b10011),
         (" x1 * x3 ", 0b101),
@@ -258,6 +290,21 @@ class TestBasisFormat:
         # past x64 no mask fits a uint64 word, whatever the header's n
         with pytest.raises(ValueError, match="^variable index 65 too large in 'x65'$"):
             parse_element_lines("x65 - 1\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("x1*x2 - x3^2", "squared trail not supported: 'x1*x2 - x3^2'"),
+        ("x1^2 - x2", "field relation must have trail 1: 'x1^2 - x2'"),
+        ("x1*x2 - x3 - 1", "expected 'term - term', got 'x1*x2 - x3 - 1'"),
+    ])
+    def test_malformed_line_messages(self, line, message):
+        with pytest.raises(ValueError) as err:
+            parse_basis(f"# n=3 order=degrevlex field=GF(2)\n{line}\n")
+        assert str(err.value) == message
+
+    def test_absent_fixture_is_named(self):
+        # only c_1_4 and c_2_3 have complete listings
+        with pytest.raises(FixtureMissingError, match="^fixture 'c_1_5.gb.txt' is missing$"):
+            load_basis("1_5")
 
     def test_spot_fixture_files_parse(self):
         for tag in ("1_5", "2_4"):

@@ -21,7 +21,6 @@ from schubert_gb import (
 from schubert_gb import groebner, linalg
 from schubert_gb.fixtures import load_basis, load_code
 from schubert_gb.formats import format_basis, parse_element_lines
-from schubert_gb.groebner import ReducedGroebnerBasis
 from schubert_gb.reference import (
     _grow_index,
     _squash_key,
@@ -36,13 +35,15 @@ from schubert_gb.reference import (
     field_relation,
     ideal_generators,
     is_groebner,
+    mask_from_support,
     reduce_poly,
+    scan_basis,
     scan_coset_leaders,
     spoly,
 )
 from schubert_gb.validation import EnumerationLimitError
 from schubert_gb.verify import random_codes
-from schubert_gb.words import degrevlex_key, mask_from_support, monomial_from_string, weight
+from schubert_gb.words import degrevlex_key, monomial_from_string, weight
 
 from conftest import validated, wide_lead_basis_text
 
@@ -206,6 +207,12 @@ class TestEngines:
         with pytest.raises(ValueError, match="degenerate"):
             buchberger(ideal_generators(code))
 
+    def test_binary_only_before_the_guard(self):
+        # 2^(n-k) counts no cosets of a ternary code, so the guard is not asked
+        gf3 = LinearCode.from_generator(np.ones((1, 30), dtype=int), 3)
+        with pytest.raises(ValueError, match="^binary only$"):
+            coset_engine(gf3)
+
     def test_engine_outputs_are_groebner(self, codes, bases, small_random_codes):
         assert is_groebner(bases["1_4"].elements, n=7)
         assert is_groebner(bases["2_3"].elements, n=7)
@@ -213,32 +220,24 @@ class TestEngines:
             assert is_groebner(coset_engine(code).elements, n=code.n)
 
 
-def oracle_basis(code: LinearCode) -> ReducedGroebnerBasis:
-    """The reduced basis read off the 2^n scan oracle: every minimal
-    non-standard monomial u over all 2^n masks, with its coset's leader as
-    trail."""
-    n = code.n
-    leaders = scan_coset_leaders(code)
-    synd = np.zeros(1 << n, dtype=np.int64)
-    for i, col in enumerate(code.column_syndromes):
-        synd[1 << i: 2 << i] = synd[: 1 << i] ^ col
-    standard = np.zeros(1 << n, dtype=bool)
-    standard[leaders.astype(np.int64)] = True
-    words = np.arange(1 << n)
-    minimal = ~standard
-    for j in range(n):
-        minimal &= ((words >> j) & 1 == 0) | standard[words ^ (1 << j)]
-    leads = np.flatnonzero(minimal)
-    elements = [Binomial(int(u), int(leaders[synd[u]]), "code") for u in leads]
-    return validated(n, elements + [field_relation(i) for i in range(1, n + 1)])
-
-
 class TestCosetWalkEngine:
     """coset_engine against the scan oracle and bases pinned from the former scan engine."""
 
     def test_equals_scan_oracle(self, codes, small_random_codes):
         for code in list(codes.values()) + small_random_codes + random_codes():
-            assert coset_engine(code) == oracle_basis(code)
+            assert coset_engine(code) == scan_basis(code)
+
+    def test_scan_basis_peak_is_the_scans(self, codes):
+        # the basis is read off two boolean arrays made after the scan's own are freed
+        peaks = []
+        for oracle in (scan_coset_leaders, scan_basis):
+            tracemalloc.start()
+            try:
+                oracle(codes["2_4"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (64 << 10)
 
     def test_ladder_rungs(self, ladder_rungs):
         pinned = {  # sha256 of the basis file text, recorded with the former scan engine
@@ -247,7 +246,7 @@ class TestCosetWalkEngine:
         }
         for n, code in ladder_rungs.items():
             gb = coset_engine(code)
-            assert gb == oracle_basis(code)
+            assert gb == scan_basis(code)
             assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == pinned[n][0]
             assert len(gb.code_binomials) == pinned[n][1]
 
@@ -264,7 +263,7 @@ class TestCosetWalkEngine:
     def test_small_slices_change_nothing(self, monkeypatch, codes, ladder_rungs):
         monkeypatch.setattr(linalg, "_SLICE_WORDS", 64)  # many slices per layer
         for code in list(codes.values()) + random_codes()[:5] + [ladder_rungs[18]]:
-            assert coset_engine(code) == oracle_basis(code)
+            assert coset_engine(code) == scan_basis(code)
 
     @pytest.mark.parametrize("rows", [
         [[1, 1, 0, 1, 0], [0, 1, 0, 1, 1]],  # zero column: x1 + x5 is a codeword
@@ -297,16 +296,14 @@ class TestNormalForm:
         assert normal_form(mask_from_support([1, 5, 6, 7]), gb) == 0
 
     def test_exhaustive_oracle_1_4(self, codes, bases):
-        cw = codes["1_4"].codeword_masks()
-        for m in range(1 << 7):
-            assert normal_form(m, bases["1_4"]) == coset_minimum(m, cw)
+        want = coset_minimum(np.arange(1 << 7, dtype=np.uint64), codes["1_4"].codeword_masks())
+        assert [normal_form(m, bases["1_4"]) for m in range(1 << 7)] == want.tolist()
 
     def test_sampled_oracle_2_4(self, codes, bases):
-        cw = codes["2_4"].codeword_masks()
         rng = random.Random(99)
-        for _ in range(500):
-            m = rng.randrange(1 << 19)
-            assert normal_form(m, bases["2_4"]) == coset_minimum(m, cw)
+        words = [rng.randrange(1 << 19) for _ in range(500)]
+        want = coset_minimum(np.array(words, dtype=np.uint64), codes["2_4"].codeword_masks())
+        assert [normal_form(m, bases["2_4"]) for m in words] == want.tolist()
 
     def test_confluence_under_random_selection(self, bases):
         gb = bases["1_4"]
@@ -355,10 +352,9 @@ class TestDivisorIndex:
         for code in targets:
             gb = coset_engine(code)
             leads, trails = lead_arrays(gb)
-            cw = code.codeword_masks()
-            for m in range(1 << code.n):
-                nf = normal_form(m, gb)
-                assert nf == scan_reduce(m, leads, trails) == coset_minimum(m, cw)
+            want = coset_minimum(np.arange(1 << code.n, dtype=np.uint64), code.codeword_masks())
+            for m, least in enumerate(want.tolist()):
+                assert normal_form(m, gb) == scan_reduce(m, leads, trails) == least
 
     @pytest.mark.parametrize("first_hit", [True, False])
     def test_selector_sees_the_scan_hits(self, bases, small_random_codes, first_hit):

@@ -173,6 +173,13 @@ class TestParityCheck:
         with pytest.raises(EnumerationLimitError, match="1440 parity check entries > 256"):
             LinearCode.from_generator(G[:4])  # [40,4]: 1,440 entries against 160 and 256
 
+    def test_constructor_refuses_a_non_orthogonal_parity_check(self):
+        code = LinearCode.from_generator(A_1_4, 2)
+        H = code.parity_check.copy()
+        H[0, 0] ^= 1  # column 0 of G is e_1, so row 0 of G @ H.T changes
+        with pytest.raises(ValueError, match="^generator and parity check are not orthogonal$"):
+            LinearCode(code.generator, H, code.n, code.k, code.p)
+
     def test_full_space_has_empty_dual(self):
         H = parity_check_of(np.eye(2, dtype=int), 2)
         assert H.shape == (0, 2)
@@ -317,6 +324,14 @@ class TestCosetLeaders:
         code, table = codes["2_3"], tables["2_3"]
         for s in range(1 << (code.n - code.k)):
             assert syndrome(table.leader(s), code) == s
+
+    def test_mask_operations_need_a_word(self):
+        A = np.random.default_rng(70).integers(0, 2, (60, 10))
+        code = LinearCode.from_generator(np.hstack([np.eye(60, dtype=int), A]), 2)
+        assert (code.n, code.k) == (70, 60)
+        for masks in (code.row_masks, code.codeword_masks, lambda: code.column_syndromes):
+            with pytest.raises(ValueError, match="^mask operations require n <= 64$"):
+                masks()
 
     def test_binary_only_and_guard(self):
         gf3 = LinearCode.from_generator(np.array([[1, 2, 0]]), 3)

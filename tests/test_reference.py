@@ -15,7 +15,8 @@ MOVED = (
     "Monomial", "BinomialPair", "degrevlex_key_exponents", "degrevlex_compare",
     "exponents_from_mask", "_mul", "_div", "_lcm", "_orient", "spoly", "reduce_poly",
     "is_groebner", "_is_groebner_exponents", "exponent_pair", "as_pairs",
-    "minimal_nonstandard_count", "scan_coset_leaders", "coset_minimum",
+    "mask_from_support", "bits_from_mask",
+    "scan_coset_leaders", "scan_basis", "coset_minimum",
     "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
     "TrialStream", "draw_error",
     "buchberger", "_interreduce", "_squash_key", "_BUCHBERGER_MAX_VARS",

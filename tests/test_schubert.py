@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import itertools
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -167,6 +169,15 @@ class TestGaussianBinomial:
     def test_symmetry(self):
         assert gaussian_binomial(5, 2, 3) == gaussian_binomial(5, 3, 3)
 
+    @pytest.mark.parametrize("m,l,q,message", [
+        (3, 0, 2, "need 1 <= l <= m, got l=0, m=3"),
+        (3, 4, 2, "need 1 <= l <= m, got l=4, m=3"),
+        (3, 1, 1, "need q >= 2, got 1"),
+    ])
+    def test_argument_errors(self, m, l, q, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gaussian_binomial(m, l, q)
+
 
 class TestSpec:
     def test_alpha_validation(self):
@@ -176,6 +187,15 @@ class TestSpec:
             SchubertSpec(l=2, m=5, q=2, alpha=(0, 3))
         with pytest.raises(ValueError):
             SchubertSpec(l=2, m=5, q=4, alpha=(1, 2))  # q must be prime
+
+    @pytest.mark.parametrize("l,m,alpha,message", [
+        (0, 5, (), "need 1 <= l <= m, got l=0, m=5"),
+        (3, 2, (1, 2, 3), "need 1 <= l <= m, got l=3, m=2"),
+        (2, 5, (1, 2, 3), "alpha must have length l=2, got (1, 2, 3)"),
+    ])
+    def test_argument_errors(self, l, m, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SchubertSpec(l=l, m=m, q=2, alpha=alpha)
 
     def test_grassmann_alpha_is_maximal(self):
         assert SchubertSpec.grassmann(2, 5, 2).alpha == (4, 5)
@@ -197,6 +217,23 @@ class TestParams:
             for alpha in index_tuples(l, m):
                 want = [t for t in index_tuples(l, m) if bruhat_leq(t, alpha)]
                 assert list(schubert._admissible_pivots(SchubertSpec(l, m, 2, alpha))) == want
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("l,m", [(2, 5), (2, 6), (2, 7), (3, 6)])
+    def test_equal_the_sum_over_the_tuples(self, l, m, q):
+        for alpha in index_tuples(l, m):
+            spec = SchubertSpec(l, m, q, alpha)
+            pivots = list(schubert._admissible_pivots(spec))
+            n = sum(q ** sum(p - i - 1 for i, p in enumerate(piv)) for piv in pivots)
+            got = schubert_params(spec)
+            assert (got.n, got.k) == (n, len(pivots)), alpha
+
+    def test_large_grassmannian_without_its_tuples(self):
+        # G(2, 2000) has 1,999,000 index tuples; the sums run over 2 * 2000 values
+        start = time.perf_counter()
+        p = schubert_params(SchubertSpec.grassmann(2, 2000, 2))
+        assert time.perf_counter() - start < 1
+        assert p.n == gaussian_binomial(2000, 2, 2) and p.k == 1_999_000
 
     def test_one_point_variety_in_a_huge_ambient_space(self):
         # C(10^5, 2) is about 5 * 10^9 index tuples; only the one below alpha is built

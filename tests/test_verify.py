@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from schubert_gb import build_coset_leader_table, capability, verify
+from schubert_gb import build_coset_leader_table, capability, groebner, verify
 from schubert_gb.decoding import DECODED
+from schubert_gb.fixtures import load_spot_elements
 from schubert_gb.groebner import Binomial, ReducedGroebnerBasis
 from schubert_gb.reference import cross_check
-from schubert_gb.words import degrevlex_key
+from schubert_gb.words import degrevlex_key, weight
 
 
 def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
@@ -31,6 +32,11 @@ def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
     assert isinstance(verify._seeded_codes(), tuple)
 
 
+def test_unknown_sections_refused():
+    with pytest.raises(ValueError, match=r"^unknown sections \['nope'\]$"):
+        verify.run_checks(only=["gb", "nope"])
+
+
 def test_random_codes_are_pinned():
     # shapes and int64 bytes of the 25 generators, hashed before the cheap
     # column test was moved ahead of the rank test
@@ -39,6 +45,41 @@ def test_random_codes_are_pinned():
         h.update(np.asarray(code.generator.shape, dtype=np.int64).tobytes())
         h.update(code.generator.astype(np.int64).tobytes())
     assert h.hexdigest() == "b6bb7761e7326dc63ac9cfba88d8cbe6fe3dd7b2f6cb6192b7d631d6c4523d7a"
+
+
+def test_long_basis_checked_element_by_element(monkeypatch, bases):
+    """One non-spot trail of c_2_4 swapped for another of the same weight
+    keeps the spots, the field relations and the element count, and still
+    fails the comparison with the scan basis."""
+    gb = bases["2_4"]
+    spots = set(load_spot_elements("2_4"))
+    b, other = next(
+        (b, c.trail) for b in gb.code_binomials if b not in spots
+        for c in gb.code_binomials if c.trail != b.trail and weight(c.trail) == weight(b.trail)
+    )
+    elements = tuple(Binomial(b.lead, other, "code") if e == b else e for e in gb.elements)
+    tampered = ReducedGroebnerBasis(gb.n, elements)
+    monkeypatch.setattr(verify, "_reference_bases", lambda codes: {**bases, "2_4": tampered})
+    results = {c.name: c for c in verify.run_checks(only=["gb"])}
+    count = results.pop("c_2_4.element_count")
+    assert not count.passed
+    assert count.detail == f"engine={len(gb.code_binomials)} oracle={len(gb.code_binomials)}"
+    assert all(c.passed for c in results.values())
+
+
+def test_scan_oracle_independent_of_basis_validation(monkeypatch):
+    """A fault in the engine's validation path, here the last element moved
+    to the front, reaches the engine bases but not the scan oracle."""
+    ordered = groebner._element_order
+
+    def misordered(leads, is_field):
+        order = ordered(leads, is_field)
+        return np.concatenate([order[-1:], order[:-1]])
+
+    monkeypatch.setattr(groebner, "_element_order", misordered)
+    results = {c.name: c for c in verify.run_checks(only=["gb"])}
+    assert not results["c_1_5.element_count"].passed
+    assert not results["c_2_4.element_count"].passed
 
 
 def cross_check_agreement(code, basis) -> bool:

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schubert_gb.reference import lex_key
+from schubert_gb.reference import bits_from_mask, lex_key, mask_from_support
 from schubert_gb.validation import check_word_mask
 from schubert_gb.words import (
-    bits_from_mask,
     degrevlex_key,
     mask_from_bits,
-    mask_from_support,
     monomial_from_string,
     monomial_to_string,
     support,
@@ -77,6 +75,17 @@ def test_word_mask_message_is_bounded():
         check_word_mask(1 << 7, 7)
     with pytest.raises(ValueError, match=r"^word mask of 100000000 bits out of range for length 7$"):
         check_word_mask(1 << 99999999, 7)
+    with pytest.raises(ValueError, match=r"^word length 65 exceeds limit 64$"):
+        check_word_mask(1, 65)
+
+
+@pytest.mark.parametrize("bits,message", [
+    ([0, 2, 1], "bit 1 is 2, expected 0 or 1"),
+    ([1, 1, -1], "bit 2 is -1, expected 0 or 1"),
+])
+def test_mask_from_bits_refuses_non_bits(bits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mask_from_bits(bits)
 
 
 def test_degrevlex_key_on_masks():
