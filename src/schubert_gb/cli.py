@@ -25,20 +25,33 @@ from .schubert import (
 )
 from .validation import ENUM_ENV_VAR, EnumerationLimitError, enum_limit
 from .verify import SECTIONS, run_checks
-from .words import WORD_LIMIT, monomial_to_string, quoted, word_to_string
+from .words import NUMBER_DIGITS, WORD_LIMIT, monomial_to_string, quoted, small_int, word_to_string
 
 OK, MISMATCH, USAGE, GUARD, MISSING_FIXTURE = 0, 1, 2, 3, 4
 
 
 def _spec_from_args(args) -> SchubertSpec:
-    alpha = tuple(int(x) for x in args.alpha.split(","))
+    try:
+        alpha = tuple(small_int(x) for x in args.alpha.split(","))
+    except ValueError:
+        raise ValueError(f"bad alpha {quoted(args.alpha)}: expected integers like 1,4") from None
     return SchubertSpec(l=args.l, m=args.m, q=args.q, alpha=alpha)
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument; argparse prints this refusal, not the whole text."""
+    try:
+        return small_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {NUMBER_DIGITS} digits, got {quoted(text)}"
+        ) from None
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l", type=int, required=True, help="subspace dimension")
-    parser.add_argument("--m", type=int, required=True, help="ambient dimension")
-    parser.add_argument("--q", type=int, required=True, help="prime field size")
+    parser.add_argument("--l", type=_int_arg, required=True, help="subspace dimension")
+    parser.add_argument("--m", type=_int_arg, required=True, help="ambient dimension")
+    parser.add_argument("--q", type=_int_arg, required=True, help="prime field size")
     parser.add_argument(
         "--alpha", required=True, help="comma-separated strictly increasing tuple, e.g. 1,4"
     )
@@ -90,7 +103,7 @@ def cmd_gb(args) -> int:
     basis = coset_engine(_binary_code(args.matrix))
     if args.output:
         Path(args.output).write_text(format_basis(basis))
-    print(f"elements={len(basis.elements)} t={capability(basis)}")
+    print(f"elements={basis.leads.size + basis.n} t={capability(basis)}")
     return OK
 
 
@@ -118,10 +131,13 @@ def cmd_decode(args) -> int:
 
 def _parse_model(text: str):
     kind, _, value = text.partition(":")
-    if kind == "fixed_weight":
-        return FixedWeight(int(value))
-    if kind == "bsc":
-        return BSC(float(value))
+    try:
+        if kind == "fixed_weight":
+            return FixedWeight(small_int(value))
+        if kind == "bsc":
+            return BSC(float(value))
+    except ValueError:
+        raise ValueError(f"bad model {quoted(text)}; use fixed_weight:<w> or bsc:<p>") from None
     raise ValueError(f"unknown model {quoted(text)}; use fixed_weight:<w> or bsc:<p>")
 
 
@@ -174,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the seeded channel simulator")
     p.add_argument("--matrix", required=True, help="generator matrix file")
     p.add_argument("--model", required=True, help="fixed_weight:<w> or bsc:<p>")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_arg, default=1000)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify-paper", help="replay all bundled reference fixtures")

@@ -39,12 +39,11 @@ from .groebner import (
     ReducedGroebnerBasis,
     _binomials,
     _check_fields,
-    _element_arrays,
     _validated_masks,
 )
 from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
-from .words import WORD_LIMIT, _parse_term, quoted
+from .words import WORD_LIMIT, _parse_term, quoted, small_int
 
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
@@ -73,14 +72,17 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
     if not lines:
         raise ValueError("empty matrix file")
     try:
-        k, n, p = (int(x) for x in lines[0].split())
+        k, n, p = (small_int(x) for x in lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad matrix header {quoted(lines[0])}: expected 'k n p'") from exc
     if len(lines) != k + 1:
         raise ValueError(f"expected {k} matrix rows, found {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError:
+            raise ValueError(f"bad matrix row {quoted(ln)}: expected integers") from None
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
@@ -148,7 +150,7 @@ def _write_lines(n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.nda
 
 
 def format_basis(gb: ReducedGroebnerBasis) -> str:
-    body = _write_lines(gb.n, *_element_arrays(gb.elements))
+    body = _write_lines(gb.n, *gb._element_masks())
     return f"# n={gb.n} order={ORDER_ID} field=GF(2)\n" + body.decode("ascii")
 
 
@@ -168,7 +170,12 @@ def _parse_factorwise(text: str, n: int | None) -> tuple[int | None, _Masks]:
         if line.startswith("#"):
             m = _HEADER.match(line)
             if m:
-                n = int(m.group(1))
+                try:
+                    n = small_int(m.group(1))
+                except ValueError:
+                    raise ValueError(
+                        f"word length {quoted(m.group(1))} exceeds limit {WORD_LIMIT}"
+                    ) from None
                 if m.group(2) != ORDER_ID:
                     raise ValueError(
                         f"unsupported order {quoted(m.group(2))}: only {ORDER_ID} is implemented"

@@ -3,7 +3,8 @@
 The ideal of an [n, k] binary code is generated by X^w - 1 for the generator
 rows w together with the field relations x_i^2 - 1.  Everything in sight is a
 difference of two monomials over GF(2), so polynomials never grow past two
-terms and a basis element is just a (lead, trail) pair.
+terms and a basis element is just a (lead, trail) pair.  A basis holds its
+code binomials as two uint64 mask arrays; the field relations follow from n.
 
 The reduced basis comes from :func:`coset_engine`: the quotient algebra has
 one standard monomial per coset of the code, namely the degrevlex-minimal
@@ -29,9 +30,8 @@ exponent-tuple arithmetic and the Groebner test live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -62,40 +62,78 @@ class Binomial(NamedTuple):
 _KINDS = ("code", "field")
 
 
-@dataclass(frozen=True)
 class ReducedGroebnerBasis:
     """The unique reduced degrevlex Groebner basis of a binary-code ideal.
 
-    Elements are sorted ascending by lead and always contain exactly the n
-    field relations plus squarefree code binomials whose trails are standard
-    monomials.
+    Held as ``n`` and the read-only uint64 masks ``leads`` and ``trails``
+    of its code binomials, sorted ascending by lead; their trails are
+    standard monomials.  The n field relations x_i^2 - 1 are implicit,
+    since n fixes them.  ``ReducedGroebnerBasis(n, elements)`` takes
+    Binomials ascending by lead and checks nothing; it keeps the code
+    binomials and drops the field relations.  The Binomial tuples
+    ``elements`` and ``code_binomials`` are built on first use, for audit
+    code.  Two bases are equal when n and both arrays are; a basis has no
+    hash.
     """
 
-    n: int
-    elements: tuple[Binomial, ...]
+    __hash__ = None
+
+    def __init__(self, n: int, elements: Iterable[Binomial]):
+        codes = [b for b in elements if b.kind == "code"]
+        leads = np.array([b.lead for b in codes], dtype=np.uint64)
+        self._hold(n, leads, np.array([b.trail for b in codes], dtype=np.uint64))
+
+    @classmethod
+    def _of_masks(cls, n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGroebnerBasis:
+        """The basis of checked, sorted uint64 code lead and trail masks."""
+        gb = cls.__new__(cls)
+        gb._hold(n, leads, trails)
+        return gb
+
+    def _hold(self, n: int, leads: np.ndarray, trails: np.ndarray) -> None:
+        leads.flags.writeable = trails.flags.writeable = False
+        self.n, self.leads, self.trails = n, leads, trails
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReducedGroebnerBasis):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.leads, other.leads)
+                and np.array_equal(self.trails, other.trails))
+
+    def _element_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leads, trails and field flags of all elements, the field relations
+        merged in, ascending by lead: the order of ``elements`` and of the
+        basis file."""
+        leads = np.concatenate([self.leads, np.uint64(1) << np.arange(self.n, dtype=np.uint64)])
+        trails = np.concatenate([self.trails, np.zeros(self.n, dtype=np.uint64)])
+        is_field = np.arange(leads.size) >= self.leads.size
+        order = _element_order(leads, is_field)
+        return leads[order], trails[order], is_field[order]
+
+    @cached_property
+    def elements(self) -> tuple[Binomial, ...]:
+        return tuple(_binomials(*self._element_masks()))
 
     @cached_property
     def code_binomials(self) -> tuple[Binomial, ...]:
-        return tuple(b for b in self.elements if b.kind == "code")
+        return tuple(map(Binomial, self.leads.tolist(), self.trails.tolist()))
 
     @cached_property
     def _divisor_index(self) -> _DivisorIndex:
         """The rewrite index of the code binomials, built on first use."""
-        codes = self.code_binomials
-        return _DivisorIndex(self.n, [b.lead for b in codes], [b.trail for b in codes])
+        return _DivisorIndex(self.n, self.leads, self.trails)
 
     @cached_property
     def _capability(self) -> int:
-        if not self.code_binomials:
+        if not self.leads.size:
             raise ValueError("capability undefined: basis has no code binomials")
-        return min(weight(b.lead) for b in self.code_binomials) - 1
+        return int(np.bitwise_count(self.leads).min()) - 1
 
 
 def _validated_masks(
     n: int, leads: np.ndarray, trails: np.ndarray, limit: int | None = None
 ) -> ReducedGroebnerBasis:
-    """The basis of uint64 code-binomial lead and trail masks, checked, and
-    the n field relations x_i^2 - 1.
+    """The basis of uint64 code-binomial lead and trail masks, checked.
 
     Besides the per-element checks of
     :func:`_check_element`, the code binomials must be reduced: no lead
@@ -114,20 +152,14 @@ def _validated_masks(
     within a small multiple of the guard, so a hostile basis ends in
     EnumerationLimitError, not an unbounded allocation.
 
-    The field relations are made here, so they need no check; those read
-    from a file are checked by :func:`_check_fields` first.  They are merged
-    in only to put all elements in ascending order by one ``np.lexsort``
-    (:func:`_element_order`).  The first code binomial in that order that
-    fails any check is named, with its first failing check in the order
-    range, degree, orientation, reducedness.  The Binomials are built only
-    once every check passed.
+    The field relations are implicit in the basis; those read from a file
+    are checked by :func:`_check_fields` first.  The code binomials are put
+    in ascending order by lead (:func:`_element_order`), and the first of
+    them in that order that fails any check is named, with its first
+    failing check in the order range, degree, orientation, reducedness.
     """
-    leads = np.concatenate([leads, np.uint64(1) << np.arange(n, dtype=np.uint64)])
-    trails = np.concatenate([trails, np.zeros(n, dtype=np.uint64)])
-    is_field = np.arange(leads.size) >= leads.size - n
-    order = _element_order(leads, is_field)
-    rows = order[~is_field[order]]  # the code binomials, in ascending order
-    code_leads, code_trails = leads[rows], trails[rows]
+    order = _element_order(leads, np.zeros(leads.size, dtype=bool))
+    code_leads, code_trails = leads[order], trails[order]
     lw, tw = np.bitwise_count(code_leads), np.bitwise_count(code_trails)
     faulty = (
         ((code_leads | code_trails) > np.uint64((1 << n) - 1))
@@ -154,9 +186,7 @@ def _validated_masks(
         if np.count_nonzero((code_leads & L) == L) != 1:
             raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
         raise ValueError(f"lead {b.lead:#x} divides a trail: basis not reduced")
-    return ReducedGroebnerBasis(
-        n=n, elements=tuple(_binomials(leads[order], trails[order], is_field[order]))
-    )
+    return ReducedGroebnerBasis._of_masks(n, code_leads, code_trails)
 
 
 def _check_fields(n: int, leads: list[int], trails: list[int]) -> None:
@@ -166,13 +196,6 @@ def _check_fields(n: int, leads: list[int], trails: list[int]) -> None:
         raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
     if sorted(leads) != [1 << i for i in range(n)] or any(trails):
         raise ValueError(f"basis must contain exactly the {n} field relations")
-
-
-def _element_arrays(elems: Sequence[Binomial]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """uint64 leads and trails and the field flags of a list of elements."""
-    leads, trails, kinds = zip(*elems) if elems else ((), (), ())
-    is_field = np.fromiter(map("field".__eq__, kinds), dtype=bool, count=len(kinds))
-    return np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64), is_field
 
 
 def _binomials(leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> Iterator[Binomial]:
@@ -352,8 +375,8 @@ class _DivisorIndex:
     __slots__ = ("slices", "rewrites")
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
-        leads = np.array(leads, dtype=np.uint64)
-        trails = np.array(trails, dtype=np.uint64)
+        leads = np.asarray(leads, dtype=np.uint64)
+        trails = np.asarray(trails, dtype=np.uint64)
         inside = np.arange(16, dtype=np.uint8)[:, None]
         self.slices = []
         for shift in range(0, n, 4):

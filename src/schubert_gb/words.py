@@ -22,6 +22,8 @@ _FACTOR = re.compile(r"x(0{0,18}[1-9]\d{0,18})(?:\^(\d{1,19}))?$")
 _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 # characters of an input that an error message quotes
 _QUOTED_CHARS = 40
+# digits of the longest number read from a header or an argument: every int64
+NUMBER_DIGITS = 19
 
 
 def quoted(text: str) -> str:
@@ -34,6 +36,18 @@ def quoted(text: str) -> str:
     if len(text) <= _QUOTED_CHARS:
         return repr(text)
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
+def small_int(text: str) -> int:
+    """``int(text)`` for a number of at most ``NUMBER_DIGITS`` digits.
+
+    A longer text is refused before ``int`` reads it, so no digit string of
+    unbounded length is converted.  The ValueError names nothing; callers
+    name the input through :func:`quoted`.
+    """
+    if len(text.strip().lstrip("+-")) > NUMBER_DIGITS:
+        raise ValueError("number too long")
+    return int(text)
 
 
 def weight(mask: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
-from schubert_gb.groebner import _check_fields, _element_arrays, _validated_masks
+from schubert_gb.groebner import _check_fields, _validated_masks
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
@@ -89,6 +89,13 @@ def validated_masks(n, leads, trails, is_field, limit=None):
     return _validated_masks(n, leads[~is_field], trails[~is_field], limit)
 
 
+def element_arrays(elements):
+    """uint64 leads and trails and the field flags of a list of Binomials."""
+    leads = np.array([b.lead for b in elements], dtype=np.uint64)
+    trails = np.array([b.trail for b in elements], dtype=np.uint64)
+    return leads, trails, np.array([b.kind == "field" for b in elements], dtype=bool)
+
+
 def validated(n, elements, limit=None):
     """A list of Binomials through the basis checks, as mask arrays."""
-    return validated_masks(n, *_element_arrays(elements), limit)
+    return validated_masks(n, *element_arrays(elements), limit)

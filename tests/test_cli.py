@@ -290,6 +290,32 @@ class TestSimulate:
         assert code == 2 and "unknown model" in err
 
 
+    @pytest.mark.parametrize("model", ["bsc:" + "x" * 10**5, "fixed_weight:" + "9" * 5000],
+                             ids=["bsc", "fixed_weight"])
+    def test_hostile_model_one_short_line(self, capsys, fixture_matrix_file, model):
+        code, out, err = run(
+            capsys, "simulate", "--matrix", fixture_matrix_file("1_4"), "--model", model,
+        )
+        assert code == 2 and out == "" and err.startswith("error: bad model '")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    @pytest.mark.parametrize("value", ["9" * 5000, "x" * 10**5], ids=["digits", "letters"])
+    def test_hostile_count_short_usage_error(self, capsys, fixture_matrix_file, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--matrix", fixture_matrix_file("1_4"),
+                  "--model", "fixed_weight:1", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and f"argument {flag}: expected an integer" in err
+        assert len(err.encode()) < 300
+
+    def test_hostile_alpha_one_short_line(self, capsys):
+        code, _, err = run(capsys, "params", "--l", "2", "--m", "5", "--q", "2",
+                           "--alpha", "1," + "a" * 10**5)
+        assert code == 2 and err.startswith("error: bad alpha '")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
 class TestVerifyPaper:
     def test_full_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify-paper")

@@ -264,6 +264,8 @@ class TestBasisFormat:
         (parse_element_lines, f"x1^2 -{PAD}x2\n", "field relation must have trail 1: 'x1^2 -  "),
         (parse_element_lines, f"# n=3 order={'a' * 10**5} field=GF(2)\n", "unsupported order 'aaa"),
         (parse_matrix, f"3 7 {PAD}x\n", "bad matrix header '3 7  "),
+        (parse_matrix, "1 2 2\n" + "y" * 10**5 + " 0\n", "bad matrix row 'yyy"),
+        (parse_matrix, "1 2 2\n" + "9" * 5000 + " 0\n", "bad matrix row '999"),
     ]
 
     @pytest.mark.parametrize("parse,text,head", QUOTING,
@@ -300,6 +302,18 @@ class TestBasisFormat:
         with pytest.raises(ValueError) as err:
             parse_basis(f"# n=3 order=degrevlex field=GF(2)\n{line}\n")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("digits", [20, 4000, 5000])
+    @pytest.mark.parametrize("parse,header,head", [
+        (parse_basis, "# n={} order=degrevlex field=GF(2)\n", "word length '111"),
+        (parse_matrix, "{} 7 2\n1 0 0 0 1 1 1\n", "bad matrix header '111"),
+    ], ids=["basis", "matrix"])
+    def test_overlong_header_number_refused(self, parse, header, head, digits):
+        # 4,000 digits lie below int()'s 4,300-digit conversion limit, 5,000 past it
+        with pytest.raises(ValueError) as err:
+            parse(header.format("1" * digits))
+        message = str(err.value)
+        assert message.startswith(head) and len(message.encode()) < 300
 
     def test_absent_fixture_is_named(self):
         # only c_1_4 and c_2_3 have complete listings

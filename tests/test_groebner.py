@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 
 from schubert_gb import (
     Binomial,
+    FixedWeight,
+    GroebnerDecoder,
     LinearCode,
     build_coset_leader_table,
     capability,
     coset_engine,
+    gb_decode,
     normal_form,
+    simulate,
     syndrome,
 )
 from schubert_gb import groebner, linalg
 from schubert_gb.fixtures import load_basis, load_code
-from schubert_gb.formats import format_basis, parse_element_lines
+from schubert_gb.formats import format_basis, parse_basis, parse_element_lines
 from schubert_gb.reference import (
     _grow_index,
     _squash_key,
@@ -246,7 +250,11 @@ class TestCosetWalkEngine:
         }
         for n, code in ladder_rungs.items():
             gb = coset_engine(code)
-            assert gb == scan_basis(code)
+            scan = scan_basis(code)
+            assert gb == scan
+            fields = tuple(field_relation(i) for i in range(1, n + 1))
+            assert gb.elements == scan.elements == tuple(
+                sorted(scan.code_binomials + fields, key=element_sort_key))
             assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == pinned[n][0]
             assert len(gb.code_binomials) == pinned[n][1]
 
@@ -338,12 +346,6 @@ def scan_reduce(m, leads, trails, selector=None):
     return m
 
 
-def lead_arrays(gb):
-    leads = np.array([b.lead for b in gb.code_binomials], dtype=np.uint64)
-    trails = np.array([b.trail for b in gb.code_binomials], dtype=np.uint64)
-    return leads, trails
-
-
 class TestDivisorIndex:
     """The bitset rewrite kernel against the former scan kernel and the oracles."""
 
@@ -351,7 +353,7 @@ class TestDivisorIndex:
         targets = [codes["1_4"], codes["2_3"]] + small_random_codes + random_codes()
         for code in targets:
             gb = coset_engine(code)
-            leads, trails = lead_arrays(gb)
+            leads, trails = gb.leads, gb.trails
             want = coset_minimum(np.arange(1 << code.n, dtype=np.uint64), code.codeword_masks())
             for m, least in enumerate(want.tolist()):
                 assert normal_form(m, gb) == scan_reduce(m, leads, trails) == least
@@ -361,7 +363,7 @@ class TestDivisorIndex:
         # a first-hit selector also counts the rewrite steps the benchmark reports
         gbs = [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes[:3]]
         for gb in gbs:
-            leads, trails = lead_arrays(gb)
+            leads, trails = gb.leads, gb.trails
             rng = random.Random(gb.n)
             for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
                 seen = {"index": [], "scan": []}
@@ -402,7 +404,7 @@ class TestDivisorIndex:
 
     def test_bit_63_of_a_64_bit_word(self, wide_code):
         gb = coset_engine(wide_code)
-        leads, trails = lead_arrays(gb)
+        leads, trails = gb.leads, gb.trails
         assert gb.n == 64 and int((leads | trails).max()) >> 63 == 1
         leaders = build_coset_leader_table(wide_code).leaders
         rng = random.Random(64)
@@ -427,7 +429,7 @@ class TestDivisorIndex:
     def test_ladder_rung_18_equals_the_scan(self, ladder_rungs):
         code = ladder_rungs[18]
         gb = coset_engine(code)
-        leads, trails = lead_arrays(gb)
+        leads, trails = gb.leads, gb.trails
         leaders = build_coset_leader_table(code).leaders
         words = np.random.default_rng(18).integers(0, 1 << 18, 2000).tolist()
         for m in words:
@@ -452,6 +454,43 @@ class TestCapability:
         for code in small_random_codes:
             gb = coset_engine(code)
             assert capability(gb) == (min_distance_bruteforce(code) - 1) // 2
+
+
+class TestArrayBasis:
+    """The basis holds uint64 lead and trail arrays; Binomials are built on request."""
+
+    def test_arrays_are_read_only(self, bases):
+        gb = bases["2_4"]
+        for masks in (gb.leads, gb.trails):
+            assert masks.dtype == np.uint64
+            with pytest.raises(ValueError, match="read-only"):
+                masks[0] = 1
+
+    def test_pipeline_builds_no_binomials(self, codes):
+        code = codes["2_4"]
+        est = GroebnerDecoder().fit(code)
+        built = est.basis_
+        parsed = parse_basis(format_basis(built))
+        gb_decode(0b111, parsed)
+        simulate(code, parsed, FixedWeight(2), trials=50, seed=1)
+        est.predict(np.eye(3, code.n, dtype=np.int64))
+        assert capability(parsed) == capability(built) == 3
+        for gb in (built, parsed):
+            assert "elements" not in vars(gb) and "code_binomials" not in vars(gb)
+
+    def test_element_constructor_round_trip(self, bases):
+        for gb in bases.values():
+            again = groebner.ReducedGroebnerBasis(gb.n, gb.elements)
+            assert again == gb and again.elements == gb.elements
+            assert groebner.ReducedGroebnerBasis(gb.n, gb.code_binomials) == gb
+
+    def test_equality_is_by_n_and_arrays(self, bases):
+        gb = bases["1_4"]
+        assert gb != groebner.ReducedGroebnerBasis(gb.n + 1, gb.elements)
+        assert gb != groebner.ReducedGroebnerBasis(gb.n, gb.code_binomials[1:])
+        assert gb != bases["2_3"] and gb != gb.elements
+        with pytest.raises(TypeError):
+            hash(gb)
 
 
 class TestIsGroebner:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from schubert_gb import build_coset_leader_table, capability, groebner, verify
+from schubert_gb import build_coset_leader_table, capability, fixtures, groebner, verify
 from schubert_gb.decoding import DECODED
 from schubert_gb.fixtures import load_spot_elements
 from schubert_gb.groebner import Binomial, ReducedGroebnerBasis
@@ -14,21 +14,30 @@ from schubert_gb.words import degrevlex_key, weight
 
 
 def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
-    calls = []
+    calls, built = [], []
+    engine = verify.coset_engine
 
     def counted():
         calls.append(1)
         return small_random_codes[:2]
 
+    def counted_engine(code, limit=None):
+        built.append(code)
+        return engine(code, limit)
+
     monkeypatch.setattr(verify, "random_codes", counted)
+    monkeypatch.setattr(verify, "coset_engine", counted_engine)
     # a fresh cache, so codes drawn earlier in the process do not count
     monkeypatch.setattr(verify, "_seeded_codes", functools.cache(verify._seeded_codes.__wrapped__))
-    assert verify.run_checks(only=["integrity"]) and calls == []  # lazy: never built
-    results = verify.run_checks(only=["capability", "nf"])
-    assert calls == [1]  # shared by both sections
+    assert verify.run_checks(only=["integrity"]) and calls == [] and built == []  # lazy
+    results = verify.run_checks(only=["gb", "capability", "nf"])
+    assert calls == [1]  # shared by all three sections
+    assert len(built) == len(fixtures.TAGS) + 2  # the fixture bases, then each random basis once
     assert all(c.passed for c in results)
+    built.clear()
     assert all(c.passed for c in verify.run_checks(only=["gb"]))
-    assert calls == [1]  # and by later calls in the same process
+    assert calls == [1]  # the codes are shared by later calls in the same process
+    assert len(built) == len(fixtures.TAGS) + 2  # the bases are built again, once
     assert isinstance(verify._seeded_codes(), tuple)
 
 
