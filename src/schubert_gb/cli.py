@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+Exit codes: 0 success, 1 verification mismatch, 2 usage, parse or file error,
 3 enumeration guard exceeded, 4 missing fixture.
 """
 
@@ -14,7 +14,7 @@ from .decoding import BSC, DECODED, FixedWeight, gb_decode, simulate
 from .estimators import _as_mask
 from .fixtures import FixtureMissingError
 from .formats import format_basis, format_matrix, format_points, parse_basis, parse_matrix
-from .groebner import capability, coset_engine
+from .groebner import _field_leads, capability, coset_engine
 from .linalg import LinearCode
 from .schubert import (
     SchubertSpec,
@@ -23,7 +23,7 @@ from .schubert import (
     index_tuples,
     schubert_params,
 )
-from .validation import ENUM_ENV_VAR, EnumerationLimitError, enum_limit
+from .validation import EnumerationLimitError, _bound_exceeded, enum_limit
 from .verify import SECTIONS, run_checks
 from .words import NUMBER_DIGITS, WORD_LIMIT, monomial_to_string, quoted, small_int, word_to_string
 
@@ -89,12 +89,8 @@ def _binary_code(path: str) -> LinearCode:
         raise ValueError("binary only")
     k, n = G.shape
     if n > WORD_LIMIT:
-        bound = enum_limit()
-        if n - k >= bound.bit_length():
-            raise EnumerationLimitError(
-                f"enumeration bound exceeded: coset leader table needs 2^{n - k} > {bound} "
-                f"words (raise the limit explicitly or via {ENUM_ENV_VAR})"
-            )
+        if n - k >= enum_limit().bit_length():
+            raise _bound_exceeded("coset leader table", f"2^{n - k}", "cosets")
         raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
     return LinearCode.from_generator(G, p=2)
 
@@ -103,7 +99,8 @@ def cmd_gb(args) -> int:
     basis = coset_engine(_binary_code(args.matrix))
     if args.output:
         Path(args.output).write_text(format_basis(basis))
-    print(f"elements={basis.leads.size + basis.n} t={capability(basis)}")
+    fields = _field_leads(basis.n, basis.leads[:basis.n])
+    print(f"elements={basis.leads.size + fields.size} t={capability(basis)}")
     return OK
 
 
@@ -212,10 +209,7 @@ def main(argv=None) -> int:
     except FixtureMissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISSING_FIXTURE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -6,10 +6,12 @@ whitespace-separated residues in [0, p).
 Basis format: a header ``# n=<n> order=degrevlex field=GF(2)`` with
 n <= 64, and one element per line, ``term - term``; a term is ``1`` or
 ``*``-joined factors ``x<i>`` / ``x<i>^2`` with ascending indices i in
-1..64.  A header with n > 64 and an index outside 1..64 are refused as
-they are read, so every element fits a uint64 mask.  The writer emits
-lines sorted ascending by lead; the parser accepts any order and extra
-whitespace, so transcribed listings can be compared set-wise.
+1..64.  x_i^2 - 1 is listed for each x_i that is not a lead: every x_i when
+d >= 3, while a code with d <= 2 has leads such as ``x1`` in ``x1 - x3``.
+A header with n > 64 and an index outside 1..64 are refused as they are
+read, so every element fits a uint64 mask.  The writer emits lines sorted
+ascending by lead; the parser accepts any order and extra whitespace, so
+transcribed listings can be compared set-wise.
 
 Both directions work on uint64 mask arrays, the only form parsed elements
 take, in slices of at most ``_SLICE_LINES`` lines, so no array grows with
@@ -282,7 +284,7 @@ def parse_basis(text: str) -> ReducedGroebnerBasis:
     n, (leads, trails, is_field) = _read(text)
     if n is None:
         raise ValueError("missing '# n=... order=... field=GF(2)' header")
-    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    _check_fields(n, leads, trails, is_field)
     return _validated_masks(n, leads[~is_field], trails[~is_field])
 
 

@@ -4,7 +4,10 @@ The ideal of an [n, k] binary code is generated by X^w - 1 for the generator
 rows w together with the field relations x_i^2 - 1.  Everything in sight is a
 difference of two monomials over GF(2), so polynomials never grow past two
 terms and a basis element is just a (lead, trail) pair.  A basis holds its
-code binomials as two uint64 mask arrays; the field relations follow from n.
+code binomials as two uint64 mask arrays, and x_i^2 - 1 is in the basis
+exactly when x_i is not a lead (:func:`_field_leads`): all n of them when
+d >= 3.  A code with d <= 2 has degree-1 leads and t = 0, and needs no case
+of its own.
 
 The reduced basis comes from :func:`coset_engine`: the quotient algebra has
 one standard monomial per coset of the code, namely the degrevlex-minimal
@@ -37,7 +40,7 @@ import numpy as np
 
 from .linalg import _SLICE_WORDS, LinearCode, _coset_walk
 from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
-from .words import WORD_LIMIT, degrevlex_key, support, weight
+from .words import WORD_LIMIT, degrevlex_key
 
 ORDER_ID = "degrevlex"
 
@@ -67,13 +70,13 @@ class ReducedGroebnerBasis:
 
     Held as ``n`` and the read-only uint64 masks ``leads`` and ``trails``
     of its code binomials, sorted ascending by lead; their trails are
-    standard monomials.  The n field relations x_i^2 - 1 are implicit,
-    since n fixes them.  ``ReducedGroebnerBasis(n, elements)`` takes
-    Binomials ascending by lead and checks nothing; it keeps the code
-    binomials and drops the field relations.  The Binomial tuples
-    ``elements`` and ``code_binomials`` are built on first use, for audit
-    code.  Two bases are equal when n and both arrays are; a basis has no
-    hash.
+    standard monomials.  The field relations x_i^2 - 1 are implicit: one
+    for each x_i that is not a lead (:func:`_field_leads`).
+    ``ReducedGroebnerBasis(n, elements)`` takes Binomials ascending by lead
+    and checks nothing; it keeps the code binomials and drops the field
+    relations.  The Binomial tuples ``elements`` and ``code_binomials`` are
+    built on first use, for audit code.  Two bases are equal when n and both
+    arrays are; a basis has no hash.
     """
 
     __hash__ = None
@@ -104,8 +107,9 @@ class ReducedGroebnerBasis:
         """Leads, trails and field flags of all elements, the field relations
         merged in, ascending by lead: the order of ``elements`` and of the
         basis file."""
-        leads = np.concatenate([self.leads, np.uint64(1) << np.arange(self.n, dtype=np.uint64)])
-        trails = np.concatenate([self.trails, np.zeros(self.n, dtype=np.uint64)])
+        fields = _field_leads(self.n, self.leads[:self.n])  # degree-1 leads come first
+        leads = np.concatenate([self.leads, fields])
+        trails = np.concatenate([self.trails, np.zeros(fields.size, dtype=np.uint64)])
         is_field = np.arange(leads.size) >= self.leads.size
         order = _element_order(leads, is_field)
         return leads[order], trails[order], is_field[order]
@@ -156,14 +160,13 @@ def _validated_masks(
     are checked by :func:`_check_fields` first.  The code binomials are put
     in ascending order by lead (:func:`_element_order`), and the first of
     them in that order that fails any check is named, with its first
-    failing check in the order range, degree, orientation, reducedness.
+    failing check in the order range, orientation, reducedness.
     """
     order = _element_order(leads, np.zeros(leads.size, dtype=bool))
     code_leads, code_trails = leads[order], trails[order]
     lw, tw = np.bitwise_count(code_leads), np.bitwise_count(code_trails)
     faulty = (
         ((code_leads | code_trails) > np.uint64((1 << n) - 1))
-        | (lw < 2)
         | (lw < tw)
         | ((lw == tw) & (code_leads >= code_trails))  # degrevlex: equal degree, larger mask is smaller
     )
@@ -189,13 +192,24 @@ def _validated_masks(
     return ReducedGroebnerBasis._of_masks(n, code_leads, code_trails)
 
 
-def _check_fields(n: int, leads: list[int], trails: list[int]) -> None:
-    """Raise unless n fits a word and the field relations, given by their
-    lead and trail masks, are exactly x_1^2 - 1, ..., x_n^2 - 1."""
+def _field_leads(n: int, leads: np.ndarray) -> np.ndarray:
+    """Ascending lead masks x_i of the field relations x_i^2 - 1 in the
+    reduced basis: those x_i that are not code leads, since a lead x_i is
+    the only one that divides x_i^2.  Only degree-1 ``leads`` count, so
+    they may come in any order; a basis passes its first n."""
+    taken = np.bitwise_or.reduce(leads[np.bitwise_count(leads) == 1], initial=np.uint64(0))
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    return bits[(bits & taken) == 0]
+
+
+def _check_fields(n: int, leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> None:
+    """Raise unless n fits a word and the masks flagged ``is_field`` are
+    exactly the field relations that the other leads leave (:func:`_field_leads`)."""
     if n > WORD_LIMIT:
         raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
-    if sorted(leads) != [1 << i for i in range(n)] or any(trails):
-        raise ValueError(f"basis must contain exactly the {n} field relations")
+    want = _field_leads(n, leads[~is_field])
+    if not np.array_equal(np.sort(leads[is_field]), want) or trails[is_field].any():
+        raise ValueError(f"basis must contain exactly the {want.size} field relations")
 
 
 def _binomials(leads: np.ndarray, trails: np.ndarray, is_field: np.ndarray) -> Iterator[Binomial]:
@@ -223,8 +237,6 @@ def _check_element(b: Binomial, n: int) -> None:
     """Raise the first reason a code binomial is malformed, if it is."""
     check_word_mask(b.lead, n)
     check_word_mask(b.trail, n)
-    if weight(b.lead) < 2:
-        raise ValueError(f"degenerate code: single-variable lead x{support(b.lead)}")
     if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
         raise ValueError(f"element not oriented lead > trail: {b}")
 
@@ -232,34 +244,34 @@ def _check_element(b: Binomial, n: int) -> None:
 def _leads_below(
     ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray, limit: int | None
 ) -> np.ndarray:
-    """Leads of degree >= 2 that divide a trail or strictly divide another lead.
+    """Leads that divide a trail or strictly divide another lead.
 
     ``ordered`` is ``leads`` sorted.  Walks the down-closure of the trails
     and of every lead ^ bit one weight layer at a time, heaviest first: the
     leads are looked up in each layer of distinct monomials, which is
     expanded - together with the leads of its weight - by clearing one set
-    bit (:func:`_next_layer`).  The walk stops at degree 2.  The guard counts
-    the distinct monomials visited.  A lead of degree d has 2^d - d - 2
-    proper divisors of degree >= 2, all of which the walk visits, so a lead
-    with more of them than the guard admits is refused before the walk.  A
-    genuine basis never is: a lead's proper divisors are distinct standard
+    bit (:func:`_next_layer`).  The walk stops at degree 1.  The guard counts
+    the distinct monomials visited.  A lead of degree d has 2^d - 2 proper
+    divisors other than 1, all of which the walk visits, so a lead with more
+    of them than the guard admits is refused before the walk.  A genuine
+    basis never is: a lead's proper divisors are distinct standard
     monomials, fewer than its 2^(n-k) cosets.
     """
     if not leads.size:
         return leads
     lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
     d = int(lw.max())
-    guard_enumeration((1 << d) - d - 2, "basis reducedness check", limit)
+    guard_enumeration((1 << d) - 2, "basis reducedness check", "monomials", limit)
     top = int(max(d, tw.max()))
     layer = _next_layer((), top + 1, trails[tw == top], 0, limit)
     found, visited = [leads[:0]], 0
-    for w in range(top, 1, -1):
+    for w in range(top, 0, -1):
         if layer.size:  # look the leads up in the layer, which may be far larger
             at = np.minimum(np.searchsorted(layer, ordered), layer.size - 1)
             found.append(ordered[layer[at] == ordered])
         visited += layer.size
-        guard_enumeration(visited, "basis reducedness check", limit)
-        if w > 2:
+        guard_enumeration(visited, "basis reducedness check", "monomials", limit)
+        if w > 1:
             layer = _next_layer((layer, leads[lw == w]), w, trails[tw == w - 1], visited, limit)
     return np.concatenate(found)
 
@@ -287,7 +299,7 @@ def _next_layer(
             part = src[a:a + step]
             if used + w * part.size > buf.size:
                 used = _compact(buf, used)
-                guard_enumeration(visited + used, "basis reducedness check", limit)
+                guard_enumeration(visited + used, "basis reducedness check", "monomials", limit)
             rest = part.copy()
             for row in buf[used:used + w * part.size].reshape(w, part.size):
                 low = rest & -rest  # clear each of the w set bits in turn

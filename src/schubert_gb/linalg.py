@@ -151,7 +151,7 @@ class LinearCode:
     def codeword_masks(self) -> np.ndarray:
         """All 2^k codewords as a uint64 mask array; index = coefficient mask."""
         self._require_binary()
-        guard_enumeration(1 << self.k, "codeword enumeration")
+        guard_enumeration(1 << self.k, "codeword enumeration", "codewords")
         cw = np.zeros(1 << self.k, dtype=np.uint64)
         for i, row in enumerate(self.row_masks()):
             cw[1 << i: 2 << i] = cw[: 1 << i] ^ np.uint64(row)
@@ -189,7 +189,7 @@ def syndrome(word: int, code: LinearCode) -> int:
 def _codeword_weights(code: LinearCode, limit: int | None):
     """Yield weight arrays for all p^k codewords, in chunks."""
     total = code.p ** code.k
-    guard_enumeration(total, "codeword enumeration", limit)
+    guard_enumeration(total, "codeword enumeration", "codewords", limit)
     powers = code.p ** np.arange(code.k, dtype=np.int64)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -242,7 +242,7 @@ def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> Cose
     ``limit`` bounds the number of cosets, 2^(n-k), and is checked before
     anything is allocated.  The walk (:func:`_coset_walk`) makes about n word
     operations per coset and holds the table plus one bounded slice, never
-    an array over all 2^n words; syndromes are uint32, so n - k <= 32.
+    an array over all 2^n words.  Syndromes index it as intp; n - k > 32 is refused.
     """
     return CosetLeaderTable(leaders=_coset_walk(code, limit)[0], n=code.n, k=code.k)
 
@@ -276,7 +276,7 @@ def _coset_walk(
     layer and one slice, plus the kept extensions of the layer.
     """
     n, k = code.n, code.k
-    guard_enumeration(1 << (n - k), "coset leader table", limit)
+    guard_enumeration(1 << (n - k), "coset leader table", "cosets", limit)
     code._require_binary()
     if n - k > 32:
         raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")
@@ -315,11 +315,6 @@ def _coset_walk(
             lead = leaders[cs] != cand
             leads.append(cand[lead])
             lead_synd.append(cs[lead])
-        if with_leads and w == 1:
-            unit = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
-            bad = np.flatnonzero(leaders[cols] != unit)
-            if bad.size:
-                raise ValueError(f"degenerate code: x{bad[0] + 1} is not a standard monomial")
         del kids  # before the read-back allocates the next layer
         synd = np.flatnonzero(np.bitwise_count(leaders) == w)
         words = leaders[synd]

@@ -35,7 +35,7 @@ from .groebner import (
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
 from .validation import EnumerationLimitError, check_word_mask, guard_enumeration
-from .words import degrevlex_key, weight
+from .words import degrevlex_key
 
 Monomial = tuple[int, ...]
 BinomialPair = tuple[Monomial, Monomial]
@@ -94,9 +94,9 @@ def element_sort_key(b: Binomial) -> tuple[int, int]:
     """Ascending degrevlex key of an element's lead, the reference for
     :func:`schubert_gb.groebner._element_order`.
 
-    Code leads have degree >= 2, so a field lead x_v^2 only ties in degree
-    with squarefree degree-2 leads; among those, reading x_v^2 as the mask
-    2 * 2^(v-1) keeps degrevlex's descending-integer order on masks.
+    A field lead x_v^2 only ties in degree with squarefree degree-2 code
+    leads; among those, reading x_v^2 as the mask 2 * 2^(v-1) keeps
+    degrevlex's descending-integer order on masks.
     """
     return (2, -2 * b.lead) if b.kind == "field" else degrevlex_key(b.lead)
 
@@ -225,10 +225,7 @@ def field_relation(i: int) -> Binomial:
 
 def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
     """Eq-style generating set: X^w - 1 per generator row, plus x_i^2 - 1."""
-    rows = code.row_masks()
-    if any(r == 0 for r in rows):
-        raise ValueError("degenerate generator row")
-    gens = [Binomial(lead=r, trail=0, kind="code") for r in rows]
+    gens = [Binomial(lead=r, trail=0, kind="code") for r in code.row_masks()]
     gens += [field_relation(i) for i in range(1, code.n + 1)]
     return tuple(gens)
 
@@ -345,17 +342,9 @@ def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
     """Minimalize leads, reduce trails to normal form, sort, validate."""
     minimal: dict[int, int] = {}
     all_leads = {lead for lead, _ in basis}
-    for lead, trail in basis:
-        strictly_divisible = any(
-            other != lead and other & lead == other for other in all_leads
-        )
-        if not strictly_divisible and lead not in minimal:
+    for lead, trail in basis:  # keep the first trail of each lead no other lead divides
+        if lead not in minimal and not any(o != lead and o & lead == o for o in all_leads):
             minimal[lead] = trail
-    for lead in minimal:
-        if weight(lead) < 2:
-            raise ValueError(
-                f"degenerate code: x{lead.bit_length()} is not a standard monomial"
-            )
     # no lead divides its own trail (or anything below it), so every minimal
     # lead can take part in reducing every trail
     index = _DivisorIndex(n, list(minimal), list(minimal.values()))
@@ -380,7 +369,7 @@ def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray
     syndromes; the guard counts the 2^n words.
     """
     n, k = code.n, code.k
-    guard_enumeration(1 << n, "coset leader scan", limit)
+    guard_enumeration(1 << n, "coset leader scan", "words", limit)
     synd = np.zeros(1 << n, dtype=np.uint32)
     for i, col in enumerate(code.column_syndromes):
         synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
@@ -406,7 +395,7 @@ def scan_basis(code: LinearCode) -> ReducedGroebnerBasis:
     memory stays that of the scan.  The elements are put in order by
     :func:`element_sort_key`, so the oracle shares nothing with
     :func:`~schubert_gb.groebner.coset_engine` but the column syndromes and
-    the basis container.
+    the basis container, which reads the field relations off the leads.
     """
     n = code.n
     leaders = scan_coset_leaders(code)
@@ -419,8 +408,7 @@ def scan_basis(code: LinearCode) -> ReducedGroebnerBasis:
     synd = np.zeros(leads.size, dtype=np.intp)
     for j, col in enumerate(code.column_syndromes):
         synd[(leads >> np.uint64(j)) & np.uint64(1) == 1] ^= col
-    elements = list(map(Binomial, leads.tolist(), leaders[synd].tolist()))
-    elements += [field_relation(i) for i in range(1, n + 1)]
+    elements = map(Binomial, leads.tolist(), leaders[synd].tolist())
     return ReducedGroebnerBasis(n, tuple(sorted(elements, key=element_sort_key)))
 
 

@@ -35,7 +35,7 @@ def index_tuples(l: int, m: int) -> tuple[IndexTuple, ...]:
     """
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
-    guard_enumeration(math.comb(m, l), "index tuple enumeration")
+    guard_enumeration(math.comb(m, l), "index tuple enumeration", "index tuples")
     return tuple(itertools.combinations(range(1, m + 1), l))
 
 
@@ -163,7 +163,7 @@ def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterat
     read row-major as a base-q integer, ascending (first free cell = most
     significant digit).  A block never spans two pivot cells.
     """
-    guard_enumeration(schubert_params(spec).n, "point enumeration", limit)
+    guard_enumeration(schubert_params(spec).n, "point enumeration", "points", limit)
     l, m, q = spec.l, spec.m, spec.q
     step = _block_size(l, m)
     for piv in _admissible_pivots(spec):

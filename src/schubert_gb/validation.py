@@ -37,13 +37,20 @@ def enum_limit(override: int | None = None) -> int:
     return 2 ** int(os.environ.get(ENUM_ENV_VAR, DEFAULT_MAX_ENUM_EXPONENT))
 
 
-def guard_enumeration(count: int, what: str, limit: int | None = None) -> None:
+def guard_enumeration(count: int, what: str, unit: str, limit: int | None = None) -> None:
+    """Raise unless ``count``, in ``unit`` such as ``cosets``, is within the bound."""
+    if count > enum_limit(limit):
+        raise _bound_exceeded(what, count, unit, limit)
+
+
+def _bound_exceeded(what: str, count: int | str, unit: str, limit: int | None = None):
+    """The guard's refusal, naming what raises the bound: a larger ``limit``
+    where a caller passed one, else SGB_MAX_N."""
     bound = enum_limit(limit)
-    if count > bound:
-        raise EnumerationLimitError(
-            f"enumeration bound exceeded: {what} needs {count} > {bound} words "
-            f"(raise the limit explicitly or via {ENUM_ENV_VAR})"
-        )
+    hint = ("pass a larger limit" if limit is not None
+            else f"set {ENUM_ENV_VAR} above {bound.bit_length() - 1}, the bound's base-2 exponent")
+    return EnumerationLimitError(
+        f"enumeration bound exceeded: {what} needs {count} > {bound} {unit} ({hint})")
 
 
 def check_prime(p: int) -> int:

@@ -85,7 +85,7 @@ def wide_lead_basis_text() -> str:
 def validated_masks(n, leads, trails, is_field, limit=None):
     """Mask arrays and field flags through the basis checks, as parse_basis
     runs them: the field relations first, then the code binomials."""
-    _check_fields(n, leads[is_field].tolist(), trails[is_field].tolist())
+    _check_fields(n, leads, trails, is_field)
     return _validated_masks(n, leads[~is_field], trails[~is_field], limit)
 
 

@@ -101,6 +101,19 @@ class TestBuild:
         assert lines[0].startswith("#") and len(lines) == 3 + 1
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["build", "--l", "1", "--m", "2", "--q", "4294967311", "--alpha", "2"],
+         "point enumeration needs 4294967312 > 16777216 points"),
+        (["build", "--l", "2", "--m", "100000", "--q", "2", "--alpha", "1,2"],
+         "index tuple enumeration needs 4999950000 > 16777216 index tuples"),
+    ], ids=["points", "index_tuples"])
+    def test_guard_names_what_it_counts(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.delenv(ENUM_ENV_VAR, raising=False)
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "g.txt"))
+        assert code == 3 and err == (f"error: enumeration bound exceeded: {message} "
+                                     f"(set {ENUM_ENV_VAR} above 24, the bound's base-2 exponent)\n")
+
+
 class TestGb:
     def test_reference_count_and_t(self, capsys, tmp_path, fixture_matrix_file):
         basis_file = tmp_path / "basis.txt"
@@ -130,6 +143,29 @@ class TestGb:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "gb", "--matrix", "/nonexistent/file.txt")
         assert code == 2
+
+    def test_distance_two_code_builds_and_decodes(self, capsys, tmp_path):
+        # G(2,5) with alpha = (1,3) is the [3,2,2] code: its leads x2 and x1 give t = 0
+        gen, basis = tmp_path / "g.txt", tmp_path / "b.txt"
+        assert run(capsys, "build", "--l", "2", "--m", "5", "--q", "2", "--alpha", "1,3",
+                   "-o", str(gen))[0] == 0
+        code, out, _ = run(capsys, "gb", "--matrix", str(gen), "-o", str(basis))
+        assert code == 0 and out == "elements=3 t=0\n"
+        assert basis.read_text().splitlines()[1:] == ["x2 - x3", "x1 - x3", "x3^2 - 1"]
+        code, out, _ = run(capsys, "decode", "--basis", str(basis), "--word", "110")
+        assert code == 0 and out.startswith("status=decoded canonical=1 ")
+
+    @pytest.mark.parametrize("command", ["decode", "build", "gb"])
+    def test_directory_path_exit_2(self, capsys, tmp_path, fixture_matrix_file, command):
+        argv = {
+            "decode": ["decode", "--basis", str(tmp_path), "--word", "x1"],
+            "build": ["build", "--l", "2", "--m", "5", "--q", "2", "--alpha", "1,3",
+                      "-o", str(tmp_path)],
+            "gb": ["gb", "--matrix", fixture_matrix_file("1_4"), "-o", str(tmp_path)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
 
     @pytest.mark.parametrize("command", ["gb", "simulate"])
     @pytest.mark.parametrize("n", [1000000, 99999999999999])

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,12 @@ from schubert_gb import (
     FixedWeight,
     GroebnerDecoder,
     LinearCode,
+    SchubertSpec,
     build_coset_leader_table,
     capability,
     coset_engine,
     gb_decode,
+    generator_matrix,
     normal_form,
     simulate,
     syndrome,
@@ -203,13 +206,11 @@ class TestEngines:
         for code in small_random_codes:
             assert buchberger(ideal_generators(code)) == coset_engine(code)
 
-    def test_degenerate_distance_two_rejected(self):
-        # two equal parity columns force a weight-2 codeword
-        code = LinearCode.from_generator(np.array([[1, 1, 0], [0, 1, 1]]), 2)
-        with pytest.raises(ValueError, match="degenerate"):
-            coset_engine(code)
-        with pytest.raises(ValueError, match="degenerate"):
-            buchberger(ideal_generators(code))
+    def test_degenerate_distance_two_builds(self):
+        # two equal parity columns force a weight-2 codeword: x1 and x2 lead
+        gb = three_engine_basis(LinearCode.from_generator(np.array([[1, 1, 0], [0, 1, 1]]), 2))
+        assert gb.code_binomials == (Binomial(0b010, 0b100), Binomial(0b001, 0b100))
+        assert capability(gb) == 0
 
     def test_binary_only_before_the_guard(self):
         # 2^(n-k) counts no cosets of a ternary code, so the guard is not asked
@@ -280,9 +281,10 @@ class TestCosetWalkEngine:
         np.eye(4, dtype=int).tolist(),  # k = n
     ])
     def test_degenerate_codes_name_x1(self, rows):
-        code = LinearCode.from_generator(np.array(rows), 2)
-        with pytest.raises(ValueError, match="^degenerate code: x1 is not a standard monomial$"):
-            coset_engine(code)
+        # x1 is a lead, so x1^2 - 1 leaves the basis
+        gb = three_engine_basis(LinearCode.from_generator(np.array(rows), 2))
+        assert 1 in gb.leads.tolist() and capability(gb) == 0
+        assert field_relation(1) not in gb.elements
 
     def test_repeated_generator_column(self):
         code = LinearCode.from_generator(np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]]), 2)
@@ -294,6 +296,92 @@ class TestCosetWalkEngine:
         assert coset_engine(code, limit=1 << 14) == coset_engine(code)
         with pytest.raises(EnumerationLimitError, match="coset leader table needs 16384 > 16383"):
             coset_engine(code, limit=(1 << 14) - 1)
+
+
+# reduced degrevlex bases from sympy 1.14, groebner(..., order="grevlex",
+# modulus=2) on the rows' X^w - 1 and every x_i^2 - 1, listed as the writer
+# lists them; each code has distance 1 or 2, so t = 0
+SYMPY_BASES = {
+    "[3,2,2]": ([[1, 1, 0], [0, 1, 1]], ["x2 - x3", "x1 - x3", "x3^2 - 1"]),
+    "[1,1,1]": ([[1]], ["x1 - 1"]),
+    "[4,4,1]": (np.eye(4, dtype=int).tolist(), ["x4 - 1", "x3 - 1", "x2 - 1", "x1 - 1"]),
+}
+
+
+@functools.cache
+def small_random_codes_up_to_ten():
+    """200 seeded random binary codes with 1 <= k <= n <= 10, full-rank rows only."""
+    rng = np.random.default_rng(17)
+    codes = []
+    while len(codes) < 200:
+        n = int(rng.integers(1, 11))
+        rows = rng.integers(0, 2, (int(rng.integers(1, n + 1)), n))
+        if linalg.rank(rows, 2) == rows.shape[0]:
+            codes.append(LinearCode.from_generator(rows, 2))
+    return tuple(codes)
+
+
+def three_engine_basis(code):
+    """The coset engine's basis, after checking it against Buchberger, the
+    2^n scan and the basis file round trip."""
+    gb = coset_engine(code)
+    assert gb == buchberger(ideal_generators(code)) == scan_basis(code)
+    assert parse_basis(format_basis(gb)) == gb
+    return gb
+
+
+class TestDegenerateCodes:
+    """Codes of distance 1 or 2 have degree-1 leads and keep only the field
+    relations of the other variables; every route agrees on them."""
+
+    @pytest.mark.parametrize("l, m, alpha, literal", [
+        (2, 5, (1, 2), "[1,1,1]"),
+        (2, 5, (1, 3), "[3,2,2]"),
+        (3, 6, (1, 2, 3), "[1,1,1]"),
+        (3, 6, (1, 2, 4), "[3,2,2]"),
+    ])
+    def test_schubert_codes(self, l, m, alpha, literal):
+        code = LinearCode.from_generator(generator_matrix(SchubertSpec(l, m, 2, alpha)), 2)
+        gb = three_engine_basis(code)
+        assert format_basis(gb).splitlines()[1:] == SYMPY_BASES[literal][1]
+        assert capability(gb) == 0
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]],  # repeated column
+        np.zeros((0, 5), dtype=int),  # k = 0
+    ])
+    def test_degenerate_rows(self, rows):
+        # the other rows of the coset walk's degenerate cases are in
+        # TestCosetWalkEngine.test_degenerate_codes_name_x1
+        three_engine_basis(LinearCode.from_generator(np.array(rows), 2))
+
+    def test_random_codes_up_to_ten(self):
+        degree_one = 0
+        for code in small_random_codes_up_to_ten():
+            gb = three_engine_basis(code)
+            singles = gb.leads[np.bitwise_count(gb.leads) == 1]
+            fields = [b.lead for b in gb.elements if b.kind == "field"]
+            assert sorted(fields + singles.tolist()) == [1 << i for i in range(code.n)]
+            degree_one += bool(singles.size)
+        assert 50 < degree_one < 200  # the draw reaches codes with d <= 2 and with d >= 3
+
+    @pytest.mark.parametrize("name", list(SYMPY_BASES))
+    def test_sympy_bases(self, name):
+        rows, lines = SYMPY_BASES[name]
+        gb = coset_engine(LinearCode.from_generator(np.array(rows), 2))
+        text = f"# n={len(rows[0])} order=degrevlex field=GF(2)\n" + "".join(f"{ln}\n" for ln in lines)
+        assert format_basis(gb) == text and parse_basis(text) == gb
+        assert capability(gb) == 0
+
+    @pytest.mark.parametrize("body, message", [
+        ("x2 - x3\nx1 - x3\nx3^2 - 1\nx1^2 - 1\n",
+         "basis must contain exactly the 1 field relations"),
+        ("x1 - x3\nx1*x2 - x3\nx2^2 - 1\nx3^2 - 1\n",
+         "lead 0x1 divides another lead: basis not reduced"),
+    ], ids=["field_relation_beside_its_lead", "lead_x1_divides_x1x2"])
+    def test_listings_refused(self, body, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_basis("# n=3 order=degrevlex field=GF(2)\n" + body)
 
 
 class TestNormalForm:
@@ -564,9 +652,13 @@ class TestValidation:
             Binomial(mask_from_support([3, 4]), mask_from_support([1, 2]), "code"),
             Binomial(mask_from_support([4]), 0, "code"),
         ]
-        # ascending order puts x4 first, then x3*x4, then x1*x2*x3
-        with pytest.raises(ValueError, match=r"single-variable lead x\(4,\)"):
+        # ascending order puts x4 first, then x3*x4, then x1*x2*x3; the lead
+        # x4 takes x4^2 - 1 out and passes the per-element checks, but
+        # divides the lead x3*x4
+        with pytest.raises(ValueError, match="^basis must contain exactly the 3 field relations$"):
             validated(4, elements)
+        with pytest.raises(ValueError, match="^lead 0x8 divides another lead: basis not reduced$"):
+            validated(4, elements[:3] + elements[4:])
         with pytest.raises(ValueError, match="oriented.*lead=12, trail=3"):
             validated(4, elements[:-1])
         valid = elements[:5]  # the field relations and x1*x2*x3 - x4
@@ -582,9 +674,9 @@ class TestValidation:
         n, elements = parse_element_lines(wide_lead_basis_text())
         walked = []
         monkeypatch.setattr(groebner, "_next_layer", lambda *args: walked.append(args))
-        # a degree-40 lead has 2^40 - 42 proper divisors of degree >= 2
+        # a degree-40 lead has 2^40 - 2 proper divisors other than 1
         with pytest.raises(EnumerationLimitError,
-                           match=f"basis reducedness check needs {2**40 - 42} > {2**24} "):
+                           match=f"basis reducedness check needs {2**40 - 2} > {2**24} "):
             validated(n, elements, limit=1 << 24)
         assert not walked
 
@@ -658,10 +750,15 @@ class TestValidation:
                 codes.append(Binomial(lead, codes[j].trail, "code"))
             elif kind == "divisible_trail":
                 codes[j] = Binomial(codes[j].lead, lead | data.draw(small), "code")
+            elif kind == "single":
+                codes.append(Binomial(1 << data.draw(st.integers(0, n - 1)), data.draw(small)))
             else:
                 codes.append(Binomial(data.draw(mask), data.draw(mask), "code"))
-        fields = [field_relation(v) for v in range(1, n + 1)]
-        expected = pairwise_verdict(n, codes)
+        # every field relation, or those the rule keeps beside degree-1 leads
+        keep_all, leads = data.draw(st.booleans()), {b.lead for b in codes}
+        fields = [field_relation(v) for v in range(1, n + 1)
+                  if keep_all or 1 << (v - 1) not in leads]
+        expected = pairwise_verdict(n, codes, fields)
         try:
             validated(n, codes + fields)
         except ValueError as exc:
@@ -675,7 +772,7 @@ class TestValidation:
             assert keys == sorted(keys)
 
 
-MUTATIONS = ("multiple", "duplicate", "divisible_trail", "random_pair")
+MUTATIONS = ("multiple", "duplicate", "divisible_trail", "single", "random_pair")
 
 
 @functools.cache
@@ -685,18 +782,21 @@ def _mutation_bases():
     return tuple(coset_engine(code) for code in codes)
 
 
-def pairwise_verdict(n, codes):
-    """Reference for _validated_masks's code-binomial checks: lead against lead.
+def pairwise_verdict(n, codes, fields):
+    """Reference for the checks of a parsed basis: lead against lead.
 
-    Walks the elements in ascending order and returns the message fragment of
-    the first failing check (range, degree, orientation, reducedness), or None.
+    The field relations come first: x_v^2 - 1 belongs exactly when no code
+    lead is x_v.  Then it walks the code binomials in ascending order and
+    returns the message fragment of the first failing check (range,
+    orientation, reducedness), or None.
     """
+    singles = {b.lead for b in codes if weight(b.lead) == 1}
+    if sorted(b.lead for b in fields) != [1 << v for v in range(n) if 1 << v not in singles]:
+        return "field relations"
     codes = sorted(codes, key=element_sort_key)
     for b in codes:
         if not (0 <= b.lead < 1 << n and 0 <= b.trail < 1 << n):
             return "out of range"
-        if weight(b.lead) < 2:
-            return "degenerate"
         if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
             return f"not oriented lead > trail: {b}"
         if sum(other.lead & b.lead == b.lead for other in codes) != 1:

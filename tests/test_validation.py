@@ -86,11 +86,11 @@ class TestEnumerationGuard:
         monkeypatch.setenv("SGB_MAX_N", "10")
         assert enum_limit() == 1024
         with pytest.raises(EnumerationLimitError):
-            guard_enumeration(2048, "test scan")
+            guard_enumeration(2048, "test scan", "words")
 
     def test_explicit_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("SGB_MAX_N", "4")
-        guard_enumeration(1000, "test scan", limit=4096)
+        guard_enumeration(1000, "test scan", "words", limit=4096)
 
     def test_env_gates_table_construction(self, monkeypatch):
         code = LinearCode.from_generator(A_1_4, 2)

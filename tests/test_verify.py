@@ -76,6 +76,19 @@ def test_long_basis_checked_element_by_element(monkeypatch, bases):
     assert all(c.passed for c in results.values())
 
 
+def test_field_relations_follow_the_leads(monkeypatch, bases):
+    """A c_1_5 basis that gains the degree-1 binomial x1 - 1 loses x1^2 - 1,
+    and the field_relations check fails."""
+    gb = bases["1_5"]
+    tampered = ReducedGroebnerBasis(gb.n, (Binomial(1, 0),) + gb.code_binomials)
+    assert Binomial(1, 0, "field") in gb.elements and Binomial(1, 0, "field") not in tampered.elements
+    monkeypatch.setattr(verify, "_reference_bases", lambda codes: {**bases, "1_5": tampered})
+    results = {c.name: c for c in verify.run_checks(only=["gb"])}
+    check = results.pop("c_1_5.field_relations")
+    assert not check.passed and check.detail == f"{gb.n - 1} of n={gb.n}"
+    assert results["c_2_4.field_relations"].passed
+
+
 def test_scan_oracle_independent_of_basis_validation(monkeypatch):
     """A fault in the engine's validation path, here the last element moved
     to the front, reaches the engine bases but not the scan oracle."""
