@@ -97,10 +97,11 @@ def _binary_code(path: str) -> LinearCode:
 
 def cmd_gb(args) -> int:
     basis = coset_engine(_binary_code(args.matrix))
+    t = capability(basis)  # refuses a basis without code binomials before anything is written
     if args.output:
         Path(args.output).write_text(format_basis(basis))
     fields = _field_leads(basis.n, basis.leads[:basis.n])
-    print(f"elements={basis.leads.size + fields.size} t={capability(basis)}")
+    print(f"elements={basis.leads.size + fields.size} t={t}")
     return OK
 
 

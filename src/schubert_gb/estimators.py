@@ -14,9 +14,9 @@ import inspect
 
 import numpy as np
 
-from .decoding import DecodeOutcome, _canonical, _check_mode, gb_decode
+from .decoding import DecodeOutcome, _canonical_many, _check_mode, gb_decode
 from .groebner import ReducedGroebnerBasis, capability, coset_engine
-from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndrome_decode
+from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndromes
 from .validation import check_is_fitted, check_words_array
 from .words import mask_from_bits, monomial_from_string, word_from_string
 
@@ -52,14 +52,14 @@ class _EstimatorMixin:
         return float((self.predict(X) == sent).all(axis=1).mean())
 
 
-def _row_masks(W: np.ndarray) -> list[int]:
-    """The word mask of each 0/1 row, by one matrix product (column 0 = bit 0)."""
-    return (W.astype(np.uint64) @ (np.uint64(1) << np.arange(W.shape[1], dtype=np.uint64))).tolist()
+def _row_masks(W: np.ndarray) -> np.ndarray:
+    """The uint64 word mask of each 0/1 row, by one matrix product (column 0 = bit 0)."""
+    return W.astype(np.uint64) @ (np.uint64(1) << np.arange(W.shape[1], dtype=np.uint64))
 
 
-def _mask_rows(masks: list[int], n: int) -> np.ndarray:
-    """The int64 0/1 rows of word masks, by one shift-and-mask."""
-    shifted = np.array(masks, dtype=np.uint64).reshape(-1, 1) >> np.arange(n, dtype=np.uint64)
+def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """The int64 0/1 rows of a uint64 array of word masks, by one shift-and-mask."""
+    shifted = masks.reshape(-1, 1) >> np.arange(n, dtype=np.uint64)
     return (shifted & np.uint64(1)).astype(np.int64)
 
 
@@ -125,11 +125,9 @@ class GroebnerDecoder(_EstimatorMixin):
         passes through.
         """
         check_is_fitted(self, "basis_")
-        out = []
-        for w in _row_masks(check_words_array(X, self.code_.n)):
-            canonical, decoded = _canonical(w, self.basis_, self.mode)
-            out.append(w ^ canonical if decoded else w)
-        return _mask_rows(out, self.code_.n)
+        words = _row_masks(check_words_array(X, self.code_.n))
+        canonical, decoded = _canonical_many(words, self.basis_, self.mode)
+        return _mask_rows(np.where(decoded, words ^ canonical, words), self.code_.n)
 
 
 class SyndromeTableDecoder(_EstimatorMixin):
@@ -167,4 +165,4 @@ class SyndromeTableDecoder(_EstimatorMixin):
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "table_")
         words = _row_masks(check_words_array(X, self.code_.n))
-        return _mask_rows([syndrome_decode(w, self.table_, self.code_) for w in words], self.code_.n)
+        return _mask_rows(words ^ self.table_.leaders[syndromes(words, self.code_)], self.code_.n)

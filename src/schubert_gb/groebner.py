@@ -16,14 +16,20 @@ minimal non-standard monomials u.  One layered walk over the 2^(n-k) cosets
 yields both the leaders and those u (:func:`~schubert_gb.linalg._coset_walk`),
 so no array spans all 2^n words, and the enumeration guard counts cosets.
 
-Every rewrite - :func:`normal_form`, hence every decode - runs through one
-kernel, :func:`_reduce`, and monomials are ordered by degrevlex keys
-computed directly on masks.  The kernel finds the leads dividing a monomial
-with a divisor index (:class:`_DivisorIndex`): the n variables are cut into
-4-bit slices, and per slice and nibble value one Python-int bitset over the
-leads marks those whose bits in that slice lie inside the nibble.  The AND
-of one bitset per slice is the set of dividing leads, and its lowest bit is
-the first of them in array order, the lead each rewrite uses.
+Every rewrite runs through one kernel with two entry points, and monomials
+are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
+rewrites one mask (:func:`normal_form`, ``gb_decode``, Buchberger) and
+:func:`_reduce_many` a uint64 array of masks (``simulate``,
+``GroebnerDecoder.predict`` and the exhaustive checks of ``verify-paper``),
+with the same result word by word.  Both find the leads dividing a monomial
+with one divisor index (:class:`_DivisorIndex`): the n variables are cut
+into 4-bit slices, and per slice and nibble value one bitset over the leads
+marks those whose bits in that slice lie inside the nibble.  The AND of one
+bitset per slice is the set of dividing leads, and its lowest bit is the
+first of them in array order, the lead each rewrite uses.  The scalar entry
+point holds the bitsets as Python ints, the batch one as rows of uint64
+limbs.  Single words stay on the scalar one: a one-word batch pays some
+hundred microseconds of fixed numpy calls, where ``_reduce`` takes a few.
 
 This module holds the production route only.  The Buchberger run that the
 coset engine is checked against, the ideal generators it starts from, the
@@ -38,11 +44,14 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .linalg import _SLICE_WORDS, LinearCode, _coset_walk
+from .linalg import _ONE, _SLICE_WORDS, LinearCode, _coset_walk
 from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
 from .words import WORD_LIMIT, degrevlex_key
 
 ORDER_ID = "degrevlex"
+# dividing-lead bitset limbs per block of the batch kernel: bounds its working memory
+_BATCH_LIMBS = 1 << 18
+_NIBBLE = np.uint64(15)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +391,38 @@ class _DivisorIndex:
     ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
     lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
     Leads are numbered in the order given.
+
+    The batch kernel reads the same bitsets as ``limbs``, a
+    ``(slices, 16, W)`` uint64 array: ``limbs[s, v]`` holds
+    ``slices[s][1][v]`` in W little-endian 64-bit limbs, and the ints are
+    read off its bytes.  It also reads the rewrites as the uint64 array
+    ``rewrite_masks``, and ``lightest``, the least lead degree: no lead
+    divides a lighter monomial.
     """
 
-    __slots__ = ("slices", "rewrites")
+    __slots__ = ("slices", "rewrites", "limbs", "rewrite_masks", "lightest")
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
         leads = np.asarray(leads, dtype=np.uint64)
         trails = np.asarray(trails, dtype=np.uint64)
-        inside = np.arange(16, dtype=np.uint8)[:, None]
-        self.slices = []
-        for shift in range(0, n, 4):
-            nibbles = ((leads >> np.uint64(shift)) & np.uint64(15)).astype(np.uint8)
-            fits = np.packbits((nibbles & ~inside) == 0, axis=1, bitorder="little")
-            self.slices.append((shift, [int.from_bytes(row.tobytes(), "little") for row in fits]))
-        self.rewrites = (leads ^ trails).tolist()
+        octets = np.ascontiguousarray(leads, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        packed = np.zeros((-(-n // 4), 16, 8 * -(-leads.size // 64)), dtype=np.uint8)
+        values = np.arange(16, dtype=np.uint8)[:, None]
+        for s, rows in enumerate(packed):  # leads whose nibble in slice s is exactly v
+            nibbles = (octets[:, s >> 1] >> 4 * (s & 1)) & 15
+            rows[:, :-(-leads.size // 8)] = np.packbits(nibbles == values, axis=1, bitorder="little")
+        self.limbs = packed.view("<u8")
+        grid = self.limbs.reshape(len(packed), 2, 2, 2, 2, -1)
+        for bit in range(1, 5):  # OR in the nibbles inside v, one bit of v at a time
+            head = (slice(None),) * bit
+            grid[head + (1,)] |= grid[head + (0,)]
+        self.slices = [
+            (4 * s, [int.from_bytes(row.tobytes(), "little") for row in rows])
+            for s, rows in enumerate(packed)
+        ]
+        self.rewrite_masks = leads ^ trails
+        self.rewrites = self.rewrite_masks.tolist()
+        self.lightest = int(np.bitwise_count(leads).min(initial=WORD_LIMIT))
 
 
 def _reduce(
@@ -405,13 +432,14 @@ def _reduce(
 ) -> int:
     """Rewrite m -> m XOR lead XOR trail while some lead divides m.
 
-    The one rewrite kernel.  Each step ANDs one bitset per 4-bit slice of
-    the divisor index to get the set of leads dividing m, a few big-integer
-    operations instead of a pass over every lead.  Without a ``selector``
-    its lowest bit, the first dividing lead in index order, is used, so the
-    result is a deterministic function of m even for a set that is not a
-    Groebner basis; otherwise ``selector`` is called once per rewrite with
-    the ascending indices of all dividing leads.
+    The scalar entry point of the one rewrite kernel.  Each step ANDs one
+    bitset per 4-bit slice of the divisor index to get the set of leads
+    dividing m, a few big-integer operations instead of a pass over every
+    lead.  Without a ``selector`` its lowest bit, the first dividing lead in
+    index order, is used, so the result is a deterministic function of m
+    even for a set that is not a Groebner basis; otherwise ``selector`` is
+    called once per rewrite with the ascending indices of all dividing
+    leads.
     """
     slices, rewrites = index.slices, index.rewrites
     while rewrites:
@@ -426,6 +454,49 @@ def _reduce(
             found = _bit_positions(hits)
             m ^= rewrites[found[selector(found)]]
     return m
+
+
+def _reduce_many(words: np.ndarray, index: _DivisorIndex) -> np.ndarray:
+    """:func:`_reduce` of every word of a uint64 array, as a new array.
+
+    The batch entry point of the one rewrite kernel, reading the index's
+    ``limbs``.  Each step ANDs one row per slice into a bitset of dividing
+    leads for every word still live; the first nonzero limb and its lowest
+    bit name the first dividing lead in index order, as in the scalar
+    kernel, so the results match it word by word for any lead list.  Words
+    no lead divides drop out, those lighter than the lightest lead before
+    any bitset is read.  Words go through in blocks of about
+    ``_BATCH_LIMBS`` bitset limbs, so the working memory does not grow with
+    the array.
+    """
+    out = np.array(words, dtype=np.uint64)
+    if not index.rewrites:
+        return out
+    if index.limbs is None:
+        raise ValueError("divisor index grown after it was built: the batch kernel cannot read it")
+    step = max(1, _BATCH_LIMBS // index.limbs.shape[2])
+    for a in range(0, out.size, step):
+        _reduce_block(out[a:a + step], index.limbs, index.rewrite_masks, index.lightest)
+    return out
+
+
+def _reduce_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
+    """Reduce the uint64 words ``m`` in place; see :func:`_reduce_many`."""
+    live = np.arange(m.size)
+    while live.size:
+        live = live[np.bitwise_count(m[live]) >= lightest]
+        w = m[live]
+        hits = limbs[0][w & _NIBBLE]
+        for s in range(1, len(limbs)):
+            hits &= limbs[s][(w >> np.uint64(4 * s)) & _NIBBLE]
+        nonzero = hits != 0
+        first = nonzero.argmax(axis=1)
+        divided = np.flatnonzero(nonzero[np.arange(live.size), first])
+        first = first[divided]
+        limb = hits[divided, first]
+        lead = 64 * first + np.bitwise_count(limb ^ (limb - _ONE)) - 1
+        live = live[divided]
+        m[live] ^= rewrites[lead]
 
 
 def _bit_positions(bits: int) -> np.ndarray:

@@ -186,6 +186,16 @@ def syndrome(word: int, code: LinearCode) -> int:
     return s
 
 
+def syndromes(words: np.ndarray, code: LinearCode) -> np.ndarray:
+    """:func:`syndrome` of each word of a uint64 array of in-range masks, as
+    intp: the column syndromes XOR-ed in one bit position at a time."""
+    code._require_binary()
+    synd = np.zeros(words.size, dtype=np.intp)
+    for j, col in enumerate(code.column_syndromes):
+        synd[(words >> np.uint64(j)) & _ONE == 1] ^= col
+    return synd
+
+
 def _codeword_weights(code: LinearCode, limit: int | None):
     """Yield weight arrays for all p^k codewords, in chunks."""
     total = code.p ** code.k

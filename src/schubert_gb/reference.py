@@ -248,7 +248,11 @@ def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
 
 def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
     """Append one lead and its trail to a divisor index, numbered after the
-    leads it holds, as building the index over all of them would."""
+    leads it holds, as building the index over all of them would.
+
+    The array form the batch kernel reads is dropped rather than kept in
+    step, so no stale copy of it can be read; Buchberger reduces one
+    word at a time."""
     bit = 1 << len(index.rewrites)
     for shift, table in index.slices:
         nibble = (lead >> shift) & 15
@@ -256,6 +260,7 @@ def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
             if nibble & ~v == 0:
                 table[v] |= bit
     index.rewrites.append(lead ^ trail)
+    index.limbs = index.rewrite_masks = index.lightest = None
 
 
 def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:

@@ -33,13 +33,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import fixtures
-from .decoding import DECODED, FixedWeight, _canonical, gb_decode, simulate
-from .groebner import ReducedGroebnerBasis, capability, coset_engine, normal_form
+from .decoding import DECODED, FixedWeight, _canonical_many, gb_decode, simulate
+from .groebner import ReducedGroebnerBasis, _reduce_many, capability, coset_engine
 from .linalg import (
     LinearCode,
     build_coset_leader_table,
     min_distance_bruteforce,
     rank,
+    syndromes,
 )
 from .reference import (
     buchberger,
@@ -282,8 +283,8 @@ def run_checks(
         bad = []
         for name, code, basis in targets:
             words = np.arange(1 << code.n, dtype=np.uint64)
-            want = coset_minimum(words, code.codeword_masks()).tolist()
-            if [normal_form(m, basis) for m in range(1 << code.n)] != want:
+            want = coset_minimum(words, code.codeword_masks())
+            if not np.array_equal(_reduce_many(words, basis._divisor_index), want):
                 bad.append(name)
         run.check("nf", "canonical_vs_coset_minimum", not bad,
                   f"{len(targets)} codes, all 2^n monomials" + (f"; bad {bad}" if bad else ""))
@@ -331,10 +332,11 @@ def _radius_t_agreement(code: LinearCode, basis: ReducedGroebnerBasis) -> bool:
     """Exhaustive check: every error of weight <= t on every codeword is
     corrected, and the three decoders agree without nn ambiguity.
 
-    All (error, codeword) words form one array.  Each word is gb-decoded
-    by :func:`~schubert_gb.decoding._canonical`, the batch decode path; the
-    syndrome route XORs the column syndromes of the word and looks its
-    leader up in the table, and the nearest-neighbour route takes the
+    All (error, codeword) words form one array.  It is gb-decoded in one
+    call of :func:`~schubert_gb.decoding._canonical_many`; the syndrome
+    route looks the leader of each word's syndrome
+    (:func:`~schubert_gb.linalg.syndromes`) up in the table, and the
+    nearest-neighbour route takes the
     distance to every codeword, in blocks of ``_NN_BLOCK`` distances.  As in
     :func:`~schubert_gb.reference.cross_check`, gb decoding must succeed with
     the error pattern and the sent codeword, the syndrome codeword must equal
@@ -351,14 +353,10 @@ def _radius_t_agreement(code: LinearCode, basis: ReducedGroebnerBasis) -> bool:
     error = np.repeat(np.array(patterns, dtype=np.uint64), cw.size)
     sent = np.tile(cw, len(patterns))
     received = sent ^ error
-    for word, e in zip(received.tolist(), error.tolist()):
-        canonical, decoded = _canonical(word, basis, "bounded")
-        if not (decoded and canonical == e):  # so word ^ canonical is the codeword sent
-            return False
-    synd = np.zeros(received.size, dtype=np.intp)
-    for j, col in enumerate(code.column_syndromes):
-        synd[(received >> np.uint64(j)) & np.uint64(1) == 1] ^= col
-    if ((received ^ table.leaders[synd]) != sent).any():
+    canonical, decoded = _canonical_many(received, basis, "bounded")
+    if not (decoded & (canonical == error)).all():  # so received ^ canonical is the codeword sent
+        return False
+    if ((received ^ table.leaders[syndromes(received, code)]) != sent).any():
         return False
     step = max(1, _NN_BLOCK // cw.size)  # words per block of the distance array
     for a in range(0, received.size, step):

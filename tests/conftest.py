@@ -50,16 +50,27 @@ def small_random_codes():
     return random_codes(count=8, seed=11)
 
 
-@pytest.fixture(scope="session")
-def ladder_rungs() -> dict[int, LinearCode]:
-    """The [31,5,16] code G(2,6) alpha=(1,6) punctured to n = 18 and n = 20.
+def ladder_code(n: int) -> LinearCode:
+    """The [31,5,16] code G(2,6) alpha=(1,6) punctured to length n.
 
     The kept positions are the first n of a permutation seeded with 0,
     in ascending order, as in the benchmark's build ladder.
     """
     G = generator_matrix(SchubertSpec(l=2, m=6, q=2, alpha=(1, 6)))
     order = np.random.default_rng(0).permutation(G.shape[1])
-    return {n: LinearCode.from_generator(G[:, np.sort(order[:n])]) for n in (18, 20)}
+    return LinearCode.from_generator(G[:, np.sort(order[:n])])
+
+
+@pytest.fixture(scope="session")
+def ladder_rungs() -> dict[int, LinearCode]:
+    """The ladder codes of length 18 and 20 (:func:`ladder_code`)."""
+    return {n: ladder_code(n) for n in (18, 20)}
+
+
+@pytest.fixture(scope="session")
+def ladder_bases():
+    """The bases of all four benchmark rungs, n = 18, 20, 22, 24."""
+    return {n: coset_engine(ladder_code(n)) for n in (18, 20, 22, 24)}
 
 
 @pytest.fixture(scope="session")

@@ -133,6 +133,15 @@ class TestGb:
         run(capsys, "gb", "--matrix", fixture_matrix_file("2_3"), "-o", str(basis_file))
         assert parse_basis(basis_file.read_text()) == bases["2_3"]
 
+    def test_code_without_binomials_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # the k = 0 code: every word is its own coset leader, so t is undefined
+        matrix, out = tmp_path / "k0.txt", tmp_path / "b.txt"
+        matrix.write_text("0 5 2\n")
+        code, stdout, err = run(capsys, "gb", "--matrix", str(matrix), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: capability undefined: basis has no code binomials\n"
+        assert not out.exists()
+
     def test_guard_exit_3(self, capsys, tmp_path):
         gen = tmp_path / "grass.txt"
         run(capsys, "build", "--l", "2", "--m", "5", "--q", "2", "--alpha", "4,5",

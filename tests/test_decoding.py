@@ -7,6 +7,8 @@ import pytest
 from schubert_gb import (
     BSC,
     FixedWeight,
+    LinearCode,
+    coset_engine,
     gb_decode,
     simulate,
     syndrome,
@@ -101,6 +103,34 @@ class TestGbDecode:
     def test_length_mismatch(self, bases):
         with pytest.raises(ValueError, match="out of range"):
             gb_decode(1 << 7, bases["1_4"])
+
+
+class TestCanonicalMany:
+    """The batch decode path gives what the scalar one gives, word by word."""
+
+    @pytest.mark.parametrize("mode", ["bounded", "complete"])
+    def test_equals_canonical_word_by_word(self, bases, mode):
+        for gb in bases.values():
+            words = np.arange(min(1 << gb.n, 1 << 15), dtype=np.uint64) * np.uint64(13) % np.uint64(1 << gb.n)
+            canonical, decoded = decoding._canonical_many(words, gb, mode)
+            want = [decoding._canonical(w, gb, mode) for w in words.tolist()]
+            assert canonical.tolist() == [c for c, _ in want]
+            assert decoded.dtype == bool and decoded.tolist() == [d for _, d in want]
+
+    def test_unknown_mode(self, bases):
+        with pytest.raises(ValueError, match="unknown decode mode 'maybe'"):
+            decoding._canonical_many(np.zeros(0, dtype=np.uint64), bases["1_4"], "maybe")
+
+    def test_no_code_binomials(self):
+        gb = coset_engine(LinearCode.from_generator(np.zeros((0, 5), dtype=int), 2))  # k = 0
+        words = np.arange(1 << 5, dtype=np.uint64)
+        with pytest.raises(ValueError) as scalar:
+            decoding._canonical(3, gb, "bounded")
+        with pytest.raises(ValueError) as batch:
+            decoding._canonical_many(words, gb, "bounded")
+        assert str(batch.value) == str(scalar.value) == "capability undefined: basis has no code binomials"
+        canonical, decoded = decoding._canonical_many(words, gb, "complete")
+        assert np.array_equal(canonical, words) and decoded.all()
 
 
 class TestCrossCheck:

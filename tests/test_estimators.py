@@ -13,6 +13,7 @@ from schubert_gb import (
     coset_engine,
     estimators,
     gb_decode,
+    syndrome_decode,
 )
 from schubert_gb.decoding import DECODED
 from schubert_gb.reference import bits_from_mask
@@ -190,6 +191,9 @@ class TestBatchConversion:
                     outcome = gb_decode(w, est.basis_, mode)
                     want.append(bits_from_mask(outcome.codeword if outcome.status == DECODED else w, 7))
                 assert (est.predict(X) == np.array(want)).all(), (tag, mode)
+            sd = SyndromeTableDecoder().fit(codes[tag])
+            want = [bits_from_mask(syndrome_decode(w, sd.table_, sd.code_), 7) for w in range(1 << 7)]
+            assert (sd.predict(X) == np.array(want)).all(), tag
 
     def test_empty_batch(self, codes):
         for est in (GroebnerDecoder().fit(codes["1_4"]), SyndromeTableDecoder().fit(codes["1_4"])):

@@ -482,6 +482,8 @@ class TestDivisorIndex:
         gb = buchberger([field_relation(i) for i in range(1, 6)])  # the k = 0 code
         assert gb._divisor_index.rewrites == []
         assert all(normal_form(m, gb) == m for m in range(1 << 5))
+        words = np.arange(1 << 5, dtype=np.uint64)
+        assert np.array_equal(groebner._reduce_many(words, gb._divisor_index), words)
 
     def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
@@ -509,6 +511,8 @@ class TestDivisorIndex:
                 _grow_index(grown, b.lead, b.trail)
             built = gb._divisor_index
             assert grown.slices == built.slices and grown.rewrites == built.rewrites
+            with pytest.raises(ValueError, match="grown after it was built"):
+                groebner._reduce_many(np.arange(4, dtype=np.uint64), grown)
 
     def test_buchberger_equals_coset_engine_on_random_codes(self):
         for code in random_codes():
@@ -523,6 +527,103 @@ class TestDivisorIndex:
         for m in words:
             nf = normal_form(m, gb)
             assert nf == scan_reduce(m, leads, trails) == int(leaders[syndrome(m, code)])
+
+
+def scalar_reduce(words, index):
+    return np.array([groebner._reduce(m, index) for m in words.tolist()], dtype=np.uint64)
+
+
+def sample_words(n, count=2000, seed=0):
+    """All 2^n words for short codes, else ``count`` seeded random ones."""
+    if n <= 12:
+        return np.arange(1 << n, dtype=np.uint64)
+    return np.random.default_rng(seed).integers(0, 1 << n, count, dtype=np.uint64)
+
+
+class TestBatchKernel:
+    """``_reduce_many`` gives what ``_reduce`` gives, word by word."""
+
+    def test_fixture_and_random_code_bases(self, bases, small_random_codes):
+        gbs = list(bases.values()) + [coset_engine(c) for c in random_codes() + small_random_codes]
+        for gb in gbs:
+            words = sample_words(gb.n, seed=gb.n)
+            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
+                                  scalar_reduce(words, gb._divisor_index))
+
+    def test_ladder_rungs(self, ladder_bases):
+        for n, gb in ladder_bases.items():
+            words = sample_words(n, seed=n)
+            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
+                                  scalar_reduce(words, gb._divisor_index))
+
+    @pytest.mark.parametrize("alpha", [(1, 2), (1, 3)])  # the [1,1,1] and [3,2,2] codes
+    def test_degenerate_schubert_codes(self, alpha):
+        gb = coset_engine(LinearCode.from_generator(generator_matrix(SchubertSpec(2, 5, 2, alpha)), 2))
+        words = np.arange(1 << gb.n, dtype=np.uint64)
+        assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
+                              scalar_reduce(words, gb._divisor_index))
+
+    def test_empty_and_single_word(self, bases):
+        index = bases["2_4"]._divisor_index
+        empty = groebner._reduce_many(np.zeros(0, dtype=np.uint64), index)
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
+        word = (1 << 19) - 1
+        one = groebner._reduce_many(np.array([word], dtype=np.uint64), index)
+        assert one.tolist() == [groebner._reduce(word, index)]
+
+    def test_input_is_not_written(self, bases):
+        words = np.arange(1 << 7, dtype=np.uint64)
+        groebner._reduce_many(words, bases["1_4"]._divisor_index)
+        assert np.array_equal(words, np.arange(1 << 7, dtype=np.uint64))
+
+    def test_first_divisor_in_list_order_on_non_groebner_lists(self, codes):
+        # oriented pairs in random order, leads dividing leads included: the
+        # result depends on which dividing lead each step takes
+        rng = random.Random(5)
+        lists = []
+        for code in codes.values():
+            rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
+            lists.append((code.n, rows, [0] * len(rows)))
+        for n in (7, 13, 19, 40, 64):
+            leads, trails = [], []
+            while len(leads) < 150:
+                a, b = rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
+                if degrevlex_key(a) > degrevlex_key(b):
+                    leads.append(a)
+                    trails.append(b)
+            lists.append((n, leads, trails))
+        for n, leads, trails in lists:
+            index = groebner._DivisorIndex(n, leads, trails)
+            words = np.array([rng.getrandbits(n) for _ in range(400)], dtype=np.uint64)
+            got = groebner._reduce_many(words, index)
+            assert np.array_equal(got, scalar_reduce(words, index))
+            lead_arr, trail_arr = np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64)
+            assert got.tolist() == [scan_reduce(m, lead_arr, trail_arr) for m in words.tolist()]
+
+    @pytest.mark.parametrize("limbs", [1, 2, 7, 65])
+    def test_tiny_blocks(self, monkeypatch, bases, limbs):
+        monkeypatch.setattr(groebner, "_BATCH_LIMBS", limbs)  # 1 to 65 words per block
+        for gb in (bases["1_4"], bases["1_5"]):
+            words = sample_words(gb.n, count=300, seed=limbs)[:300]
+            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
+                                  scalar_reduce(words, gb._divisor_index))
+
+    def test_memory_does_not_grow_with_the_array(self, ladder_bases):
+        # 2^20 words at n = 24, where one bitset is 454 limbs.  The first 2^14
+        # are random and the rest 0, which no lead divides: in one block the
+        # random words alone would take some 60 MB per bitset array
+        index = ladder_bases[24]._divisor_index
+        words = np.zeros(1 << 20, dtype=np.uint64)
+        words[:1 << 14] = np.random.default_rng(24).integers(0, 1 << 24, 1 << 14, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            out = groebner._reduce_many(words, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + (8 << 20)
+        sample = slice(0, 1 << 20, 997)
+        assert np.array_equal(out[sample], scalar_reduce(words[sample], index))
 
 
 class TestCapability:

@@ -237,6 +237,13 @@ class TestSyndrome:
         for u, v in [(0b1011, 0b11001), (0b1, 0b1000000)]:
             assert syndrome(u ^ v, code) == syndrome(u, code) ^ syndrome(v, code)
 
+    def test_array_form_equals_per_word(self, codes, wide_code):
+        for code in list(codes.values()) + [wide_code]:
+            words = np.random.default_rng(code.n).integers(0, 1 << code.n, 500, dtype=np.uint64)
+            synd = linalg.syndromes(words, code)
+            assert synd.dtype == np.intp
+            assert synd.tolist() == [syndrome(w, code) for w in words.tolist()]
+
 
 class TestDistanceAndWeights:
     def test_reference_distances(self, codes):

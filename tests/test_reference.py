@@ -80,5 +80,5 @@ def test_production_divisor_index_does_not_grow():
     from schubert_gb.groebner import _DivisorIndex
 
     assert {name for name in vars(_DivisorIndex) if not name.startswith("__")} == {
-        "slices", "rewrites",
+        "slices", "rewrites", "limbs", "rewrite_masks", "lightest",
     }
