@@ -52,6 +52,7 @@ ORDER_ID = "degrevlex"
 # dividing-lead bitset limbs per block of the batch kernel: bounds its working memory
 _BATCH_LIMBS = 1 << 18
 _NIBBLE = np.uint64(15)
+_OUTSIDE = ~np.arange(16, dtype=np.uint8)[:, None]  # row v: the bits outside nibble v
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +406,16 @@ class _DivisorIndex:
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
         leads = np.asarray(leads, dtype=np.uint64)
         trails = np.asarray(trails, dtype=np.uint64)
-        octets = np.ascontiguousarray(leads, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        packed = np.zeros((-(-n // 4), 16, 8 * -(-leads.size // 64)), dtype=np.uint8)
-        values = np.arange(16, dtype=np.uint8)[:, None]
-        for s, rows in enumerate(packed):  # leads whose nibble in slice s is exactly v
-            nibbles = (octets[:, s >> 1] >> 4 * (s & 1)) & 15
-            rows[:, :-(-leads.size // 8)] = np.packbits(nibbles == values, axis=1, bitorder="little")
+        width = 8 * -(-leads.size // 64)  # bytes per bitset, in whole limbs
+        packed = np.zeros((-(-n // 4), 16, width), dtype=np.uint8)
+        for s, rows in enumerate(packed):  # leads whose nibble in slice s lies inside v
+            fits = (((leads >> np.uint64(4 * s)) & _NIBBLE).astype(np.uint8) & _OUTSIDE) == 0
+            rows[:, :-(-leads.size // 8)] = np.packbits(fits, axis=1, bitorder="little")
         self.limbs = packed.view("<u8")
-        grid = self.limbs.reshape(len(packed), 2, 2, 2, 2, -1)
-        for bit in range(1, 5):  # OR in the nibbles inside v, one bit of v at a time
-            head = (slice(None),) * bit
-            grid[head + (1,)] |= grid[head + (0,)]
-        self.slices = [
-            (4 * s, [int.from_bytes(row.tobytes(), "little") for row in rows])
-            for s, rows in enumerate(packed)
-        ]
+        data = packed.tobytes()
+        tables = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                  for i in range(16 * len(packed))]
+        self.slices = [(4 * s, tables[16 * s:16 * s + 16]) for s in range(len(packed))]
         self.rewrite_masks = leads ^ trails
         self.rewrites = self.rewrite_masks.tolist()
         self.lightest = int(np.bitwise_count(leads).min(initial=WORD_LIMIT))
