@@ -3,7 +3,8 @@
 Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
 the Buchberger run (:func:`buchberger`, n <= 12) from the ideal generators,
 the independent route that :func:`~schubert_gb.groebner.coset_engine` is
-checked against, together with the divisor-index growth it alone needs; the
+checked against, with the Gebauer-Moeller pair criteria, the two-bit lead
+codes they read and the divisor-index growth and shrinking it alone needs; the
 exponent-tuple arithmetic, the Buchberger criterion and the element sort
 key that audit the mask arithmetic of :mod:`schubert_gb.groebner`, and
 the support and bit-list conversions of masks that only the tests use; the
@@ -19,6 +20,7 @@ the Schubert cell enumeration.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -232,18 +234,29 @@ def ideal_generators(code: LinearCode) -> tuple[Binomial, ...]:
 
 # larger codes go to the coset engine
 _BUCHBERGER_MAX_VARS = 12
+# bit 2(v-1) of every 2-bit variable field of a lead code
+_LOW_BITS = int("01" * _BUCHBERGER_MAX_VARS, 2)
 
 
-def _squash_key(mask: int, square: int = 0) -> tuple[int, int]:
-    """Degrevlex key of mask * x_square^2 (square=0 for a plain mask).
+def _lead_code(once: int, twice: int = 0) -> int:
+    """The monomial with the variables of mask ``once`` at exponent 1 and
+    those of ``twice`` at exponent 2, in two bits per variable: x_v is
+    ``01`` and x_v^2 is ``11``, at bits 2(v-1) and 2v - 1.
 
-    Exponents stay below 4, so the exponent vector read as base-4 digits
-    (highest variable most significant) breaks degree ties as degrevlex does.
+    On such codes the lcm of two monomials is their OR, and one divides
+    another when its bits are a subset of the other's.
     """
-    return (
-        mask.bit_count() + 2 * bool(square),
-        -(int(f"{mask:b}", 4) + 2 * square * square),
-    )
+    return int(f"{once | twice:b}", 4) | int(f"{twice:b}", 4) << 1
+
+
+def _lead_key(code: int) -> tuple[int, int]:
+    """Ascending degrevlex key of a lead code (:func:`_lead_code`).
+
+    The popcount is the total degree; the exponent vector read as base-4
+    digits, highest variable most significant, breaks degree ties as
+    degrevlex does.
+    """
+    return code.bit_count(), -((code & _LOW_BITS) + ((code >> 1) & _LOW_BITS))
 
 
 def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
@@ -263,13 +276,39 @@ def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
     index.limbs = index.rewrite_masks = index.lightest = None
 
 
-def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
-    """Pair-queue Buchberger run followed by interreduction.
+def _drop_from_index(index: _DivisorIndex, slot: int) -> None:
+    """Stop the lead numbered ``slot`` from dividing anything; its rewrite
+    keeps its place, so the other leads keep their numbers."""
+    keep = ~(1 << slot)
+    for _, table in index.slices:
+        table[:] = [bits & keep for bits in table]
 
-    Pairs are processed by ascending lcm under degrevlex (normal selection)
-    and pairs with coprime leads are dropped (product criterion); nothing
-    else is pruned, keeping the run auditable.  The unique reduced basis of
-    the generated ideal is returned.
+
+def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
+    """Buchberger run with the Gebauer-Moeller pair update, then
+    interreduction.
+
+    The field relations x_v^2 - 1 are basis elements like the code
+    binomials; pair arithmetic reads leads as :func:`_lead_code`, and
+    S-polynomials and remainders are squarefree masks, the field relations
+    applied eagerly.  Pairs are processed by ascending lcm under degrevlex
+    (normal selection).  When an element h is added (Gebauer and Moeller,
+    "On an installation of Buchberger's algorithm", J. Symbolic Comput. 6,
+    1988; Cox, Little and O'Shea, ch. 2 section 10):
+
+    * criteria M and F: of the new pairs (g, h), one is kept per lcm that
+      no other new pair's lcm strictly divides, and none for an lcm that a
+      pair with coprime leads has;
+    * the product criterion: no pair with coprime leads is queued;
+    * criterion B: a queued pair whose lcm the lead of h divides is
+      cancelled unless h's lcm with either member equals it;
+    * an element whose lead h divides is retired: it joins no new pair and
+      reduces nothing more, though its queued pairs stay.  Remainders are
+      taken modulo the elements not retired, the setting in which the
+      criteria are proved.
+
+    The elements left are exactly those of minimal leads; their trails are
+    reduced and the unique reduced basis of the generated ideal is returned.
     """
     gens = list(generators)
     field_vars = sorted(b.lead.bit_length() for b in gens if b.kind == "field")
@@ -293,69 +332,86 @@ def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
         check_word_mask(pair[0], n)
         check_word_mask(pair[1], n)
 
-    basis: list[tuple[int, int]] = []
+    # element i: the variables of its lead at exponent 1 and at exponent 2
+    # as masks, its trail mask, and its number in the divisor index (None
+    # for a field relation, which the squarefree arithmetic applies)
+    elements: list[tuple[int, int, int, int | None]] = []
+    codes: list[int] = []  # the lead code of each element
+    active: list[int] = []  # elements whose leads no later lead divides
     index = _DivisorIndex(n, [], [])
-    pairs: list[tuple] = []  # (lcm degrevlex key, seq, i, j) with j=-v for field pairs
-    seq = 0
+    pairs: list[tuple] = []  # heap of (lcm key, seq, lcm code, i, j)
+    seq = itertools.count()
+
+    def add(once: int, twice: int, trail: int, slot: int | None) -> None:
+        """Append an element and update the pairs and the active elements."""
+        h = len(elements)
+        hc = _lead_code(once, twice)
+        elements.append((once, twice, trail, slot))
+        codes.append(hc)
+        # criterion B
+        kept = [
+            p for p in pairs
+            if p[2] & hc != hc or p[2] == codes[p[3]] | hc or p[2] == codes[p[4]] | hc
+        ]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # the product criterion and criteria M and F on the new pairs.  No
+        # active lead divides another, so a pair with coprime leads shares
+        # its lcm with no other new pair and its lcm divides no other: it
+        # can be dropped before M and F without changing what they keep.
+        partner = {}
+        for g in reversed(active):  # the first partner of each lcm is kept
+            if codes[g] & hc:
+                partner[codes[g] | hc] = g
+        minimal: list[int] = []
+        for lcm in sorted(partner, key=int.bit_count):
+            for m in minimal:
+                if lcm & m == m:
+                    break
+            else:
+                minimal.append(lcm)
+                heapq.heappush(pairs, (_lead_key(lcm), next(seq), lcm, partner[lcm], h))
+        for g in active:
+            if codes[g] & hc == hc and elements[g][3] is not None:
+                _drop_from_index(index, elements[g][3])
+        active[:] = [g for g in active if codes[g] & hc != hc]
+        active.append(h)
 
     def add_reduced(a: int, b: int) -> None:
-        """Append the oriented remainder of a - b unless it is zero; queue its pairs."""
-        nonlocal seq
+        """Add the oriented remainder of a - b unless it is zero."""
         a, b = _reduce(a, index), _reduce(b, index)
         if a == b:
             return
         lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
-        idx = len(basis)
-        basis.append((lead, trail))
         _grow_index(index, lead, trail)
-        for j in range(idx):
-            other = basis[j][0]
-            if lead & other:  # coprime-lead pairs are skipped outright
-                lcm = lead | other
-                heapq.heappush(pairs, (_squash_key(lcm), seq, j, idx))
-                seq += 1
-        rest = lead
-        while rest:
-            bit = rest & -rest
-            # lcm with x_v^2 - 1 raises v's exponent from 1 to 2
-            heapq.heappush(
-                pairs, (_squash_key(lead ^ bit, bit), seq, idx, -bit.bit_length())
-            )
-            seq += 1
-            rest ^= bit
+        add(lead, 0, trail, len(index.rewrites) - 1)
 
+    for v in range(n):
+        add(0, 1 << v, 0, None)
     for lead, trail in code_gens:
         add_reduced(lead, trail)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if j < 0:  # pair with the field relation of variable -j
-            lead, trail = basis[i]
-            bit = 1 << (-j - 1)
-            if lead & bit:
-                add_reduced(lead ^ bit, trail ^ bit)
-        else:
-            li, ti = basis[i]
-            lj, tj = basis[j]
-            lcm = li | lj
-            add_reduced(lcm ^ li ^ ti, lcm ^ lj ^ tj)
+        _, _, _, i, j = heapq.heappop(pairs)
+        once_i, twice_i, trail_i, _ = elements[i]
+        once_j, twice_j, trail_j, _ = elements[j]
+        # the lcm's variables at exponent 1; its squares cancel to 1
+        once = (once_i | once_j) & ~(twice_i | twice_j)
+        add_reduced(once ^ once_i ^ trail_i, once ^ once_j ^ trail_j)
 
-    return _interreduce(basis, n)
+    left = [elements[g] for g in active if elements[g][3] is not None]
+    return _interreduce(n, [lead for lead, _, _, _ in left], [trail for _, _, trail, _ in left])
 
 
-def _interreduce(basis: list[tuple[int, int]], n: int) -> ReducedGroebnerBasis:
-    """Minimalize leads, reduce trails to normal form, sort, validate."""
-    minimal: dict[int, int] = {}
-    all_leads = {lead for lead, _ in basis}
-    for lead, trail in basis:  # keep the first trail of each lead no other lead divides
-        if lead not in minimal and not any(o != lead and o & lead == o for o in all_leads):
-            minimal[lead] = trail
-    # no lead divides its own trail (or anything below it), so every minimal
-    # lead can take part in reducing every trail
-    index = _DivisorIndex(n, list(minimal), list(minimal.values()))
-    leads = np.array(list(minimal), dtype=np.uint64)
-    trails = np.array([_reduce(trail, index) for trail in minimal.values()], dtype=np.uint64)
-    return _validated_masks(n, leads, trails)
+def _interreduce(n: int, leads: list[int], trails: list[int]) -> ReducedGroebnerBasis:
+    """The reduced basis of code binomials with minimal leads: trails
+    reduced to normal form, sorted, validated."""
+    # no lead divides its own trail (or anything below it), so every lead
+    # can take part in reducing every trail
+    index = _DivisorIndex(n, leads, trails)
+    reduced = np.array([_reduce(trail, index) for trail in trails], dtype=np.uint64)
+    return _validated_masks(n, np.array(leads, dtype=np.uint64), reduced)
 
 
 # ---------------------------------------------------------------------------

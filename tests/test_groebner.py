@@ -25,12 +25,13 @@ from schubert_gb import (
     simulate,
     syndrome,
 )
-from schubert_gb import groebner, linalg
+from schubert_gb import groebner, linalg, reference
 from schubert_gb.fixtures import load_basis, load_code
 from schubert_gb.formats import format_basis, parse_basis, parse_element_lines
 from schubert_gb.reference import (
     _grow_index,
-    _squash_key,
+    _lead_code,
+    _lead_key,
     as_pairs,
     buchberger,
     coset_minimum,
@@ -206,6 +207,21 @@ class TestEngines:
         for code in small_random_codes:
             assert buchberger(ideal_generators(code)) == coset_engine(code)
 
+    def test_pair_criteria_prune(self, monkeypatch, codes):
+        # the 27 runs of verify-paper's gb section; with the product criterion
+        # alone they computed 74,251 remainders
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return groebner._reduce(*args)
+
+        monkeypatch.setattr(reference, "_reduce", counting)
+        for code in [codes["1_4"], codes["2_3"], *random_codes()]:
+            buchberger(ideal_generators(code))
+        assert 0 < calls < 20_000
+
     def test_degenerate_distance_two_builds(self):
         # two equal parity columns force a weight-2 codeword: x1 and x2 lead
         gb = three_engine_basis(LinearCode.from_generator(np.array([[1, 1, 0], [0, 1, 1]]), 2))
@@ -356,14 +372,17 @@ class TestDegenerateCodes:
         three_engine_basis(LinearCode.from_generator(np.array(rows), 2))
 
     def test_random_codes_up_to_ten(self):
-        degree_one = 0
+        distances = []
+        zero_columns = 0
         for code in small_random_codes_up_to_ten():
             gb = three_engine_basis(code)
             singles = gb.leads[np.bitwise_count(gb.leads) == 1]
             fields = [b.lead for b in gb.elements if b.kind == "field"]
             assert sorted(fields + singles.tolist()) == [1 << i for i in range(code.n)]
-            degree_one += bool(singles.size)
-        assert 50 < degree_one < 200  # the draw reaches codes with d <= 2 and with d >= 3
+            distances.append(min(int(np.bitwise_count(code.codeword_masks()[1:]).min()), 3))
+            zero_columns += not code.generator.any(axis=0).all()
+        # the draw reaches distance 1, 2 and at least 3, and codes with a zero column
+        assert min(map(distances.count, (1, 2, 3))) > 10 and zero_columns > 10
 
     @pytest.mark.parametrize("name", list(SYMPY_BASES))
     def test_sympy_bases(self, name):
@@ -919,19 +938,26 @@ class TestMaskOrderKeys:
         keys = [key(x) for x in by_key]
         assert len(set(keys)) == len(keys)
 
-    def test_squash_key_exhaustive(self):
-        n = self.N
-        items = [(m, 0) for m in range(1 << n)]
-        items += [(m, 1 << v) for m in range(1 << n) for v in range(n)]
+    @staticmethod
+    def _lead_code(exps):
+        """The two-bit lead code of an exponent vector with entries 0, 1, 2."""
+        return _lead_code(sum(1 << v for v, e in enumerate(exps) if e == 1),
+                          sum(1 << v for v, e in enumerate(exps) if e == 2))
 
-        def reference(item):
-            mask, square = item
-            exps = list(exponents_from_mask(mask, n))
-            if square:
-                exps[square.bit_length() - 1] += 2
-            return degrevlex_key_exponents(tuple(exps))
+    def test_lead_key_exhaustive(self):
+        # every exponent vector in {0,1,2}^n; Buchberger's leads and lcms are among them
+        for n in range(1, 6):
+            items = list(itertools.product((0, 1, 2), repeat=n))
+            key = lambda exps: _lead_key(self._lead_code(exps))
+            self._assert_same_order(items, key, degrevlex_key_exponents)
 
-        self._assert_same_order(items, lambda item: _squash_key(*item), reference)
+    def test_lead_code_lcm_and_divisibility(self):
+        exps = list(itertools.product((0, 1, 2), repeat=3))
+        for a in exps:
+            for b in exps:
+                code_a, code_b = self._lead_code(a), self._lead_code(b)
+                assert code_a | code_b == self._lead_code(tuple(map(max, a, b)))
+                assert (code_a & ~code_b == 0) == all(x <= y for x, y in zip(a, b))
 
     def test_element_order_is_the_sort_key_order(self):
         n = self.N

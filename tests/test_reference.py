@@ -19,8 +19,9 @@ MOVED = (
     "scan_coset_leaders", "scan_basis", "coset_minimum",
     "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
     "TrialStream", "draw_error",
-    "buchberger", "_interreduce", "_squash_key", "_BUCHBERGER_MAX_VARS",
-    "ideal_generators", "field_relation", "_grow_index",
+    "buchberger", "_interreduce", "_lead_code", "_lead_key", "_LOW_BITS",
+    "_BUCHBERGER_MAX_VARS", "ideal_generators", "field_relation", "_grow_index",
+    "_drop_from_index",
 )
 
 
