@@ -133,6 +133,8 @@ def _parse_model(text: str):
         if kind == "fixed_weight":
             return FixedWeight(small_int(value))
         if kind == "bsc":
+            if not value.isascii():  # float() reads any Unicode digit
+                raise ValueError
             return BSC(float(value))
     except ValueError:
         raise ValueError(f"bad model {quoted(text)}; use fixed_weight:<w> or bsc:<p>") from None

@@ -69,8 +69,11 @@ def _as_mask(word, n: int) -> int:
         return int(word)
     if isinstance(word, str):
         stripped = word.strip()
-        if set(stripped) <= {"0", "1"} and len(stripped) == n:
-            return word_from_string(stripped)[0]
+        if stripped and set(stripped) <= {"0", "1"}:
+            if len(stripped) == n:
+                return word_from_string(stripped)[0]
+            if stripped != "1":  # "1" is the monomial 1
+                raise ValueError(f"binary word of length {len(stripped)}, expected {n}")
         return monomial_from_string(stripped)
     return mask_from_bits(np.asarray(word).astype(np.int64))
 

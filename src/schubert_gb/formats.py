@@ -47,6 +47,8 @@ from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
 from .words import WORD_LIMIT, _parse_term, quoted, small_int
 
+# \d takes any Unicode digit, so a header spelling n in other digits is
+# named and refused, not read as a comment
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
@@ -82,6 +84,8 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
     rows = []
     for ln in lines[1:]:
         try:
+            if not ln.isascii():  # int() reads any Unicode digit
+                raise ValueError
             row = [int(x) for x in ln.split()]
         except ValueError:
             raise ValueError(f"bad matrix row {quoted(ln)}: expected integers") from None
@@ -176,7 +180,8 @@ def _parse_factorwise(text: str, n: int | None) -> tuple[int | None, _Masks]:
                     n = small_int(m.group(1))
                 except ValueError:
                     raise ValueError(
-                        f"word length {quoted(m.group(1))} exceeds limit {WORD_LIMIT}"
+                        f"word length {quoted(m.group(1))} is not an ASCII number up to "
+                        f"{WORD_LIMIT}"
                     ) from None
                 if m.group(2) != ORDER_ID:
                     raise ValueError(

@@ -18,23 +18,24 @@ so no array spans all 2^n words, and the enumeration guard counts cosets.
 
 Every rewrite runs through one kernel with two entry points, and monomials
 are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
-rewrites one mask (:func:`normal_form`, ``gb_decode``, Buchberger) and
+rewrites one mask (:func:`normal_form`, ``gb_decode``) and
 :func:`_reduce_many` a uint64 array of masks (``simulate``,
 ``GroebnerDecoder.predict`` and the exhaustive checks of ``verify-paper``),
 with the same result word by word.  Both find the leads dividing a monomial
-with one divisor index (:class:`_DivisorIndex`): the n variables are cut
-into 4-bit slices, and per slice and nibble value one bitset over the leads
-marks those whose bits in that slice lie inside the nibble.  The AND of one
-bitset per slice is the set of dividing leads, and its lowest bit is the
-first of them in array order, the lead each rewrite uses.  The scalar entry
-point holds the bitsets as Python ints, the batch one as rows of uint64
-limbs.  Single words stay on the scalar one: a one-word batch pays some
-hundred microseconds of fixed numpy calls, where ``_reduce`` takes a few.
+with one divisor index (:class:`_DivisorIndex`), built once from a lead
+list and never changed: the n variables are cut into 4-bit slices, and per
+slice and nibble value one bitset over the leads marks those whose bits in
+that slice lie inside the nibble.  The AND of one bitset per slice is the
+set of dividing leads, and its lowest bit is the first of them in array
+order, the lead each rewrite uses.  The scalar entry point holds the
+bitsets as Python ints, the batch one as rows of uint64 limbs.  Single
+words stay on the scalar one: a one-word batch pays some hundred
+microseconds of fixed numpy calls, where ``_reduce`` takes a few.
 
 This module holds the production route only.  The Buchberger run that the
-coset engine is checked against, the ideal generators it starts from, the
-exponent-tuple arithmetic and the Groebner test live in
-:mod:`schubert_gb.reference`.
+coset engine is checked against, with its own rewrite table, the ideal
+generators it starts from, the exponent-tuple arithmetic and the Groebner
+test live in :mod:`schubert_gb.reference`.
 """
 
 from __future__ import annotations
@@ -391,7 +392,8 @@ class _DivisorIndex:
     lead i divides m exactly when bit i survives the AND of
     ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
     lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
-    Leads are numbered in the order given.
+    Leads are numbered in the order given.  The index is built once from
+    its lead list and never changed.
 
     The batch kernel reads the same bitsets as ``limbs``, a
     ``(slices, 16, W)`` uint64 array: ``limbs[s, v]`` holds
@@ -468,8 +470,6 @@ def _reduce_many(words: np.ndarray, index: _DivisorIndex) -> np.ndarray:
     out = np.array(words, dtype=np.uint64)
     if not index.rewrites:
         return out
-    if index.limbs is None:
-        raise ValueError("divisor index grown after it was built: the batch kernel cannot read it")
     step = max(1, _BATCH_LIMBS // index.limbs.shape[2])
     for a in range(0, out.size, step):
         _reduce_block(out[a:a + step], index.limbs, index.rewrite_masks, index.lightest)

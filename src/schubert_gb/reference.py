@@ -4,9 +4,10 @@ Only :mod:`schubert_gb.verify` and the tests import this module.  It holds
 the Buchberger run (:func:`buchberger`, n <= 12) from the ideal generators,
 the independent route that :func:`~schubert_gb.groebner.coset_engine` is
 checked against, with the Gebauer-Moeller pair criteria, the two-bit lead
-codes they read and the divisor-index growth and shrinking it alone needs; the
-exponent-tuple arithmetic, the Buchberger criterion and the element sort
-key that audit the mask arithmetic of :mod:`schubert_gb.groebner`, and
+codes they read and its own 2^n rewrite table, so it shares no rewrite
+kernel with the production code; the exponent-tuple arithmetic, the
+Buchberger criterion and the element sort key that audit the mask
+arithmetic of :mod:`schubert_gb.groebner`, and
 the support and bit-list conversions of masks that only the tests use; the
 brute-force oracles over all 2^n words or all codewords that audit the coset
 walk and the rewrite kernel: the coset-leader scan, the one basis oracle
@@ -259,34 +260,18 @@ def _lead_key(code: int) -> tuple[int, int]:
     return code.bit_count(), -((code & _LOW_BITS) + ((code >> 1) & _LOW_BITS))
 
 
-def _grow_index(index: _DivisorIndex, lead: int, trail: int) -> None:
-    """Append one lead and its trail to a divisor index, numbered after the
-    leads it holds, as building the index over all of them would.
-
-    The array form the batch kernel reads is dropped rather than kept in
-    step, so no stale copy of it can be read; Buchberger reduces one
-    word at a time."""
-    bit = 1 << len(index.rewrites)
-    for shift, table in index.slices:
-        nibble = (lead >> shift) & 15
-        for v in range(16):
-            if nibble & ~v == 0:
-                table[v] |= bit
-    index.rewrites.append(lead ^ trail)
-    index.limbs = index.rewrite_masks = index.lightest = None
-
-
-def _drop_from_index(index: _DivisorIndex, slot: int) -> None:
-    """Stop the lead numbered ``slot`` from dividing anything; its rewrite
-    keeps its place, so the other leads keep their numbers."""
-    keep = ~(1 << slot)
-    for _, table in index.slices:
-        table[:] = [bits & keep for bits in table]
+def _remainder(m: int, rewrite: np.ndarray) -> int:
+    """Rewrite the squarefree mask m by ``m ^= rewrite[m]`` until its entry
+    is 0; see :func:`buchberger`.  Each step replaces a lead by its trail
+    and cancels squares, so m falls in degrevlex and the loop ends."""
+    while step := rewrite.item(m):
+        m ^= step
+    return m
 
 
 def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
     """Buchberger run with the Gebauer-Moeller pair update, then
-    interreduction.
+    interreduction, reducing through one rewrite table of 2^n entries.
 
     The field relations x_v^2 - 1 are basis elements like the code
     binomials; pair arithmetic reads leads as :func:`_lead_code`, and
@@ -307,8 +292,13 @@ def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
       taken modulo the elements not retired, the setting in which the
       criteria are proved.
 
-    The elements left are exactly those of minimal leads; their trails are
-    reduced and the unique reduced basis of the generated ideal is returned.
+    Remainders follow the int64 array ``rewrite`` (:func:`_remainder`):
+    entry m holds lead ^ trail of an active code element whose lead divides
+    m, or 0 when none does.  Adding an element writes its rewrite to every
+    entry its lead divides, and so to every entry of the elements it
+    retires, whose leads its lead divides.  The elements left are exactly
+    those of minimal leads; their trails are reduced through the same table
+    and the unique reduced basis of the generated ideal is returned.
     """
     gens = list(generators)
     field_vars = sorted(b.lead.bit_length() for b in gens if b.kind == "field")
@@ -333,20 +323,21 @@ def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
         check_word_mask(pair[1], n)
 
     # element i: the variables of its lead at exponent 1 and at exponent 2
-    # as masks, its trail mask, and its number in the divisor index (None
-    # for a field relation, which the squarefree arithmetic applies)
-    elements: list[tuple[int, int, int, int | None]] = []
+    # as masks, and its trail mask
+    elements: list[tuple[int, int, int]] = []
     codes: list[int] = []  # the lead code of each element
     active: list[int] = []  # elements whose leads no later lead divides
-    index = _DivisorIndex(n, [], [])
+    monomials = np.arange(1 << n, dtype=np.int64)
+    # code elements only: the squarefree arithmetic applies the field relations
+    rewrite = np.zeros(1 << n, dtype=np.int64)
     pairs: list[tuple] = []  # heap of (lcm key, seq, lcm code, i, j)
     seq = itertools.count()
 
-    def add(once: int, twice: int, trail: int, slot: int | None) -> None:
+    def add(once: int, twice: int, trail: int) -> None:
         """Append an element and update the pairs and the active elements."""
         h = len(elements)
         hc = _lead_code(once, twice)
-        elements.append((once, twice, trail, slot))
+        elements.append((once, twice, trail))
         codes.append(hc)
         # criterion B
         kept = [
@@ -372,46 +363,36 @@ def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
             else:
                 minimal.append(lcm)
                 heapq.heappush(pairs, (_lead_key(lcm), next(seq), lcm, partner[lcm], h))
-        for g in active:
-            if codes[g] & hc == hc and elements[g][3] is not None:
-                _drop_from_index(index, elements[g][3])
         active[:] = [g for g in active if codes[g] & hc != hc]
         active.append(h)
 
     def add_reduced(a: int, b: int) -> None:
         """Add the oriented remainder of a - b unless it is zero."""
-        a, b = _reduce(a, index), _reduce(b, index)
+        a, b = _remainder(a, rewrite), _remainder(b, rewrite)
         if a == b:
             return
         lead, trail = (a, b) if degrevlex_key(a) > degrevlex_key(b) else (b, a)
-        _grow_index(index, lead, trail)
-        add(lead, 0, trail, len(index.rewrites) - 1)
+        rewrite[(monomials & lead) == lead] = lead ^ trail
+        add(lead, 0, trail)
 
     for v in range(n):
-        add(0, 1 << v, 0, None)
+        add(0, 1 << v, 0)
     for lead, trail in code_gens:
         add_reduced(lead, trail)
 
     while pairs:
         _, _, _, i, j = heapq.heappop(pairs)
-        once_i, twice_i, trail_i, _ = elements[i]
-        once_j, twice_j, trail_j, _ = elements[j]
+        once_i, twice_i, trail_i = elements[i]
+        once_j, twice_j, trail_j = elements[j]
         # the lcm's variables at exponent 1; its squares cancel to 1
         once = (once_i | once_j) & ~(twice_i | twice_j)
         add_reduced(once ^ once_i ^ trail_i, once ^ once_j ^ trail_j)
 
-    left = [elements[g] for g in active if elements[g][3] is not None]
-    return _interreduce(n, [lead for lead, _, _, _ in left], [trail for _, _, trail, _ in left])
-
-
-def _interreduce(n: int, leads: list[int], trails: list[int]) -> ReducedGroebnerBasis:
-    """The reduced basis of code binomials with minimal leads: trails
-    reduced to normal form, sorted, validated."""
-    # no lead divides its own trail (or anything below it), so every lead
-    # can take part in reducing every trail
-    index = _DivisorIndex(n, leads, trails)
-    reduced = np.array([_reduce(trail, index) for trail in trails], dtype=np.uint64)
-    return _validated_masks(n, np.array(leads, dtype=np.uint64), reduced)
+    # no lead divides its own trail, so each trail reduces to its normal form
+    left = [elements[g] for g in active if not elements[g][1]]
+    leads = np.array([lead for lead, _, _ in left], dtype=np.uint64)
+    trails = np.array([_remainder(trail, rewrite) for _, _, trail in left], dtype=np.uint64)
+    return _validated_masks(n, leads, trails)
 
 
 # ---------------------------------------------------------------------------

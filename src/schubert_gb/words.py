@@ -16,8 +16,9 @@ from collections.abc import Sequence
 WORD_LIMIT = 64
 
 # an index or an exponent of more digits than these is no factor, so each
-# number read stays small and each number a message names stays short
-_FACTOR = re.compile(r"x(0{0,18}[1-9]\d{0,18})(?:\^(\d{1,19}))?$")
+# number read stays small and each number a message names stays short; the
+# digits are ASCII, where \d would take any Unicode digit
+_FACTOR = re.compile(r"x(0{0,18}[1-9][0-9]{0,18})(?:\^([0-9]{1,19}))?$")
 # bit of each variable index as the writer spells it, for the plain-term path
 _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 # characters of an input that an error message quotes
@@ -39,14 +40,15 @@ def quoted(text: str) -> str:
 
 
 def small_int(text: str) -> int:
-    """``int(text)`` for a number of at most ``NUMBER_DIGITS`` digits.
+    """``int(text)`` for an ASCII number of at most ``NUMBER_DIGITS`` digits.
 
     A longer text is refused before ``int`` reads it, so no digit string of
-    unbounded length is converted.  The ValueError names nothing; callers
+    unbounded length is converted, and so is a text that is not ASCII, since
+    ``int`` reads any Unicode digit.  The ValueError names nothing; callers
     name the input through :func:`quoted`.
     """
-    if len(text.strip().lstrip("+-")) > NUMBER_DIGITS:
-        raise ValueError("number too long")
+    if not text.isascii() or len(text.strip().lstrip("+-")) > NUMBER_DIGITS:
+        raise ValueError("not a short ASCII number")
     return int(text)
 
 

@@ -289,6 +289,14 @@ class TestDecode:
         code, _, err = run(capsys, "decode", "--basis", basis_file("1_4"), "--word", word)
         assert code == 2 and err == f"error: {message}\n" and len(err) < 200
 
+    @pytest.mark.parametrize("word", ["0101", "00000000"])
+    def test_binary_word_of_the_wrong_length_exit_2(self, capsys, basis_file, word):
+        code, _, err = run(capsys, "decode", "--basis", basis_file("1_4"), "--word", word)
+        assert code == 2 and err == f"error: binary word of length {len(word)}, expected 7\n"
+        # a lone 1 is the monomial 1, not a word of length 1
+        code, out, _ = run(capsys, "decode", "--basis", basis_file("1_4"), "--word", "1")
+        assert code == 0 and out.startswith("status=decoded canonical=1 error=0000000 ")
+
     @pytest.mark.parametrize("tag", ["1_4", "1_5", "2_3", "2_4"])
     def test_every_fixture_table_row_replays(self, capsys, basis_file, tag):
         from schubert_gb.fixtures import load_decode_table
@@ -359,6 +367,53 @@ class TestSimulate:
                            "--alpha", "1," + "a" * 10**5)
         assert code == 2 and err.startswith("error: bad alpha '")
         assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+class TestNonAsciiDigits:
+    """int(), float() and \\d read any Unicode digit, such as U+0661, the
+    Arabic-Indic one; every number the CLI reads takes ASCII digits only."""
+
+    @pytest.mark.parametrize("case, bad", [
+        ("word", "x1\u0661"),
+        ("matrix_header", "\u0661 7 2"),
+        ("matrix_row", "1 0 0 0 1 1 \u0661"),
+        ("basis_header", "\u0667"),
+        ("trials", "\u0661\u0660"),
+        ("seed", "\u0661"),
+        ("alpha", "\u0661,4"),
+        ("model", "fixed_weight:\u0661"),
+        ("model", "bsc:0.\u0661"),
+    ])
+    def test_refused_with_one_quoted_line(
+        self, capsys, tmp_path, basis_file, fixture_matrix_file, case, bad
+    ):
+        path = tmp_path / "input.txt"
+        simulate = ["simulate", "--matrix", fixture_matrix_file("1_4"), "--model"]
+        argv = {
+            "word": ["decode", "--basis", basis_file("2_4"), "--word", bad],
+            "matrix_header": ["gb", "--matrix", str(path)],
+            "matrix_row": ["gb", "--matrix", str(path)],
+            "basis_header": ["decode", "--basis", str(path), "--word", "x1"],
+            "trials": simulate + ["fixed_weight:1", "--trials", bad],
+            "seed": simulate + ["fixed_weight:1", "--seed", bad],
+            "alpha": ["params", "--l", "2", "--m", "5", "--q", "2", "--alpha", bad],
+            "model": simulate + [bad],
+        }[case]
+        path.write_text({
+            "matrix_header": f"{bad}\n1 0 0 0 1 1 1\n",
+            "matrix_row": f"1 7 2\n{bad}\n",
+            "basis_header": f"# n={bad} order=degrevlex field=GF(2)\nx1^2 - 1\n",
+        }.get(case, ""))
+        capsys.readouterr()  # what writing the basis file printed
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses --trials and --seed below its usage
+            code = exc.code
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(err.encode()) < 300
+        assert [ln for ln in lines if "error:" in ln] == lines[-1:] and repr(bad) in lines[-1]
+        assert case in ("trials", "seed") or len(lines) == 1
 
 
 class TestVerifyPaper:

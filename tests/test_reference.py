@@ -19,9 +19,8 @@ MOVED = (
     "scan_coset_leaders", "scan_basis", "coset_minimum",
     "schubert_points_by_plucker_filter", "lex_key", "nn_decode", "CrossCheck", "cross_check",
     "TrialStream", "draw_error",
-    "buchberger", "_interreduce", "_lead_code", "_lead_key", "_LOW_BITS",
-    "_BUCHBERGER_MAX_VARS", "ideal_generators", "field_relation", "_grow_index",
-    "_drop_from_index",
+    "buchberger", "_remainder", "_lead_code", "_lead_key", "_LOW_BITS",
+    "_BUCHBERGER_MAX_VARS", "ideal_generators", "field_relation",
 )
 
 
@@ -77,7 +76,7 @@ def test_moved_names_are_defined_only_in_reference():
 
 
 def test_production_divisor_index_does_not_grow():
-    # the coset engine builds each index once; only Buchberger appends leads
+    # the coset engine builds each index once
     from schubert_gb.groebner import _DivisorIndex
 
     assert {name for name in vars(_DivisorIndex) if not name.startswith("__")} == {
