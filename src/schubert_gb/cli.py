@@ -38,6 +38,13 @@ def _spec_from_args(args) -> SchubertSpec:
     return SchubertSpec(l=args.l, m=args.m, q=args.q, alpha=alpha)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument with one ``error:`` line, as every input refusal is."""
+
+    def error(self, message: str):
+        self.exit(USAGE, f"error: {message}\n")
+
+
 def _int_arg(text: str) -> int:
     """An integer argument; argparse prints this refusal, not the whole text."""
     try:
@@ -158,7 +165,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgb",
         description="Schubert codes, binomial-ideal Groebner bases, and decoding",
     )

@@ -81,15 +81,14 @@ def _as_mask(word, n: int) -> int:
 class GroebnerDecoder(_EstimatorMixin):
     """Bounded-distance decoder backed by a reduced Groebner basis.
 
-    ``fit`` computes the basis with the coset engine.
+    ``fit`` computes the basis with the coset engine, which counts the code's
+    2^(n-k) cosets against the enumeration guard that ``SGB_MAX_N`` sets.
 
     Parameters
     ----------
     mode : 'bounded' | 'complete'
         'bounded' refuses words beyond the guarantee radius; 'complete'
         always decodes to the coset leader.  ``fit`` refuses any other.
-    limit : optional enumeration-guard override; the coset engine counts the
-        2^(n-k) cosets against it.
 
     Attributes (after fit)
     ----------------------
@@ -97,9 +96,8 @@ class GroebnerDecoder(_EstimatorMixin):
     t_ : capability               n_features_in_ : code length
     """
 
-    def __init__(self, mode: str = "bounded", limit: int | None = None):
+    def __init__(self, mode: str = "bounded"):
         self.mode = mode
-        self.limit = limit
         self.code_: LinearCode | None = None
         self.basis_: ReducedGroebnerBasis | None = None
         self.t_: int | None = None
@@ -109,7 +107,7 @@ class GroebnerDecoder(_EstimatorMixin):
         """Build the reduced basis from a k x n binary generator matrix X."""
         _check_mode(self.mode)
         code = X if isinstance(X, LinearCode) else LinearCode.from_generator(X, p=2)
-        basis = coset_engine(code, limit=self.limit)
+        basis = coset_engine(code)
         self.code_ = code
         self.basis_ = basis
         self.t_ = capability(basis)
@@ -137,16 +135,12 @@ class SyndromeTableDecoder(_EstimatorMixin):
     """Classical syndrome decoder over the degrevlex coset-leader table.
 
     Complete decoding: every word is corrected by its coset leader.  Within
-    the guarantee radius it agrees with :class:`GroebnerDecoder`.
-
-    Parameters
-    ----------
-    limit : optional enumeration-guard override; the table counts the
-        2^(n-k) cosets against it.
+    the guarantee radius it agrees with :class:`GroebnerDecoder`.  ``fit``
+    counts the code's 2^(n-k) cosets against the enumeration guard, which
+    ``SGB_MAX_N`` sets.
     """
 
-    def __init__(self, limit: int | None = None):
-        self.limit = limit
+    def __init__(self):
         self.code_: LinearCode | None = None
         self.table_: CosetLeaderTable | None = None
         self.n_features_in_: int | None = None
@@ -154,7 +148,7 @@ class SyndromeTableDecoder(_EstimatorMixin):
     def fit(self, X, y=None) -> "SyndromeTableDecoder":
         code = X if isinstance(X, LinearCode) else LinearCode.from_generator(X, p=2)
         self.code_ = code
-        self.table_ = build_coset_leader_table(code, limit=self.limit)
+        self.table_ = build_coset_leader_table(code)
         self.n_features_in_ = code.n
         return self
 

@@ -52,6 +52,9 @@ from .words import WORD_LIMIT, _parse_term, quoted, small_int
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
+# a matrix row: integers as int() reads them, less Unicode digits and _
+# separators, between ASCII blanks; check_matrix bounds their values
+_ROW = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*", re.ASCII)
 # basis lines are written and read in slices of at most this many, which
 # bounds the arrays sized by lines times n
 _SLICE_LINES = 1 << 12
@@ -84,7 +87,7 @@ def parse_matrix(text: str) -> tuple[np.ndarray, int]:
     rows = []
     for ln in lines[1:]:
         try:
-            if not ln.isascii():  # int() reads any Unicode digit
+            if not _ROW.fullmatch(ln):
                 raise ValueError
             row = [int(x) for x in ln.split()]
         except ValueError:

@@ -145,9 +145,7 @@ class ReducedGroebnerBasis:
         return int(np.bitwise_count(self.leads).min()) - 1
 
 
-def _validated_masks(
-    n: int, leads: np.ndarray, trails: np.ndarray, limit: int | None = None
-) -> ReducedGroebnerBasis:
+def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGroebnerBasis:
     """The basis of uint64 code-binomial lead and trail masks, checked.
 
     Besides the per-element checks of
@@ -162,7 +160,7 @@ def _validated_masks(
     closed under division and number one per coset, so the check visits at
     most 2^(n-k) monomials, with about n word operations each plus a sort,
     instead of O(N^2) work in the N code binomials.  The distinct monomials
-    it visits count against the enumeration guard (``limit``), so a genuine
+    it visits count against the enumeration guard, so a genuine
     basis passes wherever its coset table does, and the words it holds stay
     within a small multiple of the guard, so a hostile basis ends in
     EnumerationLimitError, not an unbounded allocation.
@@ -185,7 +183,7 @@ def _validated_masks(
     repeated = np.isin(code_leads, ordered[1:][ordered[1:] == ordered[:-1]])
     try:
         unreduced = repeated | np.isin(
-            code_leads, _leads_below(ordered, code_leads, code_trails, limit)
+            code_leads, _leads_below(ordered, code_leads, code_trails)
         )
     except EnumerationLimitError:
         if not (faulty | repeated).any():
@@ -252,9 +250,7 @@ def _check_element(b: Binomial, n: int) -> None:
         raise ValueError(f"element not oriented lead > trail: {b}")
 
 
-def _leads_below(
-    ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray, limit: int | None
-) -> np.ndarray:
+def _leads_below(ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray) -> np.ndarray:
     """Leads that divide a trail or strictly divide another lead.
 
     ``ordered`` is ``leads`` sorted.  Walks the down-closure of the trails
@@ -272,23 +268,23 @@ def _leads_below(
         return leads
     lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
     d = int(lw.max())
-    guard_enumeration((1 << d) - 2, "basis reducedness check", "monomials", limit)
+    guard_enumeration((1 << d) - 2, "basis reducedness check", "monomials")
     top = int(max(d, tw.max()))
-    layer = _next_layer((), top + 1, trails[tw == top], 0, limit)
+    layer = _next_layer((), top + 1, trails[tw == top], 0)
     found, visited = [leads[:0]], 0
     for w in range(top, 0, -1):
         if layer.size:  # look the leads up in the layer, which may be far larger
             at = np.minimum(np.searchsorted(layer, ordered), layer.size - 1)
             found.append(ordered[layer[at] == ordered])
         visited += layer.size
-        guard_enumeration(visited, "basis reducedness check", "monomials", limit)
+        guard_enumeration(visited, "basis reducedness check", "monomials")
         if w > 1:
-            layer = _next_layer((layer, leads[lw == w]), w, trails[tw == w - 1], visited, limit)
+            layer = _next_layer((layer, leads[lw == w]), w, trails[tw == w - 1], visited)
     return np.concatenate(found)
 
 
 def _next_layer(
-    parents: tuple[np.ndarray, ...], w: int, seeds: np.ndarray, visited: int, limit: int | None
+    parents: tuple[np.ndarray, ...], w: int, seeds: np.ndarray, visited: int
 ) -> np.ndarray:
     """The distinct words among ``seeds`` and every ``parent ^ bit``, ascending.
 
@@ -299,7 +295,7 @@ def _next_layer(
     plus a quarter of that and one slice, so the words held stay near the
     guard and each compaction is paid for by a quarter of it in new words.
     """
-    room = enum_limit(limit) - visited
+    room = enum_limit() - visited
     total = seeds.size + w * sum(p.size for p in parents)
     buf = np.empty(min(total, seeds.size + room + room // 4 + _SLICE_WORDS), dtype=np.uint64)
     buf[:seeds.size] = seeds
@@ -310,7 +306,7 @@ def _next_layer(
             part = src[a:a + step]
             if used + w * part.size > buf.size:
                 used = _compact(buf, used)
-                guard_enumeration(visited + used, "basis reducedness check", "monomials", limit)
+                guard_enumeration(visited + used, "basis reducedness check", "monomials")
             rest = part.copy()
             for row in buf[used:used + w * part.size].reshape(w, part.size):
                 low = rest & -rest  # clear each of the w set bits in turn
@@ -345,19 +341,18 @@ def _compact(buf: np.ndarray, used: int) -> int:
 # coset-leader engine
 # ---------------------------------------------------------------------------
 
-def coset_engine(code: LinearCode, limit: int | None = None) -> ReducedGroebnerBasis:
+def coset_engine(code: LinearCode) -> ReducedGroebnerBasis:
     """Reduced basis via the layered coset walk.
 
     Standard monomials are the supports of the degrevlex coset leaders; the
     code binomials are X^u - X^leader(coset(u)) over the minimal non-standard
     monomials u.  One run of :func:`~schubert_gb.linalg._coset_walk` yields
-    both, layer by weight layer over the 2^(n-k) cosets, and ``limit``
-    counts cosets.
+    both, layer by weight layer over the 2^(n-k) cosets, which the guard counts.
     """
     if code.p != 2:
         raise ValueError("binary only")
-    _, leads, trails = _coset_walk(code, limit, with_leads=True)
-    return _validated_masks(code.n, leads, trails, limit)
+    _, leads, trails = _coset_walk(code, with_leads=True)
+    return _validated_masks(code.n, leads, trails)
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,10 @@ def syndromes(words: np.ndarray, code: LinearCode) -> np.ndarray:
     return synd
 
 
-def _codeword_weights(code: LinearCode, limit: int | None):
+def _codeword_weights(code: LinearCode):
     """Yield weight arrays for all p^k codewords, in chunks."""
     total = code.p ** code.k
-    guard_enumeration(total, "codeword enumeration", "codewords", limit)
+    guard_enumeration(total, "codeword enumeration", "codewords")
     powers = code.p ** np.arange(code.k, dtype=np.int64)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
@@ -208,12 +208,12 @@ def _codeword_weights(code: LinearCode, limit: int | None):
         yield start, np.count_nonzero(wordsc, axis=1)
 
 
-def min_distance_bruteforce(code: LinearCode, limit: int | None = None) -> int:
+def min_distance_bruteforce(code: LinearCode) -> int:
     """Exact minimum weight over all nonzero codewords, by full enumeration."""
     if code.k == 0:
         raise ValueError("no nonzero codewords")
     best = code.n + 1
-    for start, wts in _codeword_weights(code, limit):
+    for start, wts in _codeword_weights(code):
         if start == 0:
             wts = wts[1:]
         if wts.size:
@@ -221,10 +221,10 @@ def min_distance_bruteforce(code: LinearCode, limit: int | None = None) -> int:
     return best
 
 
-def weight_distribution(code: LinearCode, limit: int | None = None) -> np.ndarray:
+def weight_distribution(code: LinearCode) -> np.ndarray:
     """Array A with A[w] = number of codewords of weight w; sums to p^k."""
     dist = np.zeros(code.n + 1, dtype=np.int64)
-    for _, wts in _codeword_weights(code, limit):
+    for _, wts in _codeword_weights(code):
         dist += np.bincount(wts, minlength=code.n + 1)
     return dist
 
@@ -246,19 +246,19 @@ class CosetLeaderTable:
         return int(self.leaders[syndrome_mask])
 
 
-def build_coset_leader_table(code: LinearCode, limit: int | None = None) -> CosetLeaderTable:
+def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
     """Degrevlex-minimal word of every coset, by the layered coset walk.
 
-    ``limit`` bounds the number of cosets, 2^(n-k), and is checked before
+    The enumeration guard bounds the number of cosets, 2^(n-k), before
     anything is allocated.  The walk (:func:`_coset_walk`) makes about n word
     operations per coset and holds the table plus one bounded slice, never
     an array over all 2^n words.  Syndromes index it as intp; n - k > 32 is refused.
     """
-    return CosetLeaderTable(leaders=_coset_walk(code, limit)[0], n=code.n, k=code.k)
+    return CosetLeaderTable(leaders=_coset_walk(code)[0], n=code.n, k=code.k)
 
 
 def _coset_walk(
-    code: LinearCode, limit: int | None, with_leads: bool = False
+    code: LinearCode, with_leads: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coset-leader table, and optionally the minimal non-standard monomials.
 
@@ -286,7 +286,7 @@ def _coset_walk(
     layer and one slice, plus the kept extensions of the layer.
     """
     n, k = code.n, code.k
-    guard_enumeration(1 << (n - k), "coset leader table", "cosets", limit)
+    guard_enumeration(1 << (n - k), "coset leader table", "cosets")
     code._require_binary()
     if n - k > 32:
         raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")

@@ -399,7 +399,7 @@ def buchberger(generators: Iterable[Binomial]) -> ReducedGroebnerBasis:
 # brute-force oracles and decoder agreement
 # ---------------------------------------------------------------------------
 
-def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray:
+def scan_coset_leaders(code: LinearCode) -> np.ndarray:
     """Oracle coset-leader table: scan all 2^n words, keep each syndrome's
     degrevlex minimum.
 
@@ -411,7 +411,7 @@ def scan_coset_leaders(code: LinearCode, limit: int | None = None) -> np.ndarray
     syndromes; the guard counts the 2^n words.
     """
     n, k = code.n, code.k
-    guard_enumeration(1 << n, "coset leader scan", "words", limit)
+    guard_enumeration(1 << n, "coset leader scan", "words")
     synd = np.zeros(1 << n, dtype=np.uint32)
     for i, col in enumerate(code.column_syndromes):
         synd[1 << i: 2 << i] = synd[: 1 << i] ^ np.uint32(col)
@@ -577,15 +577,13 @@ def draw_error(model: FixedWeight | BSC, rng: TrialStream, n: int) -> int:
 # Schubert points by filtering the Grassmannian
 # ---------------------------------------------------------------------------
 
-def schubert_points_by_plucker_filter(
-    spec: SchubertSpec, limit: int | None = None
-) -> list[tuple[int, ...]]:
+def schubert_points_by_plucker_filter(spec: SchubertSpec) -> list[tuple[int, ...]]:
     """Independent route: filter the full Grassmannian by coordinate vanishing."""
     outside = ~_below_alpha(spec)
     full = SchubertSpec.grassmann(spec.l, spec.m, spec.q)
     return [
         pt
-        for bases in enumerate_cell_bases(full, limit)
+        for bases in enumerate_cell_bases(full)
         for coords in (_plucker_rows(bases, spec.q),)
         for pt in map(tuple, coords[~coords[:, outside].any(axis=1)].tolist())
     ]

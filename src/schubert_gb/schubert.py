@@ -155,7 +155,7 @@ def _block_size(l: int, m: int) -> int:
     return max(1, _BLOCK_ENTRIES // (math.comb(m, l) * l * l))
 
 
-def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterator[np.ndarray]:
+def enumerate_cell_bases(spec: SchubertSpec) -> Iterator[np.ndarray]:
     """Yield the points of the Schubert variety as (N, l, m) stacks of
     echelon basis matrices, N at most ``_block_size(l, m)``.
 
@@ -163,7 +163,7 @@ def enumerate_cell_bases(spec: SchubertSpec, limit: int | None = None) -> Iterat
     read row-major as a base-q integer, ascending (first free cell = most
     significant digit).  A block never spans two pivot cells.
     """
-    guard_enumeration(schubert_params(spec).n, "point enumeration", "points", limit)
+    guard_enumeration(schubert_params(spec).n, "point enumeration", "points")
     l, m, q = spec.l, spec.m, spec.q
     step = _block_size(l, m)
     for piv in _admissible_pivots(spec):
@@ -215,14 +215,14 @@ def _below_alpha(spec: SchubertSpec) -> np.ndarray:
     return np.array([bruhat_leq(t, spec.alpha) for t in index_tuples(spec.l, spec.m)])
 
 
-def _point_blocks(spec: SchubertSpec, limit: int | None) -> Iterator[np.ndarray]:
+def _point_blocks(spec: SchubertSpec) -> Iterator[np.ndarray]:
     """Pluecker coordinate blocks of all points, in enumeration order.
 
     Every block is checked to vanish outside the lower Bruhat interval of
     alpha.
     """
     outside = ~_below_alpha(spec)
-    for bases in enumerate_cell_bases(spec, limit):
+    for bases in enumerate_cell_bases(spec):
         coords = _plucker_rows(bases, spec.q)
         if coords[:, outside].any():
             raise AssertionError("construction violated variety invariants: "
@@ -230,18 +230,16 @@ def _point_blocks(spec: SchubertSpec, limit: int | None) -> Iterator[np.ndarray]
         yield coords
 
 
-def enumerate_schubert_points(
-    spec: SchubertSpec, limit: int | None = None
-) -> list[tuple[int, ...]]:
+def enumerate_schubert_points(spec: SchubertSpec) -> list[tuple[int, ...]]:
     """Pluecker vectors of all points, in enumeration order, no duplicates.
 
     Every emitted vector vanishes outside the lower Bruhat interval of alpha;
     this is asserted for each point.
     """
-    return [pt for coords in _point_blocks(spec, limit) for pt in map(tuple, coords.tolist())]
+    return [pt for coords in _point_blocks(spec) for pt in map(tuple, coords.tolist())]
 
 
-def generator_matrix(spec: SchubertSpec, limit: int | None = None) -> np.ndarray:
+def generator_matrix(spec: SchubertSpec) -> np.ndarray:
     """k x n generator of the Schubert code.
 
     Row r evaluates the r-th surviving coordinate function (tuples <= alpha in
@@ -250,7 +248,7 @@ def generator_matrix(spec: SchubertSpec, limit: int | None = None) -> np.ndarray
     """
     keep = _below_alpha(spec)
     G = np.concatenate(
-        [coords[:, keep].T.astype(np.int64) for coords in _point_blocks(spec, limit)], axis=1
+        [coords[:, keep].T.astype(np.int64) for coords in _point_blocks(spec)], axis=1
     )
     if not G.any(axis=0).all():
         raise AssertionError("construction violated code invariants: zero column")

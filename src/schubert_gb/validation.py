@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .words import WORD_LIMIT
+from .words import WORD_LIMIT, quoted, small_int
 
 DEFAULT_MAX_ENUM_EXPONENT = 24
 ENUM_ENV_VAR = "SGB_MAX_N"
@@ -25,32 +25,33 @@ class NotFittedError(ValueError, AttributeError):
     """Estimator used before fit; mirrors scikit-learn's exception of the same name."""
 
 
-def enum_limit(override: int | None = None) -> int:
-    """Maximum number of words an exhaustive scan may enumerate.
+def enum_limit() -> int:
+    """The most cosets, codewords, points or monomials an exhaustive scan may
+    count: 2**24, or 2**e for the exponent e that SGB_MAX_N holds as an ASCII
+    integer from 0 to 64, since a word has at most 64 positions."""
+    text = os.environ.get(ENUM_ENV_VAR)
+    if text is None:
+        return 2 ** DEFAULT_MAX_ENUM_EXPONENT
+    try:
+        if 0 <= (exponent := small_int(text)) <= WORD_LIMIT:
+            return 2 ** exponent
+    except ValueError:
+        pass
+    raise ValueError(f"{ENUM_ENV_VAR} must be an integer from 0 to {WORD_LIMIT}, got {quoted(text)}")
 
-    Defaults to 2**24; the environment variable SGB_MAX_N overrides the
-    exponent, and an explicit ``override`` (a count, not an exponent) wins
-    over both.
-    """
-    if override is not None:
-        return int(override)
-    return 2 ** int(os.environ.get(ENUM_ENV_VAR, DEFAULT_MAX_ENUM_EXPONENT))
 
-
-def guard_enumeration(count: int, what: str, unit: str, limit: int | None = None) -> None:
+def guard_enumeration(count: int, what: str, unit: str) -> None:
     """Raise unless ``count``, in ``unit`` such as ``cosets``, is within the bound."""
-    if count > enum_limit(limit):
-        raise _bound_exceeded(what, count, unit, limit)
+    if count > enum_limit():
+        raise _bound_exceeded(what, count, unit)
 
 
-def _bound_exceeded(what: str, count: int | str, unit: str, limit: int | None = None):
-    """The guard's refusal, naming what raises the bound: a larger ``limit``
-    where a caller passed one, else SGB_MAX_N."""
-    bound = enum_limit(limit)
-    hint = ("pass a larger limit" if limit is not None
-            else f"set {ENUM_ENV_VAR} above {bound.bit_length() - 1}, the bound's base-2 exponent")
+def _bound_exceeded(what: str, count: int | str, unit: str) -> EnumerationLimitError:
+    """The guard's refusal, naming SGB_MAX_N, the setting that raises the bound."""
+    bound = enum_limit()
     return EnumerationLimitError(
-        f"enumeration bound exceeded: {what} needs {count} > {bound} {unit} ({hint})")
+        f"enumeration bound exceeded: {what} needs {count} > {bound} {unit} "
+        f"(set {ENUM_ENV_VAR} above {bound.bit_length() - 1}, the bound's base-2 exponent)")
 
 
 def check_prime(p: int) -> int:

@@ -25,6 +25,8 @@ _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 _QUOTED_CHARS = 40
 # digits of the longest number read from a header or an argument: every int64
 NUMBER_DIGITS = 19
+# such a number as int() reads it, less its Unicode digits and _ separators
+_NUMBER = re.compile(rf"\s*[+-]?[0-9]{{1,{NUMBER_DIGITS}}}\s*", re.ASCII)
 
 
 def quoted(text: str) -> str:
@@ -40,14 +42,14 @@ def quoted(text: str) -> str:
 
 
 def small_int(text: str) -> int:
-    """``int(text)`` for an ASCII number of at most ``NUMBER_DIGITS`` digits.
+    """``int(text)`` for a number of at most ``NUMBER_DIGITS`` ASCII digits,
+    with an optional sign and surrounding ASCII blanks.
 
-    A longer text is refused before ``int`` reads it, so no digit string of
-    unbounded length is converted, and so is a text that is not ASCII, since
-    ``int`` reads any Unicode digit.  The ValueError names nothing; callers
-    name the input through :func:`quoted`.
+    A longer digit string, a non-ASCII digit and a ``_`` separator, all of
+    which ``int`` reads, are refused first.  The ValueError names nothing;
+    callers name the input through :func:`quoted`.
     """
-    if not text.isascii() or len(text.strip().lstrip("+-")) > NUMBER_DIGITS:
+    if not _NUMBER.fullmatch(text):
         raise ValueError("not a short ASCII number")
     return int(text)
 

@@ -93,11 +93,11 @@ def wide_lead_basis_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def validated_masks(n, leads, trails, is_field, limit=None):
+def validated_masks(n, leads, trails, is_field):
     """Mask arrays and field flags through the basis checks, as parse_basis
     runs them: the field relations first, then the code binomials."""
     _check_fields(n, leads, trails, is_field)
-    return _validated_masks(n, leads[~is_field], trails[~is_field], limit)
+    return _validated_masks(n, leads[~is_field], trails[~is_field])
 
 
 def element_arrays(elements):
@@ -107,6 +107,6 @@ def element_arrays(elements):
     return leads, trails, np.array([b.kind == "field" for b in elements], dtype=bool)
 
 
-def validated(n, elements, limit=None):
+def validated(n, elements):
     """A list of Binomials through the basis checks, as mask arrays."""
-    return validated_masks(n, *element_arrays(elements), limit)
+    return validated_masks(n, *element_arrays(elements))

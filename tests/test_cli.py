@@ -21,6 +21,8 @@ class TestParams:
     def test_reference_line(self, capsys):
         code, out, _ = run(capsys, "params", "--l", "2", "--m", "5", "--q", "2", "--alpha", "1,4")
         assert code == 0 and out == "n=7 k=3 d=4 t=1 mds=no\n"
+        # a sign and blanks around each alpha entry are read
+        assert run(capsys, "params", "--l", "2", "--m", "5", "--q", "2", "--alpha", " +1, 4")[1] == out
 
     def test_other_reference_specs(self, capsys):
         code, out, _ = run(capsys, "params", "--l", "2", "--m", "5", "--q", "2", "--alpha", "1,5")
@@ -148,6 +150,24 @@ class TestGb:
             "-o", str(gen))
         code, _, err = run(capsys, "gb", "--matrix", str(gen))
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("value, status, message", [
+        ("14", 0, None),
+        ("13", 3, "error: enumeration bound exceeded: coset leader table needs 16384 > 8192 cosets "
+                  f"(set {ENUM_ENV_VAR} above 13, the bound's base-2 exponent)"),
+        ("\u0661\u0662", 2, f"error: {ENUM_ENV_VAR} must be an integer from 0 to 64, got '\u0661\u0662'"),
+        ("65", 2, f"error: {ENUM_ENV_VAR} must be an integer from 0 to 64, got '65'"),
+    ], ids=["14", "13", "arabic_indic", "65"])
+    def test_guard_exponent_from_the_environment(
+        self, capsys, monkeypatch, fixture_matrix_file, value, status, message
+    ):
+        monkeypatch.setenv(ENUM_ENV_VAR, value)  # [19,5,8]: 2^14 cosets
+        code, out, err = run(capsys, "gb", "--matrix", fixture_matrix_file("2_4"))
+        assert code == status
+        if message is None:
+            assert out == "elements=2127 t=3\n" and err == ""
+        else:
+            assert out == "" and err == message + "\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "gb", "--matrix", "/nonexistent/file.txt")
@@ -353,14 +373,30 @@ class TestSimulate:
         assert err.count("\n") == 1 and len(err.encode()) < 300
 
     @pytest.mark.parametrize("flag", ["--trials", "--seed"])
-    @pytest.mark.parametrize("value", ["9" * 5000, "x" * 10**5], ids=["digits", "letters"])
+    @pytest.mark.parametrize("value", ["9" * 5000, "x" * 10**5, "1_0"],
+                             ids=["digits", "letters", "separator"])
     def test_hostile_count_short_usage_error(self, capsys, fixture_matrix_file, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--matrix", fixture_matrix_file("1_4"),
                   "--model", "fixed_weight:1", flag, value])
         err = capsys.readouterr().err
-        assert exc.value.code == 2 and f"argument {flag}: expected an integer" in err
-        assert len(err.encode()) < 300
+        assert exc.value.code == 2 and err.startswith(f"error: argument {flag}: expected an integer")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_signed_padded_seed_read(self, capsys, fixture_matrix_file):
+        args = ("simulate", "--matrix", fixture_matrix_file("1_4"), "--model", "fixed_weight:1",
+                "--trials", "10")
+        assert run(capsys, *args, "--seed", " +7 ") == run(capsys, *args, "--seed", "7")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["gb"], ["params", "--l", "2"], ["verify-paper", "--only", "nope"],
+    ], ids=["no_command", "unknown_command", "missing_option", "missing_options", "bad_choice"])
+    def test_argument_errors_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_hostile_alpha_one_short_line(self, capsys):
         code, _, err = run(capsys, "params", "--l", "2", "--m", "5", "--q", "2",
@@ -407,13 +443,12 @@ class TestNonAsciiDigits:
         capsys.readouterr()  # what writing the basis file printed
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refuses --trials and --seed below its usage
+        except SystemExit as exc:  # the argument parser refuses --trials and --seed
             code = exc.code
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert code == 2 and out == "" and len(err.encode()) < 300
-        assert [ln for ln in lines if "error:" in ln] == lines[-1:] and repr(bad) in lines[-1]
-        assert case in ("trials", "seed") or len(lines) == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ") and repr(bad) in lines[0]
 
 
 class TestVerifyPaper:

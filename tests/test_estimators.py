@@ -38,18 +38,20 @@ def corrupted_batch(code, flips_per_row=1):
 
 class TestEstimatorProtocol:
     def test_get_set_params_roundtrip(self):
-        est = GroebnerDecoder(mode="complete", limit=1 << 10)
-        params = est.get_params()
-        assert params == {"mode": "complete", "limit": 1 << 10}
-        est.set_params(mode="bounded", limit=None)
-        assert est.mode == "bounded" and est.limit is None
+        est = GroebnerDecoder(mode="complete")
+        assert est.get_params() == {"mode": "complete"}
+        est.set_params(mode="bounded")
+        assert est.mode == "bounded"
+        assert GroebnerDecoder().get_params() == {"mode": "bounded"}
+        assert SyndromeTableDecoder().get_params() == {}
 
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):
             GroebnerDecoder().set_params(gamma=1)
 
     def test_repr_shows_params(self):
-        assert repr(GroebnerDecoder()) == "GroebnerDecoder(mode='bounded', limit=None)"
+        assert repr(GroebnerDecoder()) == "GroebnerDecoder(mode='bounded')"
+        assert repr(SyndromeTableDecoder()) == "SyndromeTableDecoder()"
 
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
@@ -83,25 +85,18 @@ class TestGroebnerDecoder:
         assert len(est.basis_.elements) == 21
 
     def test_fit_runs_the_coset_engine(self, monkeypatch, codes):
-        assert set(GroebnerDecoder().get_params()) == {"mode", "limit"}
         calls = []
 
-        def spy(code, limit=None):
-            calls.append(limit)
-            return coset_engine(code, limit=limit)
+        def spy(code):
+            calls.append(code)
+            return coset_engine(code)
 
         monkeypatch.setattr(estimators, "coset_engine", spy)
         for code in codes.values():
             est = GroebnerDecoder().fit(code.generator)
             assert est.basis_ == coset_engine(code)
             assert est.t_ == capability(est.basis_)
-        assert calls == [None] * len(codes)
-
-    def test_fit_passes_the_limit_to_the_coset_engine(self, codes):
-        code = codes["2_4"]  # [19,5,8]: 2^14 cosets
-        assert GroebnerDecoder(limit=1 << 14).fit(code).basis_ == coset_engine(code)
-        with pytest.raises(EnumerationLimitError, match="coset leader table"):
-            GroebnerDecoder(limit=(1 << 14) - 1).fit(code)
+        assert len(calls) == len(codes)
 
     def test_fit_refuses_a_long_code_before_its_parity_check(self):
         tracemalloc.start()

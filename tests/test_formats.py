@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -137,6 +138,14 @@ class TestMatrixFormat:
     def test_entry_beyond_int64_refused(self):
         with pytest.raises(ValueError, match="fit in int64"):
             parse_matrix("1 2 2\n99999999999999999999 0\n")
+
+    @pytest.mark.parametrize("row", ["1_0 1", "1 +-0", "1 1.0"])
+    def test_row_of_other_than_ascii_integers_refused(self, row):
+        with pytest.raises(ValueError, match=f"^bad matrix row {re.escape(repr(row))}: expected integers$"):
+            parse_matrix(f"1 2 11\n{row}\n")
+
+    def test_row_signs_and_blanks_read(self):
+        assert parse_matrix("1 3 11\n +1\t-0  10 \r\n")[0].tolist() == [[1, 0, 10]]
 
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 2\)"):

@@ -48,7 +48,7 @@ from schubert_gb.reference import (
     scan_coset_leaders,
     spoly,
 )
-from schubert_gb.validation import EnumerationLimitError
+from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, monomial_from_string, weight
 
@@ -306,12 +306,6 @@ class TestCosetWalkEngine:
         code = LinearCode.from_generator(np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]]), 2)
         gb = coset_engine(code)
         assert len(gb.elements) == 13 and gb == buchberger(ideal_generators(code))
-
-    def test_guard_counts_cosets(self, codes):
-        code = codes["2_4"]  # [19,5,8]: 2^14 cosets
-        assert coset_engine(code, limit=1 << 14) == coset_engine(code)
-        with pytest.raises(EnumerationLimitError, match="coset leader table needs 16384 > 16383"):
-            coset_engine(code, limit=(1 << 14) - 1)
 
 
 # reduced degrevlex bases from sympy 1.14, groebner(..., order="grevlex",
@@ -792,73 +786,90 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range for length 4"):
             validated(4, valid + [Binomial(1 << 10 | 1, 0, "code")])
 
-    def test_wide_leads_hit_the_guard(self):
+    def test_wide_leads_hit_the_guard(self, monkeypatch):
         n, elements = parse_element_lines(wide_lead_basis_text())
+        monkeypatch.setenv(ENUM_ENV_VAR, "20")
         with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
-            validated(n, elements, limit=1 << 20)
+            validated(n, elements)
 
     def test_wide_leads_refused_before_the_walk(self, monkeypatch):
         n, elements = parse_element_lines(wide_lead_basis_text())
         walked = []
         monkeypatch.setattr(groebner, "_next_layer", lambda *args: walked.append(args))
         # a degree-40 lead has 2^40 - 2 proper divisors other than 1
+        monkeypatch.setenv(ENUM_ENV_VAR, "24")
         with pytest.raises(EnumerationLimitError,
                            match=f"basis reducedness check needs {2**40 - 2} > {2**24} "):
-            validated(n, elements, limit=1 << 24)
+            validated(n, elements)
         assert not walked
 
-    def test_guard_yields_to_a_known_fault(self):
+    def test_guard_yields_to_a_known_fault(self, monkeypatch):
         n, elements = parse_element_lines(wide_lead_basis_text())
         misoriented = Binomial(mask_from_support([3, 4]), mask_from_support([1, 2]), "code")
+        monkeypatch.setenv(ENUM_ENV_VAR, "20")
         with pytest.raises(ValueError, match="not oriented"):
-            validated(n, elements + [misoriented], limit=1 << 20)
+            validated(n, elements + [misoriented])
 
-    def test_genuine_bases_pass_at_the_coset_table_limit(self, codes, small_random_codes):
+    def test_genuine_bases_pass_at_the_coset_table_limit(
+        self, monkeypatch, codes, small_random_codes
+    ):
         for code in list(codes.values()) + small_random_codes + random_codes():
-            limit = 1 << (code.n - code.k)  # the coset table's own guard count
-            gb = coset_engine(code, limit=limit)
-            assert gb == coset_engine(code)
-            assert validated(gb.n, gb.elements, limit=limit) == gb
+            gb = coset_engine(code)
+            # the coset table's own guard count, 2^(n-k)
+            monkeypatch.setenv(ENUM_ENV_VAR, str(code.n - code.k))
+            assert coset_engine(code) == gb
+            assert validated(gb.n, gb.elements) == gb
+            monkeypatch.delenv(ENUM_ENV_VAR)
 
-    def test_ladder_bases_pass_at_the_coset_table_limit(self, ladder_rungs):
+    def test_ladder_bases_pass_at_the_coset_table_limit(self, monkeypatch, ladder_rungs):
         for code in ladder_rungs.values():
-            limit = 1 << (code.n - code.k)
-            gb = coset_engine(code, limit=limit)
-            assert validated(gb.n, gb.elements, limit=limit) == gb
+            monkeypatch.setenv(ENUM_ENV_VAR, str(code.n - code.k))
+            gb = coset_engine(code)
+            assert validated(gb.n, gb.elements) == gb
 
-    @pytest.mark.parametrize("limit", [None, 1000])
-    def test_layer_expansion_in_small_slices(self, monkeypatch, limit):
-        # 8-word slices and, under limit=1000, a buffer that fills and is
+    @pytest.mark.parametrize("exponent", [None, 9])
+    def test_layer_expansion_in_small_slices(self, monkeypatch, exponent):
+        # 8-word slices and, under a guard of 2^9, a buffer that fills and is
         # compacted several times: the layer is still every distinct divisor
         monkeypatch.setattr(groebner, "_SLICE_WORDS", 8)
+        if exponent is not None:
+            monkeypatch.setenv(ENUM_ENV_VAR, str(exponent))
         fives = [sum(1 << i for i in c) for c in itertools.combinations(range(12), 5)]
         parents = np.array(fives[::2], dtype=np.uint64)
         seeds = np.array([0b1111, 0b1111, 0b11110000], dtype=np.uint64)
-        layer = groebner._next_layer((parents, parents[:7]), 5, seeds, 0, limit)
+        layer = groebner._next_layer((parents, parents[:7]), 5, seeds, 0)
         want = sorted({int(p) ^ (1 << i) for p in parents for i in range(12) if int(p) >> i & 1}
                       | {0b1111, 0b11110000})
-        assert layer.tolist() == want
-        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
-            groebner._next_layer((parents,), 5, seeds, 0, len(want) // 2)  # at a compaction
+        assert layer.tolist() == want and len(want) <= 2**9
+        # under 2^8, about half the 495 divisors, the buffer fills and the
+        # guard refuses the count of a compaction
+        compactions = []
+        compact = groebner._compact
+        monkeypatch.setattr(groebner, "_compact", lambda *a: compactions.append(1) or compact(*a))
+        monkeypatch.setenv(ENUM_ENV_VAR, "8")
+        with pytest.raises(EnumerationLimitError, match="basis reducedness check needs 276 > 256 "):
+            groebner._next_layer((parents,), 5, seeds, 0)
+        assert compactions
 
-    def test_wide_leads_stay_within_memory(self):
+    def test_wide_leads_stay_within_memory(self, monkeypatch):
         # the check holds the distinct monomials the guard admits, a quarter
         # more of buffer and one slice: about 10 bytes per guarded word
         n, elements = parse_element_lines(wide_lead_basis_text())
-        limit = 1 << 21
+        monkeypatch.setenv(ENUM_ENV_VAR, "21")
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
-                validated(n, elements, limit=limit)
+                validated(n, elements)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * limit + (8 << 20)
+        assert peak < 12 * 2**21 + (8 << 20)
 
-    def test_check_counts_against_limit(self, codes):
+    def test_check_counts_against_limit(self, monkeypatch, codes):
         gb = coset_engine(codes["2_4"])
+        monkeypatch.setenv(ENUM_ENV_VAR, "10")  # 2^10 of the check's 5,950 monomials
         with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
-            validated(gb.n, gb.elements, limit=1000)
+            validated(gb.n, gb.elements)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

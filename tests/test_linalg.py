@@ -274,9 +274,10 @@ class TestDistanceAndWeights:
         with pytest.raises(ValueError, match="no nonzero codewords"):
             min_distance_bruteforce(code)
 
-    def test_enumeration_guard(self, codes):
+    def test_enumeration_guard(self, monkeypatch, codes):
+        monkeypatch.setenv(ENUM_ENV_VAR, "2")  # [19,5,8] has 2^5 codewords
         with pytest.raises(EnumerationLimitError, match="enumeration bound exceeded"):
-            min_distance_bruteforce(codes["2_4"], limit=4)
+            min_distance_bruteforce(codes["2_4"])
 
     def test_singleton_bound(self, codes):
         for code in codes.values():
@@ -340,21 +341,23 @@ class TestCosetLeaders:
             with pytest.raises(ValueError, match="^mask operations require n <= 64$"):
                 masks()
 
-    def test_binary_only_and_guard(self):
+    def test_binary_only_and_guard(self, monkeypatch):
         gf3 = LinearCode.from_generator(np.array([[1, 2, 0]]), 3)
         with pytest.raises(ValueError, match="binary only"):
             build_coset_leader_table(gf3)
         code = LinearCode.from_generator(A_1_4, 2)
+        monkeypatch.setenv(ENUM_ENV_VAR, "3")  # [7,3,4] has 2^4 cosets
         with pytest.raises(EnumerationLimitError):
-            build_coset_leader_table(code, limit=15)  # [7,3,4] has 16 cosets
+            build_coset_leader_table(code)
 
-    def test_width_limits_refused_before_scan(self):
-        # n - k = 33 overflows the uint32 syndromes; the raised limit admits 2^34 cosets
+    def test_width_limits_refused_before_scan(self, monkeypatch):
+        # n - k = 33 overflows the uint32 syndromes; the raised guard admits 2^34 cosets
+        monkeypatch.setenv(ENUM_ENV_VAR, "34")
         code = LinearCode.from_generator(np.ones((1, 34), dtype=int), 2)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"syndromes need n - k <= 32, got 33"):
-                build_coset_leader_table(code, limit=1 << 34)
+                build_coset_leader_table(code)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

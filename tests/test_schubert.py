@@ -25,7 +25,7 @@ from schubert_gb.fixtures import TAGS, expected_params, load_generator
 from schubert_gb.linalg import _eliminate, _residues, rank
 from schubert_gb.reference import schubert_points_by_plucker_filter
 from schubert_gb.schubert import _plucker_rows, enumerate_cell_bases
-from schubert_gb.validation import EnumerationLimitError
+from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 
 from conftest import LARGE_PRIME
 
@@ -393,24 +393,27 @@ class TestPointEnumeration:
                 schubert_points_by_plucker_filter(spec)
             )
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv(ENUM_ENV_VAR, "7")  # G(2,5) over GF(2) has 155 points
         with pytest.raises(EnumerationLimitError):
-            enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2), limit=100)
+            enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2))
 
     def test_point_outside_alpha_is_caught(self, monkeypatch):
         # feed the pivot route one basis whose pivots (4, 5) exceed alpha
         stray = np.zeros((1, 2, 5), dtype=np.int64)
         stray[0, 0, 3] = stray[0, 1, 4] = 1
-        monkeypatch.setattr(schubert, "enumerate_cell_bases", lambda spec, limit: iter([stray]))
+        monkeypatch.setattr(schubert, "enumerate_cell_bases", lambda spec: iter([stray]))
         with pytest.raises(AssertionError, match="outside alpha"):
             enumerate_schubert_points(spec_for("1_4"))
         with pytest.raises(AssertionError, match="outside alpha"):
             generator_matrix(spec_for("1_4"))
 
-    def test_guard_runs_before_any_stack(self):
+    def test_guard_runs_before_any_stack(self, monkeypatch):
+        monkeypatch.setenv(ENUM_ENV_VAR, "7")
+
         def run():
             with pytest.raises(EnumerationLimitError):
-                enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2), limit=100)
+                enumerate_schubert_points(SchubertSpec.grassmann(2, 5, 2))
 
         _, _, peak = traced_peak(run)
         assert peak < 1 << 20

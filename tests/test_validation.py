@@ -3,8 +3,19 @@ import time
 import numpy as np
 import pytest
 
-from schubert_gb import LinearCode, build_coset_leader_table, min_distance_bruteforce
+from schubert_gb import (
+    GroebnerDecoder,
+    LinearCode,
+    SchubertSpec,
+    SyndromeTableDecoder,
+    build_coset_leader_table,
+    coset_engine,
+    enumerate_schubert_points,
+    min_distance_bruteforce,
+)
+from schubert_gb.reference import scan_coset_leaders
 from schubert_gb.validation import (
+    ENUM_ENV_VAR,
     EnumerationLimitError,
     check_matrix,
     check_prime,
@@ -12,7 +23,7 @@ from schubert_gb.validation import (
     guard_enumeration,
 )
 
-from conftest import A_1_4
+from conftest import A_1_4, validated
 
 
 class TestPrime:
@@ -88,16 +99,71 @@ class TestEnumerationGuard:
         with pytest.raises(EnumerationLimitError):
             guard_enumeration(2048, "test scan", "words")
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("SGB_MAX_N", "4")
-        guard_enumeration(1000, "test scan", "words", limit=4096)
+    @pytest.mark.parametrize("text, exponent", [
+        (" +7 ", 7), ("0", 0), ("64", 64), ("0064", 64),
+    ])
+    def test_env_exponents_read(self, monkeypatch, text, exponent):
+        monkeypatch.setenv(ENUM_ENV_VAR, text)
+        assert enum_limit() == 2**exponent
+
+    @pytest.mark.parametrize("text", [
+        "\u0661\u0662", "65", "-1", "abc", "", "1_2", "1.0", "9" * 5000,
+    ], ids=["arabic_indic", "65", "negative", "letters", "empty", "underscore", "float", "5000_digits"])
+    def test_env_refused_naming_the_variable(self, monkeypatch, text):
+        # every exponent from 0 to 64 is read: a word has at most 64 positions
+        monkeypatch.setenv(ENUM_ENV_VAR, text)
+        with pytest.raises(ValueError, match=f"^{ENUM_ENV_VAR} must be an integer from 0 to 64, got "):
+            LinearCode.from_generator(A_1_4, 2)
+        with pytest.raises(ValueError) as exc:
+            enum_limit()
+        assert repr(text[:40]) in str(exc.value) and len(str(exc.value)) < 200
+        assert not isinstance(exc.value, EnumerationLimitError)
+
+    # each exhaustive scan, its exponent and its refusal one below, on
+    # [19,5,8] (2^14 cosets, 2^5 codewords, 19 points) or [7,3,4] (2^7 words)
+    SCANS = {
+        "coset_table": (14, "coset leader table needs 16384 > 8192 cosets"),
+        "coset_engine": (14, "coset leader table needs 16384 > 8192 cosets"),
+        "groebner_decoder_fit": (14, "coset leader table needs 16384 > 8192 cosets"),
+        "syndrome_decoder_fit": (14, "coset leader table needs 16384 > 8192 cosets"),
+        "reducedness_check": (13, "basis reducedness check needs 5950 > 4096 monomials"),
+        "codeword_enumeration": (5, "codeword enumeration needs 32 > 16 codewords"),
+        "point_enumeration": (5, "point enumeration needs 19 > 16 points"),
+        "coset_leader_scan": (7, "coset leader scan needs 128 > 64 words"),
+    }
+
+    @pytest.mark.parametrize("case", SCANS)
+    def test_scan_passes_at_its_exponent_and_refuses_below(self, monkeypatch, codes, bases, case):
+        code, basis = codes["2_4"], bases["2_4"]
+        scan = {
+            "coset_table": lambda: build_coset_leader_table(code).leaders,
+            "coset_engine": lambda: coset_engine(code),
+            "groebner_decoder_fit": lambda: GroebnerDecoder().fit(code).basis_,
+            "syndrome_decoder_fit": lambda: SyndromeTableDecoder().fit(code).table_.leaders,
+            "reducedness_check": lambda: validated(basis.n, basis.elements),
+            "codeword_enumeration": lambda: min_distance_bruteforce(code),
+            "point_enumeration": lambda: enumerate_schubert_points(SchubertSpec(2, 5, 2, (2, 4))),
+            "coset_leader_scan": lambda: scan_coset_leaders(codes["1_4"]),
+        }[case]
+        exponent, message = self.SCANS[case]
+        monkeypatch.delenv(ENUM_ENV_VAR, raising=False)
+        want = scan()
+        monkeypatch.setenv(ENUM_ENV_VAR, str(exponent))
+        got = scan()
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+        monkeypatch.setenv(ENUM_ENV_VAR, str(exponent - 1))
+        with pytest.raises(EnumerationLimitError) as exc:
+            scan()
+        assert str(exc.value) == (f"enumeration bound exceeded: {message} (set {ENUM_ENV_VAR} "
+                                  f"above {exponent - 1}, the bound's base-2 exponent)")
 
     def test_env_gates_table_construction(self, monkeypatch):
         code = LinearCode.from_generator(A_1_4, 2)
-        monkeypatch.setenv("SGB_MAX_N", "3")  # [7,3,4] has 2^4 cosets
+        monkeypatch.setenv(ENUM_ENV_VAR, "3")  # [7,3,4] has 2^4 cosets and 2^3 codewords
         with pytest.raises(EnumerationLimitError):
             build_coset_leader_table(code)
+        monkeypatch.setenv(ENUM_ENV_VAR, "2")
         with pytest.raises(EnumerationLimitError):
-            min_distance_bruteforce(code, limit=4)
-        monkeypatch.delenv("SGB_MAX_N")
+            min_distance_bruteforce(code)
+        monkeypatch.delenv(ENUM_ENV_VAR)
         assert min_distance_bruteforce(code) == 4

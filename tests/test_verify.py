@@ -21,9 +21,9 @@ def test_random_codes_built_once_per_run(monkeypatch, small_random_codes):
         calls.append(1)
         return small_random_codes[:2]
 
-    def counted_engine(code, limit=None):
+    def counted_engine(code):
         built.append(code)
-        return engine(code, limit)
+        return engine(code)
 
     monkeypatch.setattr(verify, "random_codes", counted)
     monkeypatch.setattr(verify, "coset_engine", counted_engine)

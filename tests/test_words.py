@@ -11,6 +11,7 @@ from schubert_gb.words import (
     mask_from_bits,
     monomial_from_string,
     monomial_to_string,
+    small_int,
     support,
     weight,
     word_from_string,
@@ -38,6 +39,21 @@ def test_word_string_rejects_junk():
         word_from_string("10a1")
     with pytest.raises(ValueError):
         word_from_string("1" * 65)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), (" +7 ", 7), ("-3", -3), ("\t12\n", 12), ("007", 7), ("9" * 19, 10**19 - 1),
+])
+def test_small_int_reads_signed_ascii_numbers(text, value):
+    assert small_int(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "\u0661", "1\u00a0", "", " ", "+", "++1", "1 2", "0x10", "1.0", "9" * 20, "9" * 5000,
+])
+def test_small_int_refuses_what_int_reads_beyond_ascii_digits(text):
+    with pytest.raises(ValueError, match="^not a short ASCII number$"):
+        small_int(text)
 
 
 def test_monomial_strings():
