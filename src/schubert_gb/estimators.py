@@ -136,8 +136,7 @@ class SyndromeTableDecoder(_EstimatorMixin):
 
     Complete decoding: every word is corrected by its coset leader.  Within
     the guarantee radius it agrees with :class:`GroebnerDecoder`.  ``fit``
-    counts the code's 2^(n-k) cosets against the enumeration guard, which
-    ``SGB_MAX_N`` sets.
+    counts the code's 2^(n-k) cosets against the guard that ``SGB_MAX_N`` sets.
     """
 
     def __init__(self):

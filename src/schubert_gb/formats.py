@@ -45,16 +45,15 @@ from .groebner import (
 )
 from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
-from .words import WORD_LIMIT, _parse_term, quoted, small_int
+from .words import SIGNED_DIGIT, WORD_LIMIT, _parse_term, quoted, small_int
 
 # \d takes any Unicode digit, so a header spelling n in other digits is
 # named and refused, not read as a comment
 _HEADER = re.compile(
     r"#\s*n\s*=\s*(\d+)\s+order\s*=\s*(\S+)\s+field\s*=\s*GF\(2\)\s*$"
 )
-# a matrix row: integers as int() reads them, less Unicode digits and _
-# separators, between ASCII blanks; check_matrix bounds their values
-_ROW = re.compile(r"\s*[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*\s*", re.ASCII)
+# a matrix row: signed ASCII digits between ASCII blanks; check_matrix bounds them
+_ROW = re.compile(rf"\s*{SIGNED_DIGIT}+(?:\s+{SIGNED_DIGIT}+)*\s*", re.ASCII)
 # basis lines are written and read in slices of at most this many, which
 # bounds the arrays sized by lines times n
 _SLICE_LINES = 1 << 12

@@ -341,7 +341,7 @@ def _compact(buf: np.ndarray, used: int) -> int:
 # coset-leader engine
 # ---------------------------------------------------------------------------
 
-def coset_engine(code: LinearCode) -> ReducedGroebnerBasis:
+def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebnerBasis:
     """Reduced basis via the layered coset walk.
 
     Standard monomials are the supports of the degrevlex coset leaders; the
@@ -349,6 +349,8 @@ def coset_engine(code: LinearCode) -> ReducedGroebnerBasis:
     monomials u.  One run of :func:`~schubert_gb.linalg._coset_walk` yields
     both, layer by weight layer over the 2^(n-k) cosets, which the guard counts.
     """
+    if _former_limit is not None:
+        raise TypeError("coset_engine takes no limit; set SGB_MAX_N instead")
     if code.p != 2:
         raise ValueError("binary only")
     _, leads, trails = _coset_walk(code, with_leads=True)

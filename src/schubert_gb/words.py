@@ -25,8 +25,9 @@ _VAR_BITS = {str(i): 1 << (i - 1) for i in range(1, WORD_LIMIT + 1)}
 _QUOTED_CHARS = 40
 # digits of the longest number read from a header or an argument: every int64
 NUMBER_DIGITS = 19
-# such a number as int() reads it, less its Unicode digits and _ separators
-_NUMBER = re.compile(rf"\s*[+-]?[0-9]{{1,{NUMBER_DIGITS}}}\s*", re.ASCII)
+# a sign and a digit; repeating the digit gives int()'s integers less Unicode digits and _
+SIGNED_DIGIT = r"[+-]?[0-9]"
+_NUMBER = re.compile(rf"\s*{SIGNED_DIGIT}{{1,{NUMBER_DIGITS}}}\s*", re.ASCII)
 
 
 def quoted(text: str) -> str:

@@ -248,6 +248,14 @@ class TestCosetWalkEngine:
         for code in list(codes.values()) + small_random_codes + random_codes():
             assert coset_engine(code) == scan_basis(code)
 
+    def test_former_limit_slot_takes_only_none(self, codes, monkeypatch):
+        # callers written against coset_engine(code, limit) may pass None; a bound is refused
+        code = codes["2_4"]
+        assert coset_engine(code, None) == coset_engine(code)
+        monkeypatch.setenv(ENUM_ENV_VAR, "0")
+        with pytest.raises(TypeError, match="takes no limit; set SGB_MAX_N"):
+            coset_engine(code, 1 << 24)
+
     def test_scan_basis_peak_is_the_scans(self, codes):
         # the basis is read off two boolean arrays made after the scan's own are freed
         peaks = []
