@@ -25,7 +25,8 @@ from .schubert import (
 )
 from .validation import EnumerationLimitError, _bound_exceeded, enum_limit
 from .verify import SECTIONS, run_checks
-from .words import NUMBER_DIGITS, WORD_LIMIT, monomial_to_string, quoted, small_int, word_to_string
+from .words import DECIMAL, NUMBER_DIGITS, WORD_LIMIT, monomial_to_string, quoted, small_int
+from .words import word_to_string
 
 OK, MISMATCH, USAGE, GUARD, MISSING_FIXTURE = 0, 1, 2, 3, 4
 
@@ -140,7 +141,7 @@ def _parse_model(text: str):
         if kind == "fixed_weight":
             return FixedWeight(small_int(value))
         if kind == "bsc":
-            if not value.isascii():  # float() reads any Unicode digit
+            if not DECIMAL.fullmatch(value):
                 raise ValueError
             return BSC(float(value))
     except ValueError:

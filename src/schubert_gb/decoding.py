@@ -7,12 +7,12 @@ is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
 
 Single words and batches share one decode rule on two entry points of the
-one rewrite kernel: :func:`_canonical` runs the scalar ``_reduce`` for
-:func:`gb_decode`, which wraps its result in a :class:`DecodeOutcome`, and
-:func:`_canonical_many` runs ``_reduce_many`` on a uint64 array for the batch
-callers (:func:`simulate`, ``GroebnerDecoder.predict``).  Single words stay
-on the scalar kernel, since a one-word batch pays some hundred microseconds
-of fixed numpy calls where ``_reduce`` takes a few.
+one rewrite kernel: :func:`gb_decode` runs the scalar ``_reduce`` and wraps
+its result in a :class:`DecodeOutcome`, and :func:`_canonical_many` runs
+``_reduce_many`` on a uint64 array for the batch callers (:func:`simulate`,
+``GroebnerDecoder.predict``).  Single words stay on the scalar kernel, since
+a one-word batch pays some hundred microseconds of fixed numpy calls where
+``_reduce`` takes a few.
 
 The seeded channel simulator draws and decodes its trials in blocks of at
 most ``_BLOCK`` as uint64 arrays: trial i is a splitmix64 stream of its own,
@@ -61,20 +61,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown decode mode {mode!r}")
 
 
-def _canonical(word: int, gb: ReducedGroebnerBasis, mode: str) -> tuple[int, bool]:
-    """The canonical form of a word mask already known to be in range, and
-    whether the word decodes, which in ``bounded`` mode means the form's
-    weight is at most t = capability(gb)."""
-    _check_mode(mode)
-    canonical = _reduce(word, gb._divisor_index)
-    return canonical, mode == "complete" or canonical.bit_count() <= capability(gb)
-
-
 def _canonical_many(
     words: np.ndarray, gb: ReducedGroebnerBasis, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_canonical` of each word of a uint64 array of in-range masks:
-    the canonical forms and a boolean array of verdicts."""
+    """The canonical forms of a uint64 array of in-range masks and a boolean
+    array of :func:`gb_decode`'s verdicts: whether each word decodes."""
     _check_mode(mode)
     canonical = _reduce_many(words, gb._divisor_index)
     if mode == "complete":
@@ -93,8 +84,9 @@ def gb_decode(
     convenience, not part of the published procedure).
     """
     w = check_word_mask(word, gb.n)
-    canonical, decoded = _canonical(w, gb, mode)
-    if decoded:
+    _check_mode(mode)
+    canonical = _reduce(w, gb._divisor_index)
+    if mode == "complete" or canonical.bit_count() <= capability(gb):
         return DecodeOutcome(DECODED, canonical, canonical.bit_count(), canonical, w ^ canonical)
     return DecodeOutcome(TOO_MANY_ERRORS, canonical, canonical.bit_count())
 

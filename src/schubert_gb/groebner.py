@@ -47,7 +47,7 @@ import numpy as np
 
 from .linalg import _ONE, _SLICE_WORDS, LinearCode, _coset_walk
 from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
-from .words import WORD_LIMIT, degrevlex_key
+from .words import WORD_LIMIT, support
 
 ORDER_ID = "degrevlex"
 # dividing-lead bitset limbs per block of the batch kernel: bounds its working memory
@@ -148,8 +148,8 @@ class ReducedGroebnerBasis:
 def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGroebnerBasis:
     """The basis of uint64 code-binomial lead and trail masks, checked.
 
-    Besides the per-element checks of
-    :func:`_check_element`, the code binomials must be reduced: no lead
+    Besides the per-element checks - both masks in range, the lead above
+    the trail in degrevlex - the code binomials must be reduced: no lead
     divides another lead or any trail.  That is checked over the standard
     monomials (those no lead divides) rather than lead against lead.  A lead
     dividing a trail lies below that trail, and a lead strictly dividing
@@ -174,11 +174,9 @@ def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGr
     order = _element_order(leads, np.zeros(leads.size, dtype=bool))
     code_leads, code_trails = leads[order], trails[order]
     lw, tw = np.bitwise_count(code_leads), np.bitwise_count(code_trails)
-    faulty = (
-        ((code_leads | code_trails) > np.uint64((1 << n) - 1))
-        | (lw < tw)
-        | ((lw == tw) & (code_leads >= code_trails))  # degrevlex: equal degree, larger mask is smaller
-    )
+    # degrevlex: equal degree, larger mask is smaller
+    disoriented = (lw < tw) | ((lw == tw) & (code_leads >= code_trails))
+    faulty = ((code_leads | code_trails) > np.uint64((1 << n) - 1)) | disoriented
     ordered = np.sort(code_leads)
     repeated = np.isin(code_leads, ordered[1:][ordered[1:] == ordered[:-1]])
     try:
@@ -193,7 +191,10 @@ def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGr
     if rejected.any():
         at = int(rejected.argmax())
         b = Binomial(int(code_leads[at]), int(code_trails[at]))
-        _check_element(b, n)
+        check_word_mask(b.lead, n)
+        check_word_mask(b.trail, n)
+        if disoriented[at]:
+            raise ValueError(f"element not oriented lead > trail: {b}")
         L = code_leads[at]
         if np.count_nonzero((code_leads & L) == L) != 1:
             raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
@@ -240,14 +241,6 @@ def _element_order(leads: np.ndarray, is_field: np.ndarray) -> np.ndarray:
     high = np.where(is_field, leads, leads >> np.uint64(1))
     low = np.where(is_field, np.uint64(0), leads & np.uint64(1))
     return np.lexsort((~low, ~high, degree))
-
-
-def _check_element(b: Binomial, n: int) -> None:
-    """Raise the first reason a code binomial is malformed, if it is."""
-    check_word_mask(b.lead, n)
-    check_word_mask(b.trail, n)
-    if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
-        raise ValueError(f"element not oriented lead > trail: {b}")
 
 
 def _leads_below(ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray) -> np.ndarray:
@@ -446,7 +439,7 @@ def _reduce(
         if selector is None:
             m ^= rewrites[(hits & -hits).bit_length() - 1]
         else:
-            found = _bit_positions(hits)
+            found = np.array(support(hits), dtype=np.intp) - 1
             m ^= rewrites[found[selector(found)]]
     return m
 
@@ -490,16 +483,6 @@ def _reduce_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lighte
         lead = 64 * first + np.bitwise_count(limb ^ (limb - _ONE)) - 1
         live = live[divided]
         m[live] ^= rewrites[lead]
-
-
-def _bit_positions(bits: int) -> np.ndarray:
-    """Ascending positions of the set bits of a nonnegative int."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return np.array(out, dtype=np.intp)
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:

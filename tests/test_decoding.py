@@ -113,9 +113,9 @@ class TestCanonicalMany:
         for gb in bases.values():
             words = np.arange(min(1 << gb.n, 1 << 15), dtype=np.uint64) * np.uint64(13) % np.uint64(1 << gb.n)
             canonical, decoded = decoding._canonical_many(words, gb, mode)
-            want = [decoding._canonical(w, gb, mode) for w in words.tolist()]
-            assert canonical.tolist() == [c for c, _ in want]
-            assert decoded.dtype == bool and decoded.tolist() == [d for _, d in want]
+            want = [gb_decode(w, gb, mode) for w in words.tolist()]
+            assert canonical.tolist() == [out.canonical for out in want]
+            assert decoded.dtype == bool and decoded.tolist() == [out.status == DECODED for out in want]
 
     def test_unknown_mode(self, bases):
         with pytest.raises(ValueError, match="unknown decode mode 'maybe'"):
@@ -125,7 +125,7 @@ class TestCanonicalMany:
         gb = coset_engine(LinearCode.from_generator(np.zeros((0, 5), dtype=int), 2))  # k = 0
         words = np.arange(1 << 5, dtype=np.uint64)
         with pytest.raises(ValueError) as scalar:
-            decoding._canonical(3, gb, "bounded")
+            gb_decode(3, gb, "bounded")
         with pytest.raises(ValueError) as batch:
             decoding._canonical_many(words, gb, "bounded")
         assert str(batch.value) == str(scalar.value) == "capability undefined: basis has no code binomials"
