@@ -35,6 +35,7 @@ import numpy as np
 from .groebner import ReducedGroebnerBasis, _reduce, _reduce_many, capability
 from .linalg import LinearCode
 from .validation import check_word_mask
+from .words import masks_of_rows
 
 DECODED = "decoded"
 TOO_MANY_ERRORS = "too_many_errors"
@@ -162,8 +163,7 @@ class BSC:
         threshold = int(self.crossover * (1 << 64))
         if threshold >> 64:  # crossover 1.0: every 64-bit draw is below 2^64
             return np.full(len(draws), (1 << n) - 1, dtype=np.uint64)
-        flips = (draws < np.uint64(threshold)).astype(np.uint64)
-        return np.bitwise_or.reduce(flips << np.arange(n, dtype=np.uint64), axis=1)
+        return masks_of_rows(draws < np.uint64(threshold))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .decoding import DecodeOutcome, _canonical_many, _check_mode, gb_decode
 from .groebner import ReducedGroebnerBasis, capability, coset_engine
 from .linalg import CosetLeaderTable, LinearCode, build_coset_leader_table, syndrome, syndromes
 from .validation import check_is_fitted, check_words_array
-from .words import mask_from_bits, monomial_from_string, word_from_string
+from .words import masks_of_rows, monomial_from_string, rows_of_masks, word_from_string
 
 
 class _EstimatorMixin:
@@ -52,19 +52,9 @@ class _EstimatorMixin:
         return float((self.predict(X) == sent).all(axis=1).mean())
 
 
-def _row_masks(W: np.ndarray) -> np.ndarray:
-    """The uint64 word mask of each 0/1 row, by one matrix product (column 0 = bit 0)."""
-    return W.astype(np.uint64) @ (np.uint64(1) << np.arange(W.shape[1], dtype=np.uint64))
-
-
-def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
-    """The int64 0/1 rows of a uint64 array of word masks, by one shift-and-mask."""
-    shifted = masks.reshape(-1, 1) >> np.arange(n, dtype=np.uint64)
-    return (shifted & np.uint64(1)).astype(np.int64)
-
-
 def _as_mask(word, n: int) -> int:
-    """Accept a mask int, a binary/monomial string, or a 0/1 sequence."""
+    """The mask of one received word: a mask int, a binary/monomial string, or
+    n bits, which :func:`check_words_array` checks as exactly one row."""
     if isinstance(word, (int, np.integer)):
         return int(word)
     if isinstance(word, str):
@@ -75,7 +65,10 @@ def _as_mask(word, n: int) -> int:
             if stripped != "1":  # "1" is the monomial 1
                 raise ValueError(f"binary word of length {len(stripped)}, expected {n}")
         return monomial_from_string(stripped)
-    return mask_from_bits(np.asarray(word).astype(np.int64))
+    W = check_words_array(word, n)
+    if len(W) != 1:
+        raise ValueError(f"expected one word of length {n}, got shape {W.shape}")
+    return int(masks_of_rows(W)[0])
 
 
 class GroebnerDecoder(_EstimatorMixin):
@@ -115,7 +108,7 @@ class GroebnerDecoder(_EstimatorMixin):
         return self
 
     def decode(self, word) -> DecodeOutcome:
-        """Full decode outcome for one received word (mask, string, or bits)."""
+        """Full decode outcome for one received word (mask, string, or n 0/1 bits)."""
         check_is_fitted(self, "basis_")
         return gb_decode(_as_mask(word, self.code_.n), self.basis_, mode=self.mode)
 
@@ -126,9 +119,9 @@ class GroebnerDecoder(_EstimatorMixin):
         passes through.
         """
         check_is_fitted(self, "basis_")
-        words = _row_masks(check_words_array(X, self.code_.n))
+        words = masks_of_rows(check_words_array(X, self.code_.n))
         canonical, decoded = _canonical_many(words, self.basis_, self.mode)
-        return _mask_rows(np.where(decoded, words ^ canonical, words), self.code_.n)
+        return rows_of_masks(np.where(decoded, words ^ canonical, words), self.code_.n)
 
 
 class SyndromeTableDecoder(_EstimatorMixin):
@@ -152,7 +145,7 @@ class SyndromeTableDecoder(_EstimatorMixin):
         return self
 
     def decode(self, word) -> tuple[int, int]:
-        """(codeword, error) for one received word."""
+        """(codeword, error) for one received word (mask, string, or n 0/1 bits)."""
         check_is_fitted(self, "table_")
         w = _as_mask(word, self.code_.n)
         error = self.table_.leader(syndrome(w, self.code_))
@@ -160,5 +153,5 @@ class SyndromeTableDecoder(_EstimatorMixin):
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "table_")
-        words = _row_masks(check_words_array(X, self.code_.n))
-        return _mask_rows(words ^ self.table_.leaders[syndromes(words, self.code_)], self.code_.n)
+        words = masks_of_rows(check_words_array(X, self.code_.n))
+        return rows_of_masks(words ^ self.table_.leaders[syndromes(words, self.code_)], self.code_.n)

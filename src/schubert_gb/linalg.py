@@ -17,7 +17,7 @@ import numpy as np
 
 from .validation import ENUM_ENV_VAR, INT64_MAX, EnumerationLimitError, check_matrix
 from .validation import check_word_mask, enum_limit, guard_enumeration
-from .words import WORD_LIMIT, mask_from_bits, support
+from .words import WORD_LIMIT, masks_of_rows, support
 
 _CHUNK = 1 << 16
 # candidate extensions per slice of the coset walk: bounds its working memory
@@ -146,7 +146,7 @@ class LinearCode:
     def row_masks(self) -> list[int]:
         """Generator rows as word masks (binary codes only)."""
         self._require_binary()
-        return [mask_from_bits(row) for row in self.generator]
+        return masks_of_rows(self.generator).tolist()
 
     def codeword_masks(self) -> np.ndarray:
         """All 2^k codewords as a uint64 mask array; index = coefficient mask."""
@@ -161,7 +161,7 @@ class LinearCode:
     def column_syndromes(self) -> tuple[int, ...]:
         """Per-position syndrome masks: entry c is the mask of H[:, c]."""
         self._require_binary()
-        return tuple(mask_from_bits(self.parity_check[:, c]) for c in range(self.n))
+        return tuple(masks_of_rows(self.parity_check.T).tolist())
 
     def _require_binary(self) -> None:
         if self.p != 2:

@@ -35,7 +35,7 @@ from .groebner import (
     _reduce,
     _validated_masks,
 )
-from .linalg import CosetLeaderTable, LinearCode, syndrome_decode
+from .linalg import CosetLeaderTable, LinearCode, syndrome_decode, syndromes
 from .schubert import SchubertSpec, _below_alpha, _plucker_rows, enumerate_cell_bases
 from .validation import EnumerationLimitError, check_word_mask, guard_enumeration
 from .words import degrevlex_key
@@ -433,9 +433,9 @@ def scan_basis(code: LinearCode) -> ReducedGroebnerBasis:
     binomials are u - leader(coset(u)) over the minimal non-standard u,
     those whose maximal proper divisors u ^ x_j are all standard.  Two
     boolean arrays over the 2^n masks mark both sets, bit by bit through
-    views, and syndromes are worked out for the leads only, so the peak
-    memory stays that of the scan.  The elements are put in order by
-    :func:`element_sort_key`, so the oracle shares nothing with
+    views, and :func:`~schubert_gb.linalg.syndromes` is run on the leads
+    only, so the peak memory stays that of the scan.  The elements are put
+    in order by :func:`element_sort_key`, so the oracle shares nothing with
     :func:`~schubert_gb.groebner.coset_engine` but the column syndromes and
     the basis container, which reads the field relations off the leads.
     """
@@ -447,10 +447,7 @@ def scan_basis(code: LinearCode) -> ReducedGroebnerBasis:
     for j in range(n):  # u with bit j set needs u ^ x_j standard
         minimal.reshape(-1, 2, 1 << j)[:, 1] &= standard.reshape(-1, 2, 1 << j)[:, 0]
     leads = np.flatnonzero(minimal).astype(np.uint64)
-    synd = np.zeros(leads.size, dtype=np.intp)
-    for j, col in enumerate(code.column_syndromes):
-        synd[(leads >> np.uint64(j)) & np.uint64(1) == 1] ^= col
-    elements = map(Binomial, leads.tolist(), leaders[synd].tolist())
+    elements = map(Binomial, leads.tolist(), leaders[syndromes(leads, code)].tolist())
     return ReducedGroebnerBasis(n, tuple(sorted(elements, key=element_sort_key)))
 
 

@@ -88,14 +88,16 @@ def check_prime(p: int) -> int:
 
 
 def check_matrix(matrix: Any, p: int) -> np.ndarray:
-    """Validate a residue matrix: integral, 2-D, entries in [0, p)."""
+    """Validate a residue matrix: 2-D, entries in [0, p).  Only bool, integer
+    and float arrays of int64 integers pass, checked before the cast."""
     check_prime(p)
     M = np.asarray(matrix)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    if M.size and not np.issubdtype(M.dtype, np.integer):
-        if not np.all(M == np.floor(M)):
-            raise ValueError("matrix entries must be integers")
+    kind = M.dtype.kind  # the range test also refuses inf and nan
+    if M.size and not (kind in "bi" or (kind == "u" and M.max() <= INT64_MAX) or (
+            kind == "f" and np.all((M == np.floor(M)) & (M >= -2.0**63) & (M < 2.0**63)))):
+        raise ValueError("matrix entries must be integers")
     M = M.astype(np.int64)
     if M.size and (M.min() < 0 or M.max() >= p):
         raise ValueError(f"matrix entries must lie in [0, {p})")
@@ -115,16 +117,16 @@ def check_word_mask(mask: int, n: int) -> int:
 
 
 def check_words_array(X: Any, n: int) -> np.ndarray:
-    """Validate a batch of binary words: 2-D 0/1 array with n columns."""
+    """Validate a batch of binary words (a 1-D sequence is one row) as int64 rows of n: only
+    bool, integer and float arrays of 0s and 1s pass, checked before the cast."""
     W = np.asarray(X)
     if W.ndim == 1:
         W = W.reshape(1, -1)
     if W.ndim != 2 or W.shape[1] != n:
         raise ValueError(f"expected words of length {n}, got shape {W.shape}")
-    W = W.astype(np.int64)
-    if W.size and not np.isin(W, (0, 1)).all():
+    if W.dtype.kind not in "biuf" or (W.size and not np.isin(W, (0, 1)).all()):
         raise ValueError("words must be 0/1 arrays")
-    return W
+    return W.astype(np.int64)
 
 
 def check_is_fitted(estimator: Any, attribute: str) -> None:

@@ -11,7 +11,8 @@ Words are limited to n <= 64 positions.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+
+import numpy as np
 
 WORD_LIMIT = 64
 
@@ -74,14 +75,17 @@ def support(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_from_bits(bits: Sequence[int]) -> int:
-    """Mask from a 0/1 sequence, bits[0] = position 1."""
-    m = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit {i} is {b}, expected 0 or 1")
-        m |= int(b) << i
-    return m
+def masks_of_rows(rows: np.ndarray) -> np.ndarray:
+    """The uint64 word mask of each row of a 2-D array of 0/1 entries (column 0 =
+    position 1), by one matrix product; the entries are not checked here."""
+    return rows.astype(np.uint64) @ (np.uint64(1) << np.arange(rows.shape[1], dtype=np.uint64))
+
+
+def rows_of_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """The int64 0/1 rows of length n of a uint64 array of word masks, by one
+    shift-and-mask: the inverse of :func:`masks_of_rows`."""
+    shifted = masks.reshape(-1, 1) >> np.arange(n, dtype=np.uint64)
+    return (shifted & np.uint64(1)).astype(np.int64)
 
 
 def word_from_string(s: str) -> tuple[int, int]:
@@ -91,7 +95,7 @@ def word_from_string(s: str) -> tuple[int, int]:
         raise ValueError(f"not a binary word: {quoted(s)}")
     if len(s) > WORD_LIMIT:
         raise ValueError(f"word length {len(s)} exceeds limit {WORD_LIMIT}")
-    return mask_from_bits([int(c) for c in s]), len(s)
+    return int(s[::-1], 2), len(s)
 
 
 def word_to_string(mask: int, n: int) -> str:

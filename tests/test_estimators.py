@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -17,7 +18,7 @@ from schubert_gb import (
 )
 from schubert_gb.decoding import DECODED
 from schubert_gb.reference import bits_from_mask
-from schubert_gb.words import mask_from_bits
+from schubert_gb.words import masks_of_rows
 
 from conftest import A_1_4
 
@@ -166,9 +167,9 @@ class TestBatchConversion:
         for mode in ("bounded", "complete"):
             est = GroebnerDecoder(mode=mode).fit(wide_code)
             want = []
-            for row in X:
+            for row, received in zip(X, masks_of_rows(X).tolist()):
                 outcome = est.decode(row)
-                mask = outcome.codeword if outcome.status == DECODED else mask_from_bits(row)
+                mask = outcome.codeword if outcome.status == DECODED else received
                 want.append(bits_from_mask(mask, 64))
             got = est.predict(X)
             assert got.dtype == np.int64 and (got == np.array(want)).all()
@@ -213,3 +214,51 @@ class TestBatchConversion:
         est = decoder().fit(codes["1_4"])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             est.predict(X)
+
+
+# words given as bits that every entry point refuses, with the message it names
+MALFORMED_WORDS = {
+    "short": ([1, 0, 1], "expected words of length 7, got shape (1, 3)"),
+    "long": ([1, 0, 1, 1, 0, 0, 0, 0, 0], "expected words of length 7, got shape (1, 9)"),
+    "half": ([0.5, 1, 1, 1, 1, 0, 0], "words must be 0/1 arrays"),
+    "nine-tenths": ([0.9, 1, 1, 1, 1, 0, 0], "words must be 0/1 arrays"),
+    "digit-strings": (list("1011000"), "words must be 0/1 arrays"),
+    "complex": (np.array([1, 0, 1, 1, 0, 0, 0], dtype=complex), "words must be 0/1 arrays"),
+    "scalar-float": (3.7, "expected words of length 7, got shape ()"),
+}
+
+
+class TestWordsGivenAsBits:
+    """Every word given as bits passes the one row check, whichever entry point takes it."""
+
+    ENTRY_POINTS = {
+        "gb-decode": lambda gd, sd, w: gd.decode(w),
+        "table-decode": lambda gd, sd, w: sd.decode(w),
+        "predict": lambda gd, sd, w: gd.predict(w),
+        "score": lambda gd, sd, w: sd.score(w, w),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_malformed_words_refused_and_other_dtypes_read_as_ints(self, codes, entry):
+        gd, sd = GroebnerDecoder().fit(codes["1_4"]), SyndromeTableDecoder().fit(codes["1_4"])
+        call = functools.partial(self.ENTRY_POINTS[entry], gd, sd)
+        refused = dict(MALFORMED_WORDS)
+        if entry.endswith("decode"):  # a batch of two rows is one word too many
+            refused["two-rows"] = (np.zeros((2, 7), dtype=int),
+                                   "expected one word of length 7, got shape (2, 7)")
+
+        def outcome(word):
+            try:
+                call(word)
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        assert {name: outcome(w) for name, (w, _) in refused.items()} == {
+            name: message for name, (_, message) in refused.items()}
+        X = np.array([bits_from_mask(w, 7) for w in range(1 << 7)])
+        for dtype in (bool, np.uint8, float):
+            if entry.endswith("decode"):
+                assert [call(row.astype(dtype)) for row in X] == [call(row) for row in X], dtype
+            else:
+                assert np.array_equal(call(X.astype(dtype)), call(X)), dtype

@@ -22,14 +22,14 @@ from schubert_gb.linalg import rank
 from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.reference import nn_decode, scan_coset_leaders
 from schubert_gb.verify import random_codes
-from schubert_gb.words import degrevlex_key, mask_from_bits, weight, word_from_string
+from schubert_gb.words import degrevlex_key, masks_of_rows, weight, word_from_string
 
 from conftest import A_1_4, LARGE_PRIME
 
 
 def enumerate_codeword_masks(G):
     """Independent oracle: iterate row combinations directly."""
-    rows = [mask_from_bits(r) for r in G]
+    rows = masks_of_rows(np.asarray(G)).tolist()
     out = []
     for take in itertools.product([0, 1], repeat=len(rows)):
         m = 0
@@ -222,8 +222,8 @@ class TestParityCheck:
 class TestSyndrome:
     def test_generator_rows_have_zero_syndrome(self, codes):
         for code in codes.values():
-            for row in code.generator:
-                assert syndrome(mask_from_bits(row), code) == 0
+            for row in masks_of_rows(code.generator).tolist():
+                assert syndrome(row, code) == 0
 
     def test_zero_word(self, codes):
         assert syndrome(0, codes["1_4"]) == 0
@@ -463,7 +463,7 @@ class TestReferenceDecoders:
         assert cw == want and not ambiguous
 
     def test_reference_row_2_3(self, codes, tables):
-        w = mask_from_bits([1, 1, 1, 0, 0, 0, 0])  # x1*x2*x3
+        w = word_from_string("1110000")[0]  # x1*x2*x3
         want = w ^ (1 << 6)  # x1*x2*x3*x7
         assert syndrome_decode(w, tables["2_3"], codes["2_3"]) == want
 

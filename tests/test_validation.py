@@ -13,12 +13,14 @@ from schubert_gb import (
     enumerate_schubert_points,
     min_distance_bruteforce,
 )
+from schubert_gb.linalg import rref
 from schubert_gb.reference import scan_coset_leaders
 from schubert_gb.validation import (
     ENUM_ENV_VAR,
     EnumerationLimitError,
     check_matrix,
     check_prime,
+    check_words_array,
     enum_limit,
     guard_enumeration,
 )
@@ -86,6 +88,29 @@ class TestMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-D"):
             check_matrix([1, 0, 1], 2)
+
+    @pytest.mark.parametrize("M", [
+        [["1", "0"]], [[1 + 1j, 0]], [[1 + 0j, 0]], [[None, 1]], [[2**70, 1]],
+        np.array([[2**63, 1]], dtype=np.uint64), [[np.inf, 0]], [[1e30, 0]],
+    ], ids=["str", "complex", "complex-real", "none", "2**70", "uint64-2**63", "inf", "1e30"])
+    @pytest.mark.parametrize("entry", [lambda M: check_matrix(M, 2), lambda M: rref(M, 2),
+                                       lambda M: GroebnerDecoder().fit(M)],
+                             ids=["check_matrix", "rref", "fit"])
+    def test_refuses_hostile_entries(self, M, entry):
+        with pytest.raises(ValueError, match=r"^matrix entries must be integers$"):
+            entry(M)
+
+
+class TestWordsArray:
+    """The one check for words given as bits: entries are tested before any cast."""
+
+    @pytest.mark.parametrize("X", [
+        [0, 2, 1], [1, 1, -1], [0.5, 1, 0], [np.nan, 1, 0], [1 + 0j, 1, 0], ["1", "0", "1"],
+        [None, 1, 0], [2**70, 1, 0],
+    ], ids=["two", "minus-one", "half", "nan", "complex", "digit-strings", "none", "2**70"])
+    def test_refuses_non_bits(self, X):
+        with pytest.raises(ValueError, match=r"^words must be 0/1 arrays$"):
+            check_words_array(X, 3)
 
 
 class TestEnumerationGuard:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from schubert_gb.reference import bits_from_mask, lex_key, mask_from_support
 from schubert_gb.validation import check_word_mask
 from schubert_gb.words import (
+    WORD_LIMIT,
     degrevlex_key,
-    mask_from_bits,
+    masks_of_rows,
     monomial_from_string,
     monomial_to_string,
+    rows_of_masks,
     small_int,
     support,
     weight,
@@ -95,15 +98,6 @@ def test_word_mask_message_is_bounded():
         check_word_mask(1, 65)
 
 
-@pytest.mark.parametrize("bits,message", [
-    ([0, 2, 1], "bit 1 is 2, expected 0 or 1"),
-    ([1, 1, -1], "bit 2 is -1, expected 0 or 1"),
-])
-def test_mask_from_bits_refuses_non_bits(bits, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        mask_from_bits(bits)
-
-
 def test_degrevlex_key_on_masks():
     x1x2 = mask_from_support([1, 2])
     x4x7 = mask_from_support([4, 7])
@@ -124,8 +118,17 @@ def test_lex_key_orders_position_one_first():
 
 @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
 def test_bits_roundtrip(mask):
-    assert mask_from_bits(bits_from_mask(mask, 20)) == mask
+    assert masks_of_rows(np.array([bits_from_mask(mask, 20)])).tolist() == [mask]
     assert weight(mask) == sum(bits_from_mask(mask, 20))
+
+
+@pytest.mark.parametrize("n", range(WORD_LIMIT + 1))
+def test_rows_and_masks_round_trip(n):
+    full = (1 << n) - 1
+    masks = [0, full] + [m & full for m in (1 << 63, (1 << 63) | 0b101, 0x9E3779B97F4A7C15)]
+    rows = rows_of_masks(np.array(masks, dtype=np.uint64), n)
+    assert rows.dtype == np.int64 and rows.tolist() == [bits_from_mask(m, n) for m in masks]
+    assert masks_of_rows(rows).dtype == np.uint64 and masks_of_rows(rows).tolist() == masks
 
 
 @given(st.integers(min_value=0, max_value=(1 << 16) - 1))
