@@ -46,10 +46,14 @@ class _EstimatorMixin:
         return f"{type(self).__name__}({args})"
 
     def score(self, X, y) -> float:
-        """Fraction of rows of X decoded exactly to the rows of y."""
+        """Fraction of rows of X decoded exactly to the rows of y, which must
+        have as many rows as X."""
         check_is_fitted(self, "code_")
         sent = check_words_array(y, self.code_.n)
-        return float((self.predict(X) == sent).all(axis=1).mean())
+        got = self.predict(X)
+        if len(got) != len(sent):
+            raise ValueError(f"X has {len(got)} rows but y has {len(sent)}")
+        return float((got == sent).all(axis=1).mean())
 
 
 def _as_mask(word, n: int) -> int:

@@ -12,9 +12,17 @@ of its own.
 The reduced basis comes from :func:`coset_engine`: the quotient algebra has
 one standard monomial per coset of the code, namely the degrevlex-minimal
 coset member, and the code binomials are u - leader(coset(u)) over the
-minimal non-standard monomials u.  One layered walk over the 2^(n-k) cosets
-yields both the leaders and those u (:func:`~schubert_gb.linalg._coset_walk`),
-so no array spans all 2^n words, and the enumeration guard counts cosets.
+minimal non-standard monomials u, the leads.  It has two routes to them and
+takes the cheaper by two work counts; the enumeration guard counts the
+2^(n-k) cosets first either way, and no array spans all 2^n words.
+
+- Half-subsets of codewords (:func:`_half_subsets`), for low-rate codes
+  such as the Schubert and Grassmann codes.  A codeword c that lowers a lead
+  u in degrevlex holds it, and |u| = ceil(wt c / 2), so the leads are found
+  among the half-subsets of the 2^k - 1 codewords by popcounts against the
+  lighter ones, with work that does not depend on n - k.
+- One layered walk over the 2^(n-k) cosets, which yields both the leaders
+  and the leads (:func:`~schubert_gb.linalg._coset_walk`), for the rest.
 
 Every rewrite runs through one kernel with two entry points, and monomials
 are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
@@ -32,7 +40,7 @@ bitsets as Python ints, the batch one as rows of uint64 limbs.  Single
 words stay on the scalar one: a one-word batch pays some hundred
 microseconds of fixed numpy calls, where ``_reduce`` takes a few.
 
-This module holds the production route only.  The Buchberger run that the
+This module holds the production routes only.  The Buchberger run that the
 coset engine is checked against, with its own rewrite table, the ideal
 generators it starts from, the exponent-tuple arithmetic and the Groebner
 test live in :mod:`schubert_gb.reference`.
@@ -41,11 +49,12 @@ test live in :mod:`schubert_gb.reference`.
 from __future__ import annotations
 
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .linalg import _ONE, _SLICE_WORDS, LinearCode, _coset_walk
+from .linalg import _ONE, _SLICE_WORDS, LinearCode, _coset_walk, _lowest_bit
 from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
 from .words import WORD_LIMIT, support
 
@@ -335,19 +344,133 @@ def _compact(buf: np.ndarray, used: int) -> int:
 # ---------------------------------------------------------------------------
 
 def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebnerBasis:
-    """Reduced basis via the layered coset walk.
+    """Reduced basis, from half-subsets of codewords or by the layered coset walk.
 
-    Standard monomials are the supports of the degrevlex coset leaders; the
-    code binomials are X^u - X^leader(coset(u)) over the minimal non-standard
-    monomials u.  One run of :func:`~schubert_gb.linalg._coset_walk` yields
-    both, layer by weight layer over the 2^(n-k) cosets, which the guard counts.
+    The code binomials are X^u - X^trail(u) over the minimal non-standard
+    monomials u, the leads, where trail(u) is the degrevlex-least word of
+    u's coset.  The guard counts the 2^(n-k) cosets first, whichever route
+    runs.  When k <= n - k and the half-subset work, sum over the nonzero
+    codewords c of C(2 h_c - 1, h_c) * 2^k with h_c = ceil(wt c / 2), is
+    below the walk's n * 2^(n-k), the leads are built from codewords
+    (:func:`_half_subsets`); otherwise one run of
+    :func:`~schubert_gb.linalg._coset_walk` yields them, layer by weight
+    layer over the cosets.  Either way :func:`_validated_masks` checks the
+    result.
     """
     if _former_limit is not None:
         raise TypeError("coset_engine takes no limit; set SGB_MAX_N instead")
     if code.p != 2:
         raise ValueError("binary only")
-    _, leads, trails = _coset_walk(code, with_leads=True)
+    guard_enumeration(1 << (code.n - code.k), "coset leader table", "cosets")
+    codewords = _half_subset_codewords(code)
+    if codewords is None:
+        _, leads, trails = _coset_walk(code, with_leads=True)
+    else:
+        leads, trails = _half_subsets(codewords)
     return _validated_masks(code.n, leads, trails)
+
+
+def _half_subset_codewords(code: LinearCode) -> np.ndarray | None:
+    """The nonzero codewords, when :func:`_half_subsets` costs less than the
+    walk by the work counts of :func:`coset_engine`; else None.  Codes with
+    k > n - k go to the walk without enumerating their codewords."""
+    n, k = code.n, code.k
+    if 2 * k > n:
+        return None
+    codewords = code.codeword_masks()[1:]
+    halves = np.bincount((np.bitwise_count(codewords) + 1) >> 1)
+    work = sum(int(count) * comb(2 * h - 1, h) for h, count in enumerate(halves) if count) << k
+    return codewords if work < n << (n - k) else None
+
+
+def _half_subsets(codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lead and trail masks of the reduced basis, from the nonzero codewords.
+
+    In the mask order key(m) = (wt m, -m), say a codeword c beats u when
+    key(u ^ c) < key(u).  Let h_c = ceil(wt c / 2), and let c' be c with its
+    top bit cleared when wt c is even, so c' has 2 h_c - 1 bits.  If c beats
+    a lead u, then u lies inside c' and |u| = h_c: a bit of u outside c, an
+    excess over h_c, or c's top bit at an even weight leaves a proper
+    divisor of u that c still beats.  Conversely c beats every h_c-subset
+    of c'.  So a candidate u, an h_c-subset of some c', is a lead exactly
+    when no lighter subset of it is beaten: when popcount(u & c2') < h_c2
+    for every codeword c2 with h_c2 < |u|.  The codewords that beat a lead
+    are exactly those it was drawn from, its sources, so its trail is the
+    degrevlex-least u ^ c over them: that of the lightest source, the
+    larger mask on a tie.
+
+    Candidates are made per h, as the codewords' bits picked by the
+    h-subsets of 2h - 1 local bits, and tested in slices of about
+    ``_SLICE_WORDS`` popcounts, so the work is about
+    sum_c C(2 h_c - 1, h_c) * 2^k and does not depend on n - k.
+    """
+    weight = np.bitwise_count(codewords)
+    order = np.argsort(weight)
+    codewords, weight = codewords[order], weight[order]
+    halves = (weight + 1) >> 1
+    inner = np.where(weight & 1, codewords, codewords ^ _top_bit(codewords))  # the c'
+    starts = np.searchsorted(halves, np.arange(int(halves.max(initial=0)) + 2))
+    leads, sources = [codewords[:0]], [codewords[:0]]
+    for h in range(1, starts.size - 1):
+        a, b = int(starts[h]), int(starts[h + 1])  # the tests are the codewords before a
+        if a == b:
+            continue
+        local = _subsets(2 * h - 1, h)
+        step = max(1, _SLICE_WORDS // max(a, 1))
+        rows, cols = max(1, step // local.size), min(step, local.size)
+        for r in range(a, b, rows):
+            e = min(r + rows, b)
+            for s in range(0, local.size, cols):
+                part = local[s:s + cols]
+                u = _deposit(inner[r:e], part, 2 * h - 1)
+                keep = (np.bitwise_count(u[:, None] & inner[:a]) < halves[:a]).all(axis=1)
+                leads.append(u[keep])
+                sources.append(np.repeat(codewords[r:e], part.size)[keep])
+    return _lightest_sources(np.concatenate(leads), np.concatenate(sources))
+
+
+def _subsets(w: int, h: int) -> np.ndarray:
+    """The masks of the h-subsets of w bits, as uint64, built one bit at a time.
+
+    ``rows[j]`` holds the j-subsets of the bits seen so far; rows that the
+    bits still to come cannot lift to h are no longer extended.
+    """
+    rows = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * h
+    for i in range(w):
+        bit = np.uint64(1 << i)
+        for j in range(min(i + 1, h), max(h - (w - i - 1), 1) - 1, -1):
+            rows[j] = np.concatenate((rows[j], rows[j - 1] | bit))
+    return rows[h]
+
+
+def _deposit(masks: np.ndarray, local: np.ndarray, w: int) -> np.ndarray:
+    """For each mask of w set bits and each local mask of w bits, the
+    mask's bits that the local mask picks: local bit j picks its j-th lowest
+    set bit.  Flat, mask-major."""
+    out = np.zeros((masks.size, local.size), dtype=np.uint64)
+    rest = masks.copy()
+    for j in range(w):
+        bit = _lowest_bit(rest)
+        out |= bit[:, None] * ((local >> np.uint64(j)) & _ONE)
+        rest ^= bit
+    return out.ravel()
+
+
+def _top_bit(masks: np.ndarray) -> np.ndarray:
+    """The highest set bit of each mask, 0 for 0."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        masks = masks | (masks >> np.uint64(shift))
+    return masks ^ (masks >> _ONE)
+
+
+def _lightest_sources(leads: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct lead, with its trail lead ^ c* for the lightest of its
+    source codewords c*, the larger mask on a tie."""
+    at = np.lexsort((~sources, np.bitwise_count(sources), leads))
+    leads, sources = leads[at], sources[at]
+    first = np.ones(leads.size, dtype=bool)
+    first[1:] = leads[1:] != leads[:-1]
+    return leads[first], leads[first] ^ sources[first]
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,14 @@ def check_matrix(matrix: Any, p: int) -> np.ndarray:
 
 
 def check_word_mask(mask: int, n: int) -> int:
-    """The mask as an int, when it is a word of length n <= 64; a refused
-    mask past 64 bits is named by its bit length, so the message stays short."""
-    mask = int(mask)
+    """The mask as an int, when it is an int or numpy integer naming a word of
+    length n <= 64; a refused mask past 64 bits is named by its bit length, so
+    the message stays short.  Floats, strings and other types are refused,
+    not cast."""
+    if type(mask) is not int:  # bools and numpy integers are read as ints
+        if not isinstance(mask, (int, np.integer)):
+            raise ValueError(f"word mask must be an integer, got {type(mask).__name__}")
+        mask = int(mask)
     if n > WORD_LIMIT:
         raise ValueError(f"word length {n} exceeds limit {WORD_LIMIT}")
     if not 0 <= mask < (1 << n):

@@ -144,6 +144,16 @@ class TestGroebnerDecoder:
 
 
 
+class TestScore:
+    @pytest.mark.parametrize("sent_rows", [1, 2, 6])
+    def test_row_counts_must_match(self, codes, sent_rows):
+        for est in (GroebnerDecoder(), SyndromeTableDecoder()):
+            est.fit(codes["1_4"])
+            with pytest.raises(ValueError, match=rf"^X has 5 rows but y has {sent_rows}$"):
+                est.score(np.zeros((5, 7), dtype=int), np.zeros((sent_rows, 7), dtype=int))
+            assert est.score(np.zeros(7, dtype=int), np.zeros((1, 7), dtype=int)) == 1.0
+
+
 class TestSyndromeTableDecoder:
     def test_agrees_with_groebner_within_radius(self, codes):
         gd = GroebnerDecoder().fit(codes["2_3"])

@@ -21,6 +21,7 @@ from schubert_gb import (
     coset_engine,
     gb_decode,
     generator_matrix,
+    min_distance_bruteforce,
     normal_form,
     simulate,
     syndrome,
@@ -52,7 +53,7 @@ from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, monomial_from_string, weight
 
-from conftest import validated, wide_lead_basis_text
+from conftest import ladder_code, validated, wide_lead_basis_text
 
 
 def exps(mon: str, n: int):
@@ -314,6 +315,107 @@ class TestCosetWalkEngine:
         code = LinearCode.from_generator(np.array([[1, 1, 1, 0, 0], [0, 1, 1, 1, 1]]), 2)
         gb = coset_engine(code)
         assert len(gb.elements) == 13 and gb == buchberger(ideal_generators(code))
+
+
+def walk_pairs(code):
+    """The coset walk's (lead, trail) masks, ascending by lead."""
+    _, leads, trails = linalg._coset_walk(code, with_leads=True)
+    at = np.argsort(leads)
+    return leads[at], trails[at]
+
+
+def half_subset_pairs(code):
+    """The half-subset construction's (lead, trail) masks, ascending by lead."""
+    leads, trails = groebner._half_subsets(code.codeword_masks()[1:])
+    at = np.argsort(leads)
+    return leads[at], trails[at]
+
+
+@functools.cache
+def unrestricted_random_codes():
+    """320 seeded random binary codes with n <= 14 and 0 <= k <= min(n, 10): k
+    rows [I | A] of any density, columns shuffled, some columns zeroed and
+    the rows then reduced to a basis of their span.  High rate, d <= 2,
+    zero columns and k = 0 are all among them."""
+    rng = np.random.default_rng(25)
+    codes = []
+    while len(codes) < 320:
+        n = int(rng.integers(1, 15))
+        k = int(rng.integers(0, min(n, 10) + 1))  # 2^k codewords, each tested against all
+        parity = rng.random((k, n - k)) < rng.uniform(0.05, 0.95)
+        rows = np.hstack([np.eye(k, dtype=int), parity])[:, rng.permutation(n)]
+        rows[:, rng.random(n) < 0.1] = 0
+        R, _, k = linalg.rref(rows, 2)
+        codes.append(LinearCode.from_generator(R[:k], 2))
+    return tuple(codes)
+
+
+# the full sha256 of format_basis for [31,5,16], recorded with the coset walk
+PINNED_31_5_16 = "2101a1a51c728dd7898671d26e455e70638c8eb5aadb3a0d24f096082ae38766"
+
+
+class TestHalfSubsets:
+    """The half-subset construction against the coset walk, and the route choice."""
+
+    def test_equals_the_walk(self, codes, small_random_codes):
+        named = list(codes.values()) + [ladder_code(n) for n in (18, 20, 22, 24)]
+        for code in named + small_random_codes + random_codes():
+            assert all(map(np.array_equal, half_subset_pairs(code), walk_pairs(code)))
+
+    def test_equals_the_walk_on_unrestricted_random_codes(self):
+        codes = unrestricted_random_codes()
+        high_rate = [c for c in codes if 2 * c.k > c.n]
+        assert min(c.k for c in codes) == 0 and len(high_rate) > 100
+        assert any(code.k == code.n - 1 >= 9 for code in high_rate)
+        assert sum(min_distance_bruteforce(c) <= 2 for c in codes if c.k) > 100
+        for code in codes:
+            assert all(map(np.array_equal, half_subset_pairs(code), walk_pairs(code))), (
+                code.generator.tolist())
+
+    def test_small_slices_change_nothing(self, codes, monkeypatch):
+        want = [half_subset_pairs(code) for code in (codes["2_4"], ladder_code(20))]
+        monkeypatch.setattr(groebner, "_SLICE_WORDS", 64)  # several slices per codeword
+        got = [half_subset_pairs(code) for code in (codes["2_4"], ladder_code(20))]
+        for a, b in zip(got, want):
+            assert all(map(np.array_equal, a, b))
+
+    @pytest.mark.parametrize("name, route", [
+        ("hamming_15_11", "walk"), ("code_14_13", "walk"), ("ladder_24", "half"),
+        ("code_31_5_16", "half"),
+    ])
+    def test_route_choice(self, monkeypatch, name, route):
+        hamming = np.array([[(c >> i) & 1 for c in range(1, 16)] for i in range(4)])
+        code = {
+            "hamming_15_11": lambda: LinearCode.from_generator(linalg.parity_check_of(hamming), 2),
+            "code_14_13": lambda: LinearCode.from_generator(
+                np.hstack([np.eye(13, dtype=int), np.ones((13, 1), dtype=int)]), 2),
+            "ladder_24": lambda: ladder_code(24),
+            "code_31_5_16": lambda: LinearCode.from_generator(
+                generator_matrix(SchubertSpec(2, 6, 2, (1, 6))), 2),
+        }[name]()
+        assert (groebner._half_subset_codewords(code) is None) == (route == "walk")
+        if code.n - code.k <= 24:  # within the default guard, coset_engine takes that route only
+            monkeypatch.setattr(groebner, "_half_subsets" if route == "walk" else "_coset_walk",
+                                pytest.fail)
+            assert coset_engine(code) == groebner._validated_masks(code.n, *walk_pairs(code))
+
+    @pytest.mark.parametrize("n, digest, size", [
+        (26, "07c4820d6a22f799a7d4de1b5a5b382fc1d94b4e3a44d9fed3f82ec81ab8a8e0", 61_165),
+        (28, "a0dfaa34c072592247ce7fedd9bc8c7631d407f06f522b1f06c3f2a5fa0d0774", 120_451),
+    ])
+    def test_long_ladder_rungs_are_pinned(self, n, digest, size):
+        # sha256 of the basis file text, recorded with the coset walk (2.3 s at n = 28)
+        gb = coset_engine(ladder_code(n))
+        assert gb.leads.size == size
+        assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == digest
+
+    def test_31_5_16_basis_file_is_pinned(self, monkeypatch):
+        code = LinearCode.from_generator(generator_matrix(SchubertSpec(2, 6, 2, (1, 6))), 2)
+        monkeypatch.setenv(ENUM_ENV_VAR, "26")  # the guard counts its 2^26 cosets
+        monkeypatch.setattr(groebner, "_coset_walk", pytest.fail)  # the walk takes 27 s, 2.5 GiB
+        gb = coset_engine(code)
+        assert (gb.leads.size, capability(gb)) == (199_330, 7)
+        assert hashlib.sha256(format_basis(gb).encode()).hexdigest() == PINNED_31_5_16
 
 
 # reduced degrevlex bases from sympy 1.14, groebner(..., order="grevlex",

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -11,7 +12,11 @@ from schubert_gb import (
     build_coset_leader_table,
     coset_engine,
     enumerate_schubert_points,
+    gb_decode,
     min_distance_bruteforce,
+    normal_form,
+    syndrome,
+    syndrome_decode,
 )
 from schubert_gb.linalg import rref
 from schubert_gb.reference import scan_coset_leaders
@@ -20,6 +25,7 @@ from schubert_gb.validation import (
     EnumerationLimitError,
     check_matrix,
     check_prime,
+    check_word_mask,
     check_words_array,
     enum_limit,
     guard_enumeration,
@@ -111,6 +117,34 @@ class TestWordsArray:
     def test_refuses_non_bits(self, X):
         with pytest.raises(ValueError, match=r"^words must be 0/1 arrays$"):
             check_words_array(X, 3)
+
+
+class TestWordMask:
+    """A word given as a mask must be an integer: nothing else is cast."""
+
+    ENTRY_POINTS = {
+        "check": lambda code, gb, table, w: check_word_mask(w, code.n),
+        "gb-decode": lambda code, gb, table, w: gb_decode(w, gb),
+        "normal-form": lambda code, gb, table, w: normal_form(w, gb),
+        "syndrome": lambda code, gb, table, w: syndrome(w, code),
+        "syndrome-decode": lambda code, gb, table, w: syndrome_decode(w, table, code),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("mask, kind", [
+        (3.7, "float"), (3.0, "float"), (np.float64(5.0), "float64"), ("5", "str"),
+        (None, "NoneType"), (np.array(3), "ndarray"),
+    ], ids=["3.7", "3.0", "float64", "digit-string", "none", "0-d-array"])
+    def test_refuses_non_integers(self, codes, bases, tables, entry, mask, kind):
+        call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=rf"^word mask must be an integer, got {kind}$"):
+            call(codes["1_4"], bases["1_4"], tables["1_4"], mask)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integers_read_as_ints(self, codes, bases, tables, entry):
+        call = functools.partial(self.ENTRY_POINTS[entry], codes["1_4"], bases["1_4"], tables["1_4"])
+        for dtype in (np.uint8, np.int64, np.uint64):
+            assert [call(dtype(w)) for w in range(1 << 7)] == [call(w) for w in range(1 << 7)]
 
 
 class TestEnumerationGuard:
