@@ -7,7 +7,8 @@ is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
 
 Single words and batches share one decode rule on two entry points of the
-one rewrite kernel: :func:`gb_decode` runs the scalar ``_reduce`` and wraps
+one rewrite kernel, which descends by the basis's distinct rewrites through
+its test-set index: :func:`gb_decode` runs the scalar ``_reduce`` and wraps
 its result in a :class:`DecodeOutcome`, and :func:`_canonical_many` runs
 ``_reduce_many`` on a uint64 array for the batch callers (:func:`simulate`,
 ``GroebnerDecoder.predict``).  Single words stay on the scalar kernel, since
@@ -41,13 +42,18 @@ DECODED = "decoded"
 TOO_MANY_ERRORS = "too_many_errors"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class DecodeOutcome:
     """Result of bounded-distance decoding.
 
     ``canonical`` is the standard monomial of the received word's coset; when
     ``status`` is ``decoded`` it equals the error, and codeword = word XOR
     error is a codeword.  ``nf_weight`` is always the canonical form's weight.
+
+    The ``__init__`` a frozen dataclass generates sets each field through
+    ``object.__setattr__``, which costs more than the rewrite on small
+    codes; this one fills the instance dict, and the class is otherwise
+    that frozen dataclass.
     """
 
     status: str
@@ -55,6 +61,15 @@ class DecodeOutcome:
     nf_weight: int
     error: int | None = None
     codeword: int | None = None
+
+    def __init__(self, status: str, canonical: int, nf_weight: int,
+                 error: int | None = None, codeword: int | None = None):
+        d = self.__dict__
+        d["status"] = status
+        d["canonical"] = canonical
+        d["nf_weight"] = nf_weight
+        d["error"] = error
+        d["codeword"] = codeword
 
 
 def _check_mode(mode: str) -> None:
@@ -68,7 +83,7 @@ def _canonical_many(
     """The canonical forms of a uint64 array of in-range masks and a boolean
     array of :func:`gb_decode`'s verdicts: whether each word decodes."""
     _check_mode(mode)
-    canonical = _reduce_many(words, gb._divisor_index)
+    canonical = _reduce_many(words, gb._test_set)
     if mode == "complete":
         return canonical, np.ones(canonical.size, dtype=bool)
     return canonical, np.bitwise_count(canonical) <= capability(gb)
@@ -86,7 +101,7 @@ def gb_decode(
     """
     w = check_word_mask(word, gb.n)
     _check_mode(mode)
-    canonical = _reduce(w, gb._divisor_index)
+    canonical = _reduce(w, gb._test_set)
     if mode == "complete" or canonical.bit_count() <= capability(gb):
         return DecodeOutcome(DECODED, canonical, canonical.bit_count(), canonical, w ^ canonical)
     return DecodeOutcome(TOO_MANY_ERRORS, canonical, canonical.bit_count())

@@ -29,16 +29,20 @@ are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
 rewrites one mask (:func:`normal_form`, ``gb_decode``) and
 :func:`_reduce_many` a uint64 array of masks (``simulate``,
 ``GroebnerDecoder.predict`` and the exhaustive checks of ``verify-paper``),
-with the same result word by word.  Both find the leads dividing a monomial
-with one divisor index (:class:`_DivisorIndex`), built once from a lead
-list and never changed: the n variables are cut into 4-bit slices, and per
-slice and nibble value one bitset over the leads marks those whose bits in
-that slice lie inside the nibble.  The AND of one bitset per slice is the
-set of dividing leads, and its lowest bit is the first of them in array
-order, the lead each rewrite uses.  The scalar entry point holds the
-bitsets as Python ints, the batch one as rows of uint64 limbs.  Single
-words stay on the scalar one: a one-word batch pays some hundred
-microseconds of fixed numpy calls, where ``_reduce`` takes a few.
+with the same result word by word.  The kernel descends by the basis as a
+test set (gradient-descent decoding; Ashikhmin and Barg, IEEE-IT 44, 1998;
+Borges-Quintana et al., "An algebraic view to gradient descent decoding",
+ITW 2010): R, the distinct values of lead ^ trail, has at most 2^k - 1
+members however many leads there are, and each step applies the first r in
+R, ascending in degrevlex, with key(m ^ r) < key(m).  A lead L with trail T
+that divides m gives such an r = L ^ T, so a word no r lowers is divided by
+no lead: it is the coset's standard monomial, whichever lowering r each
+step took.  One test-set index (:class:`_TestSet`), built once per basis,
+finds the lowering rewrites by one table of 8-bit lanes per byte of the
+word; the scalar entry point holds the table rows as Python ints, the
+batch one as uint64 limbs.  Single words stay on the scalar one: a
+one-word batch pays some hundred microseconds of fixed numpy calls, where
+``_reduce`` takes a few.
 
 This module holds the production routes only.  The Buchberger run that the
 coset engine is checked against, with its own rewrite table, the ideal
@@ -59,10 +63,11 @@ from .validation import EnumerationLimitError, check_word_mask, enum_limit, guar
 from .words import WORD_LIMIT, support
 
 ORDER_ID = "degrevlex"
-# dividing-lead bitset limbs per block of the batch kernel: bounds its working memory
+# lane limbs per block of the batch kernel: bounds its working memory
 _BATCH_LIMBS = 1 << 18
-_NIBBLE = np.uint64(15)
-_OUTSIDE = ~np.arange(16, dtype=np.uint8)[:, None]  # row v: the bits outside nibble v
+_BYTE = np.uint64(255)
+_BYTES = np.arange(256, dtype=np.uint64)[:, None]
+_HIGH = np.uint64(0x8080808080808080)  # the top bit of each 8-bit lane
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +148,9 @@ class ReducedGroebnerBasis:
         return tuple(map(Binomial, self.leads.tolist(), self.trails.tolist()))
 
     @cached_property
-    def _divisor_index(self) -> _DivisorIndex:
-        """The rewrite index of the code binomials, built on first use."""
-        return _DivisorIndex(self.n, self.leads, self.trails)
+    def _test_set(self) -> _TestSet:
+        """The test-set index of the code binomials, built on first use."""
+        return _TestSet(self.n, self.leads, self.trails)
 
     @cached_property
     def _capability(self) -> int:
@@ -349,9 +354,8 @@ def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebne
     The code binomials are X^u - X^trail(u) over the minimal non-standard
     monomials u, the leads, where trail(u) is the degrevlex-least word of
     u's coset.  The guard counts the 2^(n-k) cosets first, whichever route
-    runs.  When k <= n - k and the half-subset work, sum over the nonzero
-    codewords c of C(2 h_c - 1, h_c) * 2^k with h_c = ceil(wt c / 2), is
-    below the walk's n * 2^(n-k), the leads are built from codewords
+    runs.  When k <= n - k and the half-subset work is below the walk's
+    n * 2^(n-k), the leads are built from codewords
     (:func:`_half_subsets`); otherwise one run of
     :func:`~schubert_gb.linalg._coset_walk` yields them, layer by weight
     layer over the cosets.  Either way :func:`_validated_masks` checks the
@@ -372,14 +376,21 @@ def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebne
 
 def _half_subset_codewords(code: LinearCode) -> np.ndarray | None:
     """The nonzero codewords, when :func:`_half_subsets` costs less than the
-    walk by the work counts of :func:`coset_engine`; else None.  Codes with
-    k > n - k go to the walk without enumerating their codewords."""
+    walk's n * 2^(n-k); else None.  Its work charges each candidate once,
+    plus one popcount test for each codeword of smaller h: the sum over h of
+    count_h * C(2h - 1, h) * (earlier_h + 1), where earlier_h counts the
+    codewords of smaller h.  Codes with k > n - k go to the walk without
+    enumerating their codewords."""
     n, k = code.n, code.k
     if 2 * k > n:
         return None
     codewords = code.codeword_masks()[1:]
-    halves = np.bincount((np.bitwise_count(codewords) + 1) >> 1)
-    work = sum(int(count) * comb(2 * h - 1, h) for h, count in enumerate(halves) if count) << k
+    counts = np.bincount((np.bitwise_count(codewords) + 1) >> 1).tolist()
+    work = earlier = 0
+    for h, count in enumerate(counts):
+        if count:  # each candidate, then one test per codeword of smaller h
+            work += count * comb(2 * h - 1, h) * (earlier + 1)
+            earlier += count
     return codewords if work < n << (n - k) else None
 
 
@@ -484,108 +495,137 @@ def normal_form(
 ) -> int:
     """Canonical form of a squarefree monomial: its coset's standard monomial.
 
-    Divides by basis elements until nothing applies; each rewrite replaces the
-    lead part by the trail and cancels squares via the field relations, i.e.
-    m -> m XOR lead XOR trail.  The dividing leads are read off the basis's
-    divisor index, built once on first use, and the first of them in
-    ascending element order is taken.  The result is selection-independent;
-    ``selector`` picks among applicable divisors (index array -> position)
-    and exists so tests can randomize the reduction path.
+    Descends by the basis's distinct rewrites r = lead ^ trail while one
+    of them beats m, i.e. key(m ^ r) < key(m): a step m -> m XOR r stays in
+    m's coset, and where a lead divides m its own rewrite beats m, so the
+    descent ends at the standard monomial.  The beating rewrites are read
+    off the basis's test-set index, built once on first use, and the first
+    of them in ascending degrevlex order is taken.  The result is
+    selection-independent; ``selector`` picks among the beating rewrites
+    (ascending index array -> position), is called once per step, and
+    exists so tests can randomize the descent and count its steps.
     """
     m = check_word_mask(monomial, gb.n)
-    return _reduce(m, gb._divisor_index, selector)
+    return _reduce(m, gb._test_set, selector)
 
 
-class _DivisorIndex:
-    """Which leads of a binomial list divide a monomial, as bitsets.
+class _TestSet:
+    """The distinct rewrites of a binomial list, as a test-set index.
 
-    The n variables are cut into 4-bit slices, kept as ``(shift, table)``
-    pairs.  ``table[v]`` is a Python int with bit i set when lead i's bits
-    in the slice, ``(lead_i >> shift) & 15``, lie inside the nibble v, so
-    lead i divides m exactly when bit i survives the AND of
-    ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
-    lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
-    Leads are numbered in the order given.  The index is built once from
-    its lead list and never changed.
+    ``rewrites`` holds R, the distinct nonzero values of lead ^ trail,
+    ascending in degrevlex.  Say r beats m when key(m ^ r) < key(m) in the
+    mask order key(m) = (wt m, -m); with h_r = ceil(wt r / 2) and c'_r = r
+    with its top bit cleared when wt r is even, r beats m exactly when
+    popcount(m & c'_r) >= h_r (see :func:`_half_subsets`).  ``lanes`` holds
+    one 256-row table per byte slice of the n variables: lane r of row b in
+    slice s is popcount(b & byte s of c'_r), and slice 0 also carries
+    128 - h_r.  So in the sum over the slices of the rows that m's bytes
+    pick, lane r is at least 128 exactly when r beats m, and it stays
+    below 192: the lanes never carry into each other.  Lanes are padded
+    with zeros, which never reach 128, to whole 8-lane limbs.
+    ``lightest`` is the least h_r, past any word's weight when R is empty:
+    no r beats a lighter word.
 
-    The batch kernel reads the same bitsets as ``limbs``, a
-    ``(slices, 16, W)`` uint64 array: ``limbs[s, v]`` holds
-    ``slices[s][1][v]`` in W little-endian 64-bit limbs, and the ints are
-    read off its bytes.  It also reads the rewrites as the uint64 array
-    ``rewrite_masks``, and ``lightest``, the least lead degree: no lead
-    divides a lighter monomial.
+    The scalar kernel reads the rows as Python ints (``rows``) and the batch
+    kernel as uint64 limbs of 8 lanes (``limbs``), each built on first use.
+    The index is built once from its list and never changed.
     """
 
-    __slots__ = ("slices", "rewrites", "limbs", "rewrite_masks", "lightest")
-
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
-        leads = np.asarray(leads, dtype=np.uint64)
-        trails = np.asarray(trails, dtype=np.uint64)
-        width = 8 * -(-leads.size // 64)  # bytes per bitset, in whole limbs
-        packed = np.zeros((-(-n // 4), 16, width), dtype=np.uint8)
-        for s, rows in enumerate(packed):  # leads whose nibble in slice s lies inside v
-            fits = (((leads >> np.uint64(4 * s)) & _NIBBLE).astype(np.uint8) & _OUTSIDE) == 0
-            rows[:, :-(-leads.size // 8)] = np.packbits(fits, axis=1, bitorder="little")
-        self.limbs = packed.view("<u8")
-        data = packed.tobytes()
-        tables = [int.from_bytes(data[i * width:(i + 1) * width], "little")
-                  for i in range(16 * len(packed))]
-        self.slices = [(4 * s, tables[16 * s:16 * s + 16]) for s in range(len(packed))]
-        self.rewrite_masks = leads ^ trails
-        self.rewrites = self.rewrite_masks.tolist()
-        self.lightest = int(np.bitwise_count(leads).min(initial=WORD_LIMIT))
+        r = np.sort(np.asarray(leads, dtype=np.uint64) ^ np.asarray(trails, dtype=np.uint64))
+        distinct = r != 0
+        distinct[1:] &= r[1:] != r[:-1]
+        r = r[distinct]
+        weight = np.bitwise_count(r)
+        order = np.lexsort((~r, weight))  # degrevlex: lighter first, then the larger mask
+        r, weight = r[order], weight[order]
+        halves = (weight + 1) >> 1
+        inner = np.where(weight & 1, r, r ^ _top_bit(r))
+        lanes = np.zeros((-(-n // 8), 256, 8 * -(-r.size // 8)), dtype=np.uint8)
+        for s, rows in enumerate(lanes):
+            rows[:, :r.size] = np.bitwise_count(_BYTES & (inner >> np.uint64(8 * s)))
+        if r.size:
+            lanes[0, :, :r.size] += (128 - halves).astype(np.uint8)
+        self.rewrite_masks, self.lanes = r, lanes
+        self.rewrites = r.tolist()
+        self.lightest = int(halves.min(initial=WORD_LIMIT + 1))
+
+    @cached_property
+    def limbs(self) -> np.ndarray:
+        return self.lanes.view("<u8")
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int, list[int]]:
+        """The scalar form: slice 0's row table, the (shift, row table) pair
+        of each other slice, the int with the top bit of every lane set,
+        and the rewrites by the bit length of their lane's top bit, so
+        ``picks[8 i + 8]`` is rewrite i."""
+        data, width = self.lanes.tobytes(), self.lanes.shape[2]
+        ints = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+        tables = [ints[a:a + 256] for a in range(0, len(ints), 256)]
+        picks = [0] * (8 * len(self.rewrites) + 1)
+        picks[8::8] = self.rewrites
+        high = int.from_bytes(b"\x80" * width, "little")
+        return tables[0], [(8 * s, t) for s, t in enumerate(tables) if s], high, picks
 
 
 def _reduce(
     m: int,
-    index: _DivisorIndex,
+    index: _TestSet,
     selector: Callable[[np.ndarray], int] | None = None,
 ) -> int:
-    """Rewrite m -> m XOR lead XOR trail while some lead divides m.
+    """Rewrite m -> m XOR r while some rewrite r of the index beats m.
 
-    The scalar entry point of the one rewrite kernel.  Each step ANDs one
-    bitset per 4-bit slice of the divisor index to get the set of leads
-    dividing m, a few big-integer operations instead of a pass over every
-    lead.  Without a ``selector`` its lowest bit, the first dividing lead in
-    index order, is used, so the result is a deterministic function of m
-    even for a set that is not a Groebner basis; otherwise ``selector`` is
-    called once per rewrite with the ascending indices of all dividing
-    leads.
+    The scalar entry point of the one rewrite kernel.  Each step adds one
+    row per byte of m and keeps the top bit of each lane: the set of
+    rewrites that beat m, a few big-integer operations instead of a pass
+    over every rewrite.  Without a ``selector`` its lowest bit, the first
+    beating rewrite in index order, is used, so the result is a
+    deterministic function of m for any list, Groebner basis or not;
+    otherwise ``selector`` is called once per step with the ascending
+    indices of all beating rewrites.  Each step lowers key(m) and stays in
+    m's coset, so the descent ends; on a reduced basis it ends at the
+    standard monomial, whichever beating rewrite each step takes.
     """
-    slices, rewrites = index.slices, index.rewrites
-    while rewrites:
-        hits = -1
-        for shift, table in slices:
-            hits &= table[(m >> shift) & 15]
+    lightest = index.lightest
+    if m.bit_count() < lightest:
+        return m
+    first, rest, high, picks = index.rows
+    while m.bit_count() >= lightest:
+        hits = first[m & 255]
+        for shift, table in rest:
+            hits += table[(m >> shift) & 255]
+        hits &= high
         if not hits:
             return m
         if selector is None:
-            m ^= rewrites[(hits & -hits).bit_length() - 1]
+            m ^= picks[(hits & -hits).bit_length()]
         else:
-            found = np.array(support(hits), dtype=np.intp) - 1
-            m ^= rewrites[found[selector(found)]]
+            found = (np.array(support(hits), dtype=np.intp) >> 3) - 1
+            m ^= index.rewrites[found[selector(found)]]
     return m
 
 
-def _reduce_many(words: np.ndarray, index: _DivisorIndex) -> np.ndarray:
+def _reduce_many(words: np.ndarray, index: _TestSet) -> np.ndarray:
     """:func:`_reduce` of every word of a uint64 array, as a new array.
 
     The batch entry point of the one rewrite kernel, reading the index's
-    ``limbs``.  Each step ANDs one row per slice into a bitset of dividing
-    leads for every word still live; the first nonzero limb and its lowest
-    bit name the first dividing lead in index order, as in the scalar
-    kernel, so the results match it word by word for any lead list.  Words
-    no lead divides drop out, those lighter than the lightest lead before
-    any bitset is read.  Words go through in blocks of about
-    ``_BATCH_LIMBS`` bitset limbs, so the working memory does not grow with
+    ``limbs``.  Each step sums one row per byte slice into the lanes of
+    every word still live; the first limb with a lane top bit set and its
+    lowest such bit name the first beating rewrite in index order, as in
+    the scalar kernel, so the results match it word by word for any list.
+    Words no rewrite beats drop out, those lighter than ``lightest``
+    before any row is read.  Words go through in blocks of about
+    ``_BATCH_LIMBS`` lane limbs, so the working memory does not grow with
     the array.
     """
     out = np.array(words, dtype=np.uint64)
     if not index.rewrites:
         return out
-    step = max(1, _BATCH_LIMBS // index.limbs.shape[2])
+    limbs = index.limbs
+    step = max(1, _BATCH_LIMBS // limbs.shape[2])
     for a in range(0, out.size, step):
-        _reduce_block(out[a:a + step], index.limbs, index.rewrite_masks, index.lightest)
+        _reduce_block(out[a:a + step], limbs, index.rewrite_masks, index.lightest)
     return out
 
 
@@ -595,17 +635,18 @@ def _reduce_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lighte
     while live.size:
         live = live[np.bitwise_count(m[live]) >= lightest]
         w = m[live]
-        hits = limbs[0][w & _NIBBLE]
+        lanes = limbs[0][w & _BYTE]
         for s in range(1, len(limbs)):
-            hits &= limbs[s][(w >> np.uint64(4 * s)) & _NIBBLE]
-        nonzero = hits != 0
+            lanes += limbs[s][(w >> np.uint64(8 * s)) & _BYTE]
+        lanes &= _HIGH
+        nonzero = lanes != 0
         first = nonzero.argmax(axis=1)
-        divided = np.flatnonzero(nonzero[np.arange(live.size), first])
-        first = first[divided]
-        limb = hits[divided, first]
-        lead = 64 * first + np.bitwise_count(limb ^ (limb - _ONE)) - 1
-        live = live[divided]
-        m[live] ^= rewrites[lead]
+        beaten = np.flatnonzero(nonzero[np.arange(live.size), first])
+        first = first[beaten]
+        limb = lanes[beaten, first]
+        lane = 8 * first + (np.bitwise_count(limb ^ (limb - _ONE)) >> 3) - 1
+        live = live[beaten]
+        m[live] ^= rewrites[lane]
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:

@@ -6,7 +6,8 @@ the independent route that :func:`~schubert_gb.groebner.coset_engine` is
 checked against, with the Gebauer-Moeller pair criteria, the two-bit lead
 codes they read and its own 2^n rewrite table, so it shares no rewrite
 kernel with the production code; the exponent-tuple arithmetic, the
-Buchberger criterion and the element sort key that audit the mask
+Buchberger criterion, which divides by the first dividing lead through a
+2^n table of its own, and the element sort key that audit the mask
 arithmetic of :mod:`schubert_gb.groebner`, and
 the support and bit-list conversions of masks that only the tests use; the
 brute-force oracles over all 2^n words or all codewords that audit the coset
@@ -31,8 +32,6 @@ from .decoding import BSC, DECODED, DecodeOutcome, FixedWeight, gb_decode
 from .groebner import (
     Binomial,
     ReducedGroebnerBasis,
-    _DivisorIndex,
-    _reduce,
     _validated_masks,
 )
 from .linalg import CosetLeaderTable, LinearCode, syndrome_decode, syndromes
@@ -189,10 +188,10 @@ def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
         return _is_groebner_exponents(pairs)
 
     codes = [(b.lead, b.trail) for b in elems if b.kind == "code"]
-    index = _DivisorIndex(n, [c[0] for c in codes], [c[1] for c in codes])
+    rewrite = _first_divisor_table(n, codes)
 
     def reduces_to_zero(a: int, b: int) -> bool:
-        return _reduce(a, index) == _reduce(b, index)
+        return _remainder(a, rewrite) == _remainder(b, rewrite)
 
     for i, (li, ti) in enumerate(codes):
         for lj, tj in codes[:i]:
@@ -206,6 +205,27 @@ def is_groebner(elements: Iterable[Binomial], n: int | None = None) -> bool:
                 return False
             rest ^= bit
     return True
+
+
+def _first_divisor_table(n: int, codes: list[tuple[int, int]]) -> np.ndarray:
+    """The int64 rewrite table of :func:`_remainder` that divides by the
+    first lead in list order: entry m holds lead ^ trail of the first pair
+    whose lead divides m, 0 when none does.
+
+    Division, not descent by the distinct rewrites: a list with one code
+    binomial dropped still holds that binomial's rewrite in the others, so
+    only the leads themselves show the gap.  Entry m starts as the index of
+    the first lead equal to m, and one pass per variable carries the least
+    index up to every multiple.
+    """
+    guard_enumeration(1 << n, "Groebner test", "monomials")
+    first = np.full(1 << n, len(codes), dtype=np.int64)
+    pairs = np.array(codes, dtype=np.int64).reshape(-1, 2)
+    np.minimum.at(first, pairs[:, 0], np.arange(len(codes)))
+    for v in range(n):
+        halves = first.reshape(-1, 2, 1 << v)
+        np.minimum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+    return np.append(pairs[:, 0] ^ pairs[:, 1], 0)[first]
 
 
 def _is_groebner_exponents(pairs: list[BinomialPair]) -> bool:

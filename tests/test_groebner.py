@@ -381,7 +381,7 @@ class TestHalfSubsets:
 
     @pytest.mark.parametrize("name, route", [
         ("hamming_15_11", "walk"), ("code_14_13", "walk"), ("ladder_24", "half"),
-        ("code_31_5_16", "half"),
+        ("code_31_5_16", "half"), ("ladder_18", "half"), ("c_1_4", "half"),
     ])
     def test_route_choice(self, monkeypatch, name, route):
         hamming = np.array([[(c >> i) & 1 for c in range(1, 16)] for i in range(4)])
@@ -390,6 +390,8 @@ class TestHalfSubsets:
             "code_14_13": lambda: LinearCode.from_generator(
                 np.hstack([np.eye(13, dtype=int), np.ones((13, 1), dtype=int)]), 2),
             "ladder_24": lambda: ladder_code(24),
+            "ladder_18": lambda: ladder_code(18),
+            "c_1_4": lambda: load_code("1_4"),
             "code_31_5_16": lambda: LinearCode.from_generator(
                 generator_matrix(SchubertSpec(2, 6, 2, (1, 6))), 2),
         }[name]()
@@ -557,26 +559,36 @@ class TestNormalForm:
             assert normal_form(nf, gb) == nf
 
 
-def scan_reduce(m, leads, trails, selector=None):
-    """The rewrite kernel before the divisor index, kept as the reference:
-    each step scans every lead (``leads & ~m``) and takes the first divisor."""
+def scan_reduce(m, leads, trails):
+    """Division by the first dividing lead, scanning every lead
+    (``leads & ~m``): on a reduced basis it ends where the descent does."""
     while leads.size:
         outside = leads & ~np.uint64(m)  # zero exactly where the lead divides m
-        if selector is None:
-            pick = int(outside.argmin())
-            if outside[pick]:
-                return m
-        else:
-            hits = np.flatnonzero(outside == 0)
-            if not hits.size:
-                return m
-            pick = hits[selector(hits)]
+        pick = int(outside.argmin())
+        if outside[pick]:
+            return m
         m ^= leads.item(pick) ^ trails.item(pick)
     return m
 
 
+def scan_rewrites(leads, trails):
+    """R: the distinct nonzero lead ^ trail, ascending in degrevlex."""
+    return sorted({a ^ b for a, b in zip(leads, trails)} - {0}, key=degrevlex_key)
+
+
+def descent_scan(m, rewrites, selector=None):
+    """The descent rule read directly off the order: each step applies the
+    first r of ``rewrites`` with key(m ^ r) < key(m), or the one
+    ``selector`` picks from the ascending indices of all of them."""
+    while True:
+        hits = [i for i, r in enumerate(rewrites) if degrevlex_key(m ^ r) < degrevlex_key(m)]
+        if not hits:
+            return m
+        m ^= rewrites[hits[0] if selector is None else hits[selector(np.array(hits))]]
+
+
 class TestDivisorIndex:
-    """The bitset rewrite kernel against the former scan kernel and the oracles."""
+    """The test-set rewrite kernel against the scans and the oracles."""
 
     def test_equals_scan_and_coset_minimum(self, codes, small_random_codes):
         targets = [codes["1_4"], codes["2_3"]] + small_random_codes + random_codes()
@@ -589,10 +601,11 @@ class TestDivisorIndex:
 
     @pytest.mark.parametrize("first_hit", [True, False])
     def test_selector_sees_the_scan_hits(self, bases, small_random_codes, first_hit):
-        # a first-hit selector also counts the rewrite steps the benchmark reports
+        # a first-hit selector also counts the descent steps the benchmark reports
         gbs = [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes[:3]]
         for gb in gbs:
-            leads, trails = gb.leads, gb.trails
+            rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
+            assert gb._test_set.rewrites == rewrites
             rng = random.Random(gb.n)
             for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
                 seen = {"index": [], "scan": []}
@@ -605,33 +618,44 @@ class TestDivisorIndex:
                         return 0 if first_hit else choice.randrange(len(hits))
                     return selector
                 got = normal_form(m, gb, selector=pick("index"))
-                assert got == scan_reduce(m, leads, trails, selector=pick("scan")) == normal_form(m, gb)
+                assert got == descent_scan(m, rewrites, selector=pick("scan")) == normal_form(m, gb)
                 assert seen["index"] == seen["scan"]
 
-    def test_first_divisor_in_list_order_on_raw_generators(self, codes):
+    def test_first_beating_rewrite_on_raw_generators(self, codes):
         # X^w - 1 per generator row is no Groebner basis: the result depends
-        # on which dividing lead each step takes
+        # on which beating rewrite each step takes
         for code in codes.values():
             rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
-            index = groebner._DivisorIndex(code.n, rows, [0] * len(rows))
-            leads = np.array(rows, dtype=np.uint64)
+            index = groebner._TestSet(code.n, rows, [0] * len(rows))
+            rewrites = scan_rewrites(rows, [0] * len(rows))
+            assert index.rewrites == rewrites
             rng = random.Random(code.n)
             for m in rng.sample(range(1 << code.n), min(500, 1 << code.n)):
-                assert groebner._reduce(m, index) == scan_reduce(m, leads, np.zeros_like(leads))
+                assert groebner._reduce(m, index) == descent_scan(m, rewrites)
 
     def test_no_code_binomials(self):
         gb = buchberger([field_relation(i) for i in range(1, 6)])  # the k = 0 code
-        assert gb._divisor_index.rewrites == []
+        assert gb._test_set.rewrites == []
         assert all(normal_form(m, gb) == m for m in range(1 << 5))
         words = np.arange(1 << 5, dtype=np.uint64)
-        assert np.array_equal(groebner._reduce_many(words, gb._divisor_index), words)
+        assert np.array_equal(groebner._reduce_many(words, gb._test_set), words)
 
     def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
-            index = gb._divisor_index
-            assert [shift for shift, _ in index.slices] == list(range(0, gb.n, 4))
-            assert all(len(table) == 16 for _, table in index.slices)
-            assert len(index.rewrites) == len(gb.code_binomials)
+            index = gb._test_set
+            rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
+            slices, lanes = -(-gb.n // 8), 8 * -(-len(rewrites) // 8)
+            assert index.rewrites == rewrites
+            assert index.lanes.shape == (slices, 256, lanes)
+            first, rest, _, _ = index.rows
+            assert [shift for shift, _ in rest] == list(range(8, gb.n, 8))
+            assert all(len(table) == 256 for table in [first] + [t for _, t in rest])
+            rng = random.Random(gb.n)
+            for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
+                # the lanes of m's rows reach 128 exactly at the rewrites that beat m
+                total = sum(index.lanes[s, (m >> 8 * s) & 255].astype(int) for s in range(slices))
+                beats = [degrevlex_key(m ^ r) < degrevlex_key(m) for r in rewrites]
+                assert (total >= 128).tolist() == beats + [False] * (lanes - len(rewrites))
 
     def test_bit_63_of_a_64_bit_word(self, wide_code):
         gb = coset_engine(wide_code)
@@ -659,6 +683,24 @@ class TestDivisorIndex:
             assert nf == scan_reduce(m, leads, trails) == int(leaders[syndrome(m, code)])
 
 
+    def test_31_5_16_equals_the_brute_force_minimum(self, monkeypatch):
+        # 199,330 leads, 31 distinct rewrites: half the words uniform, half a
+        # codeword with up to 9 flips, so some lie beyond t = 7
+        code = LinearCode.from_generator(generator_matrix(SchubertSpec(2, 6, 2, (1, 6))), 2)
+        monkeypatch.setenv(ENUM_ENV_VAR, "26")
+        gb = coset_engine(code)
+        codewords = code.codeword_masks()
+        rng = np.random.default_rng(31)
+        flips = np.zeros(10_000, dtype=np.uint64)
+        for _ in range(9):
+            flips ^= np.uint64(1) << rng.integers(0, 31, flips.size, dtype=np.uint64)
+        words = np.concatenate([rng.integers(0, 1 << 31, 10_000, dtype=np.uint64),
+                                rng.choice(codewords, flips.size) ^ flips])
+        want = coset_minimum(words, codewords)
+        assert np.array_equal(groebner._reduce_many(words, gb._test_set), want)
+        assert [normal_form(m, gb) for m in words.tolist()] == want.tolist()
+
+
 def scalar_reduce(words, index):
     return np.array([groebner._reduce(m, index) for m in words.tolist()], dtype=np.uint64)
 
@@ -677,24 +719,24 @@ class TestBatchKernel:
         gbs = list(bases.values()) + [coset_engine(c) for c in random_codes() + small_random_codes]
         for gb in gbs:
             words = sample_words(gb.n, seed=gb.n)
-            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
-                                  scalar_reduce(words, gb._divisor_index))
+            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
+                                  scalar_reduce(words, gb._test_set))
 
     def test_ladder_rungs(self, ladder_bases):
         for n, gb in ladder_bases.items():
             words = sample_words(n, seed=n)
-            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
-                                  scalar_reduce(words, gb._divisor_index))
+            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
+                                  scalar_reduce(words, gb._test_set))
 
     @pytest.mark.parametrize("alpha", [(1, 2), (1, 3)])  # the [1,1,1] and [3,2,2] codes
     def test_degenerate_schubert_codes(self, alpha):
         gb = coset_engine(LinearCode.from_generator(generator_matrix(SchubertSpec(2, 5, 2, alpha)), 2))
         words = np.arange(1 << gb.n, dtype=np.uint64)
-        assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
-                              scalar_reduce(words, gb._divisor_index))
+        assert np.array_equal(groebner._reduce_many(words, gb._test_set),
+                              scalar_reduce(words, gb._test_set))
 
     def test_empty_and_single_word(self, bases):
-        index = bases["2_4"]._divisor_index
+        index = bases["2_4"]._test_set
         empty = groebner._reduce_many(np.zeros(0, dtype=np.uint64), index)
         assert empty.dtype == np.uint64 and empty.shape == (0,)
         word = (1 << 19) - 1
@@ -703,12 +745,12 @@ class TestBatchKernel:
 
     def test_input_is_not_written(self, bases):
         words = np.arange(1 << 7, dtype=np.uint64)
-        groebner._reduce_many(words, bases["1_4"]._divisor_index)
+        groebner._reduce_many(words, bases["1_4"]._test_set)
         assert np.array_equal(words, np.arange(1 << 7, dtype=np.uint64))
 
-    def test_first_divisor_in_list_order_on_non_groebner_lists(self, codes):
+    def test_first_beating_rewrite_on_non_groebner_lists(self, codes):
         # oriented pairs in random order, leads dividing leads included: the
-        # result depends on which dividing lead each step takes
+        # result depends on which beating rewrite each step takes
         rng = random.Random(5)
         lists = []
         for code in codes.values():
@@ -723,26 +765,26 @@ class TestBatchKernel:
                     trails.append(b)
             lists.append((n, leads, trails))
         for n, leads, trails in lists:
-            index = groebner._DivisorIndex(n, leads, trails)
+            index = groebner._TestSet(n, leads, trails)
             words = np.array([rng.getrandbits(n) for _ in range(400)], dtype=np.uint64)
             got = groebner._reduce_many(words, index)
             assert np.array_equal(got, scalar_reduce(words, index))
-            lead_arr, trail_arr = np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64)
-            assert got.tolist() == [scan_reduce(m, lead_arr, trail_arr) for m in words.tolist()]
+            rewrites = scan_rewrites(leads, trails)
+            assert got.tolist() == [descent_scan(m, rewrites) for m in words.tolist()]
 
     @pytest.mark.parametrize("limbs", [1, 2, 7, 65])
     def test_tiny_blocks(self, monkeypatch, bases, limbs):
         monkeypatch.setattr(groebner, "_BATCH_LIMBS", limbs)  # 1 to 65 words per block
         for gb in (bases["1_4"], bases["1_5"]):
             words = sample_words(gb.n, count=300, seed=limbs)[:300]
-            assert np.array_equal(groebner._reduce_many(words, gb._divisor_index),
-                                  scalar_reduce(words, gb._divisor_index))
+            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
+                                  scalar_reduce(words, gb._test_set))
 
     def test_memory_does_not_grow_with_the_array(self, ladder_bases):
-        # 2^20 words at n = 24, where one bitset is 454 limbs.  The first 2^14
-        # are random and the rest 0, which no lead divides: in one block the
-        # random words alone would take some 60 MB per bitset array
-        index = ladder_bases[24]._divisor_index
+        # 2^20 words at n = 24, where R has 31 rewrites in 4 lane limbs.  The
+        # first 2^14 are random and the rest 0, which no rewrite beats: in one
+        # block the live-word index alone would take 8 MB
+        index = ladder_bases[24]._test_set
         words = np.zeros(1 << 20, dtype=np.uint64)
         words[:1 << 14] = np.random.default_rng(24).integers(0, 1 << 24, 1 << 14, dtype=np.uint64)
         tracemalloc.start()
@@ -836,6 +878,15 @@ class TestIsGroebner:
             b for b in bases["1_4"].elements if b.kind == "field"
         ] + list(bases["1_4"].code_binomials[:5])
         assert not is_groebner(elements, n=7)
+
+    @pytest.mark.parametrize("tag", ["1_4", "2_3", "1_5"])
+    def test_any_one_code_binomial_dropped_is_not_groebner(self, bases, tag):
+        # the dropped lead's rewrite is still held by the leads it shares it
+        # with, so only division by the leads themselves sees the gap
+        gb = bases[tag]
+        elements = gb.elements
+        for dropped in gb.code_binomials:
+            assert not is_groebner([b for b in elements if b != dropped], n=gb.n)
 
 
 class TestValidation:
