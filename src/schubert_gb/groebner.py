@@ -588,7 +588,7 @@ def _reduce(
     standard monomial, whichever beating rewrite each step takes.
     """
     lightest = index.lightest
-    if m.bit_count() < lightest:
+    if m.bit_count() < lightest:  # so is every word when R is empty: no rows needed
         return m
     first, rest, high, picks = index.rows
     while m.bit_count() >= lightest:
