@@ -7,9 +7,11 @@ is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
 
 Single words and batches share one decode rule on two entry points of the
-one rewrite kernel, which descends by the basis's distinct rewrites through
-its test-set index: :func:`gb_decode` runs the scalar ``_reduce`` and wraps
-its result in a :class:`DecodeOutcome`, and :func:`_canonical_many` runs
+rewrite kernel of the basis's own index, which divides by its leads or
+descends by its distinct rewrites, whichever costs less per step
+(:mod:`schubert_gb.groebner`): :func:`gb_decode` runs the scalar
+``_reduce`` and wraps its result in a :class:`DecodeOutcome`, and
+:func:`_canonical_many` runs
 ``_reduce_many`` on a uint64 array for the batch callers (:func:`simulate`,
 ``GroebnerDecoder.predict``).  Single words stay on the scalar kernel, since
 a one-word batch pays some hundred microseconds of fixed numpy calls where
@@ -83,7 +85,7 @@ def _canonical_many(
     """The canonical forms of a uint64 array of in-range masks and a boolean
     array of :func:`gb_decode`'s verdicts: whether each word decodes."""
     _check_mode(mode)
-    canonical = _reduce_many(words, gb._test_set)
+    canonical = _reduce_many(words, gb._index)
     if mode == "complete":
         return canonical, np.ones(canonical.size, dtype=bool)
     return canonical, np.bitwise_count(canonical) <= capability(gb)
@@ -101,7 +103,7 @@ def gb_decode(
     """
     w = check_word_mask(word, gb.n)
     _check_mode(mode)
-    canonical = _reduce(w, gb._test_set)
+    canonical = _reduce(w, gb._index)
     if mode == "complete" or canonical.bit_count() <= capability(gb):
         return DecodeOutcome(DECODED, canonical, canonical.bit_count(), canonical, w ^ canonical)
     return DecodeOutcome(TOO_MANY_ERRORS, canonical, canonical.bit_count())

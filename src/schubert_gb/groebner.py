@@ -24,25 +24,35 @@ takes the cheaper by two work counts; the enumeration guard counts the
 - One layered walk over the 2^(n-k) cosets, which yields both the leaders
   and the leads (:func:`~schubert_gb.linalg._coset_walk`), for the rest.
 
-Every rewrite runs through one kernel with two entry points, and monomials
-are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
-rewrites one mask (:func:`normal_form`, ``gb_decode``) and
+Every rewrite runs through one of two kernels, each with two entry points,
+and monomials are ordered by degrevlex keys computed directly on masks.
+:func:`_reduce` rewrites one mask (:func:`normal_form`, ``gb_decode``) and
 :func:`_reduce_many` a uint64 array of masks (``simulate``,
 ``GroebnerDecoder.predict`` and the exhaustive checks of ``verify-paper``),
-with the same result word by word.  The kernel descends by the basis as a
-test set (gradient-descent decoding; Ashikhmin and Barg, IEEE-IT 44, 1998;
-Borges-Quintana et al., "An algebraic view to gradient descent decoding",
-ITW 2010): R, the distinct values of lead ^ trail, has at most 2^k - 1
-members however many leads there are, and each step applies the first r in
-R, ascending in degrevlex, with key(m ^ r) < key(m).  A lead L with trail T
-that divides m gives such an r = L ^ T, so a word no r lowers is divided by
-no lead: it is the coset's standard monomial, whichever lowering r each
-step took.  One test-set index (:class:`_TestSet`), built once per basis,
-finds the lowering rewrites by one table of 8-bit lanes per byte of the
-word; the scalar entry point holds the table rows as Python ints, the
-batch one as uint64 limbs.  Single words stay on the scalar one: a
-one-word batch pays some hundred microseconds of fixed numpy calls, where
-``_reduce`` takes a few.
+with the same result word by word.  Each basis builds one rewrite index on
+first use, whichever costs fewer limbs per step (:func:`_rewrite_index`):
+
+- A divisor index (:class:`_DivisorIndex`) divides by the first dividing
+  lead in list order: per 4-bit slice of the word, one bitset over the N
+  leads, so a step costs about N bits per slice.  High-rate codes, whose
+  leads are about as many as their distinct rewrites, take it.
+- A test set (:class:`_TestSet`) descends by R, the distinct values of
+  lead ^ trail: each step applies the first r in R, ascending in
+  degrevlex, with key(m ^ r) < key(m) (gradient-descent decoding;
+  Ashikhmin and Barg, IEEE-IT 44, 1998; Borges-Quintana et al., "An
+  algebraic view to gradient descent decoding", ITW 2010).  R has at most
+  2^k - 1 members however many leads there are, 31 at [31,5,16] against
+  199,330 leads, so low-rate codes take it.  A dividing lead's own rewrite
+  lowers the word, so on a reduced basis the descent ends at the standard
+  monomial too; per byte of the word, one table of 8-bit lanes finds the
+  lowering rewrites.
+
+Both rules give the coset's standard monomial on a reduced basis; on other
+lists they differ, and each entry point applies its index's rule.  The
+scalar entry point holds the index's rows as Python ints, the batch one as
+uint64 limbs.  Single words stay on the scalar one: a one-word batch pays
+some hundred microseconds of fixed numpy calls, where ``_reduce`` takes a
+few.
 
 This module holds the production routes only.  The Buchberger run that the
 coset engine is checked against, with its own rewrite table, the ideal
@@ -63,8 +73,10 @@ from .validation import EnumerationLimitError, check_word_mask, enum_limit, guar
 from .words import WORD_LIMIT, support
 
 ORDER_ID = "degrevlex"
-# lane limbs per block of the batch kernel: bounds its working memory
+# bitset or lane limbs per block of the batch kernels: bounds their working memory
 _BATCH_LIMBS = 1 << 18
+_NIBBLE = np.uint64(15)
+_OUTSIDE = ~np.arange(16, dtype=np.uint8)[:, None]  # row v: the bits outside nibble v
 _BYTE = np.uint64(255)
 _BYTES = np.arange(256, dtype=np.uint64)[:, None]
 _HIGH = np.uint64(0x8080808080808080)  # the top bit of each 8-bit lane
@@ -148,9 +160,9 @@ class ReducedGroebnerBasis:
         return tuple(map(Binomial, self.leads.tolist(), self.trails.tolist()))
 
     @cached_property
-    def _test_set(self) -> _TestSet:
-        """The test-set index of the code binomials, built on first use."""
-        return _TestSet(self.n, self.leads, self.trails)
+    def _index(self) -> _DivisorIndex | _TestSet:
+        """The rewrite index of the code binomials, built on first use."""
+        return _rewrite_index(self.n, self.leads, self.trails)
 
     @cached_property
     def _capability(self) -> int:
@@ -415,11 +427,8 @@ def _half_subsets(codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_SLICE_WORDS`` popcounts, so the work is about
     sum_c C(2 h_c - 1, h_c) * 2^k and does not depend on n - k.
     """
-    weight = np.bitwise_count(codewords)
-    order = np.argsort(weight)
-    codewords, weight = codewords[order], weight[order]
-    halves = (weight + 1) >> 1
-    inner = np.where(weight & 1, codewords, codewords ^ _top_bit(codewords))  # the c'
+    codewords = codewords[np.argsort(np.bitwise_count(codewords))]
+    halves, inner = _beat_test(codewords)
     starts = np.searchsorted(halves, np.arange(int(halves.max(initial=0)) + 2))
     leads, sources = [codewords[:0]], [codewords[:0]]
     for h in range(1, starts.size - 1):
@@ -438,6 +447,13 @@ def _half_subsets(codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 leads.append(u[keep])
                 sources.append(np.repeat(codewords[r:e], part.size)[keep])
     return _lightest_sources(np.concatenate(leads), np.concatenate(sources))
+
+
+def _beat_test(codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h_c = ceil(wt c / 2) and c', c with its top bit cleared when wt c is
+    even, for each codeword c: c beats u exactly when popcount(u & c') >= h_c."""
+    weight = np.bitwise_count(codewords)
+    return (weight + 1) >> 1, np.where(weight & 1, codewords, codewords ^ _top_bit(codewords))
 
 
 def _subsets(w: int, h: int) -> np.ndarray:
@@ -495,18 +511,78 @@ def normal_form(
 ) -> int:
     """Canonical form of a squarefree monomial: its coset's standard monomial.
 
-    Descends by the basis's distinct rewrites r = lead ^ trail while one
-    of them beats m, i.e. key(m ^ r) < key(m): a step m -> m XOR r stays in
-    m's coset, and where a lead divides m its own rewrite beats m, so the
-    descent ends at the standard monomial.  The beating rewrites are read
-    off the basis's test-set index, built once on first use, and the first
-    of them in ascending degrevlex order is taken.  The result is
-    selection-independent; ``selector`` picks among the beating rewrites
-    (ascending index array -> position), is called once per step, and
-    exists so tests can randomize the descent and count its steps.
+    Rewrites m -> m XOR lead XOR trail through the basis's rewrite index,
+    built once on first use (:func:`_rewrite_index`): either by dividing
+    leads, the first of them in ascending element order, or by the basis as
+    a test set, the first distinct rewrite r = lead ^ trail in ascending
+    degrevlex with key(m ^ r) < key(m).  Each step stays in m's coset and
+    lowers m, and either rule ends at the standard monomial.  The result is
+    selection-independent; ``selector`` picks among the index's hits, the
+    dividing leads or the beating rewrites (ascending index array ->
+    position), is called once per step, and exists so tests can randomize
+    the reduction path and count its steps.
     """
     m = check_word_mask(monomial, gb.n)
-    return _reduce(m, gb._test_set, selector)
+    return _reduce(m, gb._index, selector)
+
+
+def _rewrite_index(n: int, leads: np.ndarray, trails: np.ndarray) -> _DivisorIndex | _TestSet:
+    """The rewrite index of a binomial list whose step costs fewer 64-bit
+    limbs of big-integer work.
+
+    Division ANDs one bitset of the N leads per 4-bit slice, ceil(n / 4) *
+    ceil(N / 64) limbs.  The test set adds one row of 8-bit lanes over the
+    R distinct rewrites per byte slice and masks the sum once,
+    (ceil(n / 8) + 1) * ceil(R / 8) limbs.  R is at most 2^k - 1, so
+    low-rate codes descend by the test set, while high-rate codes, whose
+    rewrites are about as many as their leads, divide.  On a tie the list
+    is divided: division reads each lead as given, where the descent
+    relies on the list holding every lead of a reduced basis.
+    """
+    tests = _TestSet(n, leads, trails)
+    if (-(-n // 8) + 1) * -(-len(tests.rewrites) // 8) < -(-n // 4) * -(-len(leads) // 64):
+        return tests
+    return _DivisorIndex(n, leads, trails)
+
+
+class _DivisorIndex:
+    """Which leads of a binomial list divide a monomial, as bitsets.
+
+    The n variables are cut into 4-bit slices, kept as ``(shift, table)``
+    pairs.  ``table[v]`` is a Python int with bit i set when lead i's bits
+    in the slice, ``(lead_i >> shift) & 15``, lie inside the nibble v, so
+    lead i divides m exactly when bit i survives the AND of
+    ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
+    lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
+    Leads are numbered in the order given.  The index is built once from
+    its lead list and never changed.
+
+    The batch kernel reads the same bitsets as ``limbs``, a
+    ``(slices, 16, W)`` uint64 array: ``limbs[s, v]`` holds
+    ``slices[s][1][v]`` in W little-endian 64-bit limbs, and the ints are
+    read off its bytes.  It also reads the rewrites as the uint64 array
+    ``rewrite_masks``, and ``lightest``, the least lead degree: no lead
+    divides a lighter monomial.
+    """
+
+    __slots__ = ("slices", "rewrites", "limbs", "rewrite_masks", "lightest")
+
+    def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
+        leads = np.asarray(leads, dtype=np.uint64)
+        trails = np.asarray(trails, dtype=np.uint64)
+        width = 8 * -(-leads.size // 64)  # bytes per bitset, in whole limbs
+        packed = np.zeros((-(-n // 4), 16, width), dtype=np.uint8)
+        for s, rows in enumerate(packed):  # leads whose nibble in slice s lies inside v
+            fits = (((leads >> np.uint64(4 * s)) & _NIBBLE).astype(np.uint8) & _OUTSIDE) == 0
+            rows[:, :-(-leads.size // 8)] = np.packbits(fits, axis=1, bitorder="little")
+        self.limbs = packed.view("<u8")
+        data = packed.tobytes()
+        tables = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                  for i in range(16 * len(packed))]
+        self.slices = [(4 * s, tables[16 * s:16 * s + 16]) for s in range(len(packed))]
+        self.rewrite_masks = leads ^ trails
+        self.rewrites = self.rewrite_masks.tolist()
+        self.lightest = int(np.bitwise_count(leads).min(initial=WORD_LIMIT))
 
 
 class _TestSet:
@@ -514,21 +590,24 @@ class _TestSet:
 
     ``rewrites`` holds R, the distinct nonzero values of lead ^ trail,
     ascending in degrevlex.  Say r beats m when key(m ^ r) < key(m) in the
-    mask order key(m) = (wt m, -m); with h_r = ceil(wt r / 2) and c'_r = r
-    with its top bit cleared when wt r is even, r beats m exactly when
-    popcount(m & c'_r) >= h_r (see :func:`_half_subsets`).  ``lanes`` holds
-    one 256-row table per byte slice of the n variables: lane r of row b in
-    slice s is popcount(b & byte s of c'_r), and slice 0 also carries
-    128 - h_r.  So in the sum over the slices of the rows that m's bytes
-    pick, lane r is at least 128 exactly when r beats m, and it stays
-    below 192: the lanes never carry into each other.  Lanes are padded
-    with zeros, which never reach 128, to whole 8-lane limbs.
+    mask order key(m) = (wt m, -m); with h_r and c'_r as in
+    :func:`_beat_test`, r beats m exactly when popcount(m & c'_r) >= h_r.
+    ``lanes`` holds one 256-row table per byte slice of the n variables:
+    lane r of row b in slice s is popcount(b & byte s of c'_r), and slice 0
+    also carries 128 - h_r.  So in the sum over the slices of the rows that
+    m's bytes pick, lane r is at least 128 exactly when r beats m, and it
+    stays below 192: the lanes never carry into each other.  Lanes are
+    padded with zeros, which never reach 128, to whole 8-lane limbs.
     ``lightest`` is the least h_r, past any word's weight when R is empty:
-    no r beats a lighter word.
+    no r beats a lighter word.  A lead L with trail T that divides m gives
+    the r = L ^ T that beats m, so on a reduced basis a word no r beats is
+    the standard monomial (gradient-descent decoding; Ashikhmin and Barg,
+    IEEE-IT 44, 1998).
 
     The scalar kernel reads the rows as Python ints (``rows``) and the batch
-    kernel as uint64 limbs of 8 lanes (``limbs``), each built on first use.
-    The index is built once from its list and never changed.
+    kernel as uint64 limbs of 8 lanes (``limbs``); the lanes and each form
+    are built on first use.  The index is built once from its list and
+    never changed.
     """
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
@@ -536,19 +615,21 @@ class _TestSet:
         distinct = r != 0
         distinct[1:] &= r[1:] != r[:-1]
         r = r[distinct]
-        weight = np.bitwise_count(r)
-        order = np.lexsort((~r, weight))  # degrevlex: lighter first, then the larger mask
-        r, weight = r[order], weight[order]
-        halves = (weight + 1) >> 1
-        inner = np.where(weight & 1, r, r ^ _top_bit(r))
-        lanes = np.zeros((-(-n // 8), 256, 8 * -(-r.size // 8)), dtype=np.uint8)
-        for s, rows in enumerate(lanes):
-            rows[:, :r.size] = np.bitwise_count(_BYTES & (inner >> np.uint64(8 * s)))
-        if r.size:
-            lanes[0, :, :r.size] += (128 - halves).astype(np.uint8)
-        self.rewrite_masks, self.lanes = r, lanes
+        r = r[np.lexsort((~r, np.bitwise_count(r)))]  # degrevlex: lighter, then the larger mask
+        self.n, self.rewrite_masks = n, r
+        self.halves, self.inner = _beat_test(r)
         self.rewrites = r.tolist()
-        self.lightest = int(halves.min(initial=WORD_LIMIT + 1))
+        self.lightest = int(self.halves.min(initial=WORD_LIMIT + 1))
+
+    @cached_property
+    def lanes(self) -> np.ndarray:
+        r = self.rewrite_masks
+        lanes = np.zeros((-(-self.n // 8), 256, 8 * -(-r.size // 8)), dtype=np.uint8)
+        for s, rows in enumerate(lanes):
+            rows[:, :r.size] = np.bitwise_count(_BYTES & (self.inner >> np.uint64(8 * s)))
+        if r.size:
+            lanes[0, :, :r.size] += (128 - self.halves).astype(np.uint8)
+        return lanes
 
     @cached_property
     def limbs(self) -> np.ndarray:
@@ -571,22 +652,35 @@ class _TestSet:
 
 def _reduce(
     m: int,
-    index: _TestSet,
+    index: _DivisorIndex | _TestSet,
     selector: Callable[[np.ndarray], int] | None = None,
 ) -> int:
-    """Rewrite m -> m XOR r while some rewrite r of the index beats m.
+    """Rewrite m -> m XOR r while the index finds a rewrite r for m.
 
-    The scalar entry point of the one rewrite kernel.  Each step adds one
-    row per byte of m and keeps the top bit of each lane: the set of
-    rewrites that beat m, a few big-integer operations instead of a pass
-    over every rewrite.  Without a ``selector`` its lowest bit, the first
-    beating rewrite in index order, is used, so the result is a
-    deterministic function of m for any list, Groebner basis or not;
-    otherwise ``selector`` is called once per step with the ascending
-    indices of all beating rewrites.  Each step lowers key(m) and stays in
-    m's coset, so the descent ends; on a reduced basis it ends at the
-    standard monomial, whichever beating rewrite each step takes.
+    The scalar entry point of the rewrite kernels.  A divisor index ANDs
+    one bitset per 4-bit slice to get the set of leads dividing m; a test
+    set adds one row per byte of m and keeps the top bit of each lane, the
+    set of rewrites that beat m.  Either way a few big-integer operations
+    stand for a pass over every lead or rewrite.  Without a ``selector``
+    the lowest bit of that set, the first hit in index order, is used, so
+    the result is a deterministic function of m for any list, Groebner
+    basis or not; otherwise ``selector`` is called once per step with the
+    ascending indices of all hits.
     """
+    if type(index) is _DivisorIndex:
+        slices, rewrites = index.slices, index.rewrites
+        while rewrites:
+            hits = -1
+            for shift, table in slices:
+                hits &= table[(m >> shift) & 15]
+            if not hits:
+                return m
+            if selector is None:
+                m ^= rewrites[(hits & -hits).bit_length() - 1]
+            else:
+                found = np.array(support(hits), dtype=np.intp) - 1
+                m ^= rewrites[found[selector(found)]]
+        return m
     lightest = index.lightest
     if m.bit_count() < lightest:  # so is every word when R is empty: no rows needed
         return m
@@ -606,31 +700,50 @@ def _reduce(
     return m
 
 
-def _reduce_many(words: np.ndarray, index: _TestSet) -> np.ndarray:
+def _reduce_many(words: np.ndarray, index: _DivisorIndex | _TestSet) -> np.ndarray:
     """:func:`_reduce` of every word of a uint64 array, as a new array.
 
-    The batch entry point of the one rewrite kernel, reading the index's
-    ``limbs``.  Each step sums one row per byte slice into the lanes of
-    every word still live; the first limb with a lane top bit set and its
-    lowest such bit name the first beating rewrite in index order, as in
-    the scalar kernel, so the results match it word by word for any list.
-    Words no rewrite beats drop out, those lighter than ``lightest``
-    before any row is read.  Words go through in blocks of about
-    ``_BATCH_LIMBS`` lane limbs, so the working memory does not grow with
+    The batch entry point of the rewrite kernels, reading the index's
+    ``limbs``: each step finds the hits of every word still live, and the
+    first limb with a hit and its lowest hit name the first hit in index
+    order, as in the scalar kernel, so the results match it word by word
+    for any list.  Words without a hit drop out, those lighter than
+    ``lightest`` before any row is read.  Words go through in blocks of
+    about ``_BATCH_LIMBS`` limbs, so the working memory does not grow with
     the array.
     """
     out = np.array(words, dtype=np.uint64)
     if not index.rewrites:
         return out
     limbs = index.limbs
+    block = _divide_block if type(index) is _DivisorIndex else _descend_block
     step = max(1, _BATCH_LIMBS // limbs.shape[2])
     for a in range(0, out.size, step):
-        _reduce_block(out[a:a + step], limbs, index.rewrite_masks, index.lightest)
+        block(out[a:a + step], limbs, index.rewrite_masks, index.lightest)
     return out
 
 
-def _reduce_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
-    """Reduce the uint64 words ``m`` in place; see :func:`_reduce_many`."""
+def _divide_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
+    """Reduce the uint64 words ``m`` in place by a divisor index's bitsets."""
+    live = np.arange(m.size)
+    while live.size:
+        live = live[np.bitwise_count(m[live]) >= lightest]
+        w = m[live]
+        hits = limbs[0][w & _NIBBLE]
+        for s in range(1, len(limbs)):
+            hits &= limbs[s][(w >> np.uint64(4 * s)) & _NIBBLE]
+        nonzero = hits != 0
+        first = nonzero.argmax(axis=1)
+        divided = np.flatnonzero(nonzero[np.arange(live.size), first])
+        first = first[divided]
+        limb = hits[divided, first]
+        lead = 64 * first + np.bitwise_count(limb ^ (limb - _ONE)) - 1
+        live = live[divided]
+        m[live] ^= rewrites[lead]
+
+
+def _descend_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
+    """Reduce the uint64 words ``m`` in place by a test set's lane limbs."""
     live = np.arange(m.size)
     while live.size:
         live = live[np.bitwise_count(m[live]) >= lightest]

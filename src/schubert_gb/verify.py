@@ -284,7 +284,7 @@ def run_checks(
         for name, code, basis in targets:
             words = np.arange(1 << code.n, dtype=np.uint64)
             want = coset_minimum(words, code.codeword_masks())
-            if not np.array_equal(_reduce_many(words, basis._test_set), want):
+            if not np.array_equal(_reduce_many(words, basis._index), want):
                 bad.append(name)
         run.check("nf", "canonical_vs_coset_minimum", not bad,
                   f"{len(targets)} codes, all 2^n monomials" + (f"; bad {bad}" if bad else ""))

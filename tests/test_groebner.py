@@ -559,14 +559,21 @@ class TestNormalForm:
             assert normal_form(nf, gb) == nf
 
 
-def scan_reduce(m, leads, trails):
-    """Division by the first dividing lead, scanning every lead
-    (``leads & ~m``): on a reduced basis it ends where the descent does."""
+def scan_reduce(m, leads, trails, selector=None):
+    """Division by the first dividing lead, or the one ``selector`` picks
+    from the indices of all of them, scanning every lead (``leads & ~m``):
+    on a reduced basis it ends where the descent does."""
     while leads.size:
         outside = leads & ~np.uint64(m)  # zero exactly where the lead divides m
-        pick = int(outside.argmin())
-        if outside[pick]:
-            return m
+        if selector is None:
+            pick = int(outside.argmin())
+            if outside[pick]:
+                return m
+        else:
+            hits = np.flatnonzero(outside == 0)
+            if not hits.size:
+                return m
+            pick = hits[selector(hits)]
         m ^= leads.item(pick) ^ trails.item(pick)
     return m
 
@@ -587,8 +594,14 @@ def descent_scan(m, rewrites, selector=None):
         m ^= rewrites[hits[0] if selector is None else hits[selector(np.array(hits))]]
 
 
+def indexes(gb):
+    """Both rewrite indexes of a basis, whichever its own route is."""
+    return [kind(gb.n, gb.leads, gb.trails) for kind in (groebner._DivisorIndex, groebner._TestSet)]
+
+
 class TestDivisorIndex:
-    """The test-set rewrite kernel against the scans and the oracles."""
+    """The two rewrite indexes, division by the leads and descent by the
+    test set, against the scans and the oracles."""
 
     def test_equals_scan_and_coset_minimum(self, codes, small_random_codes):
         targets = [codes["1_4"], codes["2_3"]] + small_random_codes + random_codes()
@@ -601,29 +614,50 @@ class TestDivisorIndex:
 
     @pytest.mark.parametrize("first_hit", [True, False])
     def test_selector_sees_the_scan_hits(self, bases, small_random_codes, first_hit):
-        # a first-hit selector also counts the descent steps the benchmark reports
+        # a first-hit selector also counts the steps the benchmark reports;
+        # normal_form hands it to the basis's own index
         gbs = [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes[:3]]
         for gb in gbs:
             rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
-            assert gb._test_set.rewrites == rewrites
+            scans = {
+                groebner._DivisorIndex: functools.partial(scan_reduce, leads=gb.leads, trails=gb.trails),
+                groebner._TestSet: functools.partial(descent_scan, rewrites=rewrites),
+            }
             rng = random.Random(gb.n)
             for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
-                seen = {"index": [], "scan": []}
+                for index in indexes(gb) + [None]:
+                    seen = {"index": [], "scan": []}
 
-                def pick(route, seed=m):
-                    choice = random.Random(seed)
+                    def pick(route, seed=m):
+                        choice = random.Random(seed)
 
-                    def selector(hits):
-                        seen[route].append(hits.tolist())
-                        return 0 if first_hit else choice.randrange(len(hits))
-                    return selector
-                got = normal_form(m, gb, selector=pick("index"))
-                assert got == descent_scan(m, rewrites, selector=pick("scan")) == normal_form(m, gb)
-                assert seen["index"] == seen["scan"]
+                        def selector(hits):
+                            seen[route].append(hits.tolist())
+                            return 0 if first_hit else choice.randrange(len(hits))
+                        return selector
+                    if index is None:
+                        got = normal_form(m, gb, selector=pick("index"))
+                        scan = scans[type(gb._index)]
+                    else:
+                        got = groebner._reduce(m, index, selector=pick("index"))
+                        scan = scans[type(index)]
+                    assert got == scan(m, selector=pick("scan")) == normal_form(m, gb)
+                    assert seen["index"] == seen["scan"]
+
+    def test_first_divisor_in_list_order_on_raw_generators(self, codes):
+        # X^w - 1 per generator row is no Groebner basis: the result depends
+        # on which dividing lead each step takes
+        for code in codes.values():
+            rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
+            index = groebner._DivisorIndex(code.n, rows, [0] * len(rows))
+            leads = np.array(rows, dtype=np.uint64)
+            rng = random.Random(code.n)
+            for m in rng.sample(range(1 << code.n), min(500, 1 << code.n)):
+                assert groebner._reduce(m, index) == scan_reduce(m, leads, np.zeros_like(leads))
 
     def test_first_beating_rewrite_on_raw_generators(self, codes):
-        # X^w - 1 per generator row is no Groebner basis: the result depends
-        # on which beating rewrite each step takes
+        # the same lists: the result depends on which beating rewrite each
+        # step takes
         for code in codes.values():
             rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
             index = groebner._TestSet(code.n, rows, [0] * len(rows))
@@ -635,14 +669,23 @@ class TestDivisorIndex:
 
     def test_no_code_binomials(self):
         gb = buchberger([field_relation(i) for i in range(1, 6)])  # the k = 0 code
-        assert gb._test_set.rewrites == []
+        assert type(gb._index) is groebner._DivisorIndex  # no limbs either way: a tie
         assert all(normal_form(m, gb) == m for m in range(1 << 5))
         words = np.arange(1 << 5, dtype=np.uint64)
-        assert np.array_equal(groebner._reduce_many(words, gb._test_set), words)
+        for index in indexes(gb):
+            assert index.rewrites == []
+            assert np.array_equal(groebner._reduce_many(words, index), words)
 
     def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
-            index = gb._test_set
+            index = groebner._DivisorIndex(gb.n, gb.leads, gb.trails)
+            assert [shift for shift, _ in index.slices] == list(range(0, gb.n, 4))
+            assert all(len(table) == 16 for _, table in index.slices)
+            assert len(index.rewrites) == len(gb.code_binomials)
+
+    def test_byte_slices_cover_n_not_a_multiple_of_eight(self, bases, small_random_codes):
+        for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
+            index = groebner._TestSet(gb.n, gb.leads, gb.trails)
             rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
             slices, lanes = -(-gb.n // 8), 8 * -(-len(rewrites) // 8)
             assert index.rewrites == rewrites
@@ -656,6 +699,27 @@ class TestDivisorIndex:
                 total = sum(index.lanes[s, (m >> 8 * s) & 255].astype(int) for s in range(slices))
                 beats = [degrevlex_key(m ^ r) < degrevlex_key(m) for r in rewrites]
                 assert (total >= 128).tolist() == beats + [False] * (lanes - len(rewrites))
+
+    @pytest.mark.parametrize("name, route", [
+        ("1_4", "divide"), ("2_3", "divide"), ("1_5", "descend"), ("2_4", "descend"),
+        ("hamming_15_11", "divide"), ("ladder_24", "descend"), ("wide", "divide"),
+    ])
+    def test_route_follows_the_step_cost(self, codes, wide_code, name, route):
+        # per step, division costs ceil(n/4) * ceil(N/64) limbs and the test
+        # set (ceil(n/8) + 1) * ceil(R/8): 2 against 2 at c_1_4, where the
+        # tie divides, 32 against 6 at c_1_5, 165 against 16 at c_2_4
+        hamming = np.array([[(c >> i) & 1 for c in range(1, 16)] for i in range(4)])
+        code = codes.get(name) or {
+            "hamming_15_11": lambda: LinearCode.from_generator(linalg.parity_check_of(hamming), 2),
+            "ladder_24": lambda: ladder_code(24),
+            "wide": lambda: wide_code,
+        }[name]()
+        gb = coset_engine(code)
+        kind = groebner._DivisorIndex if route == "divide" else groebner._TestSet
+        assert type(gb._index) is kind
+        n, rewrites = gb.n, len(scan_rewrites(gb.leads.tolist(), gb.trails.tolist()))
+        descend = (-(-n // 8) + 1) * -(-rewrites // 8) < -(-n // 4) * -(-len(gb.leads) // 64)
+        assert descend == (route == "descend")
 
     def test_bit_63_of_a_64_bit_word(self, wide_code):
         gb = coset_engine(wide_code)
@@ -682,7 +746,6 @@ class TestDivisorIndex:
             nf = normal_form(m, gb)
             assert nf == scan_reduce(m, leads, trails) == int(leaders[syndrome(m, code)])
 
-
     def test_31_5_16_equals_the_brute_force_minimum(self, monkeypatch):
         # 199,330 leads, 31 distinct rewrites: half the words uniform, half a
         # codeword with up to 9 flips, so some lie beyond t = 7
@@ -697,7 +760,8 @@ class TestDivisorIndex:
         words = np.concatenate([rng.integers(0, 1 << 31, 10_000, dtype=np.uint64),
                                 rng.choice(codewords, flips.size) ^ flips])
         want = coset_minimum(words, codewords)
-        assert np.array_equal(groebner._reduce_many(words, gb._test_set), want)
+        assert type(gb._index) is groebner._TestSet
+        assert np.array_equal(groebner._reduce_many(words, gb._index), want)
         assert [normal_form(m, gb) for m in words.tolist()] == want.tolist()
 
 
@@ -719,39 +783,39 @@ class TestBatchKernel:
         gbs = list(bases.values()) + [coset_engine(c) for c in random_codes() + small_random_codes]
         for gb in gbs:
             words = sample_words(gb.n, seed=gb.n)
-            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
-                                  scalar_reduce(words, gb._test_set))
+            for index in indexes(gb):
+                assert np.array_equal(groebner._reduce_many(words, index), scalar_reduce(words, index))
 
     def test_ladder_rungs(self, ladder_bases):
         for n, gb in ladder_bases.items():
             words = sample_words(n, seed=n)
-            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
-                                  scalar_reduce(words, gb._test_set))
+            for index in indexes(gb):
+                assert np.array_equal(groebner._reduce_many(words, index), scalar_reduce(words, index))
 
     @pytest.mark.parametrize("alpha", [(1, 2), (1, 3)])  # the [1,1,1] and [3,2,2] codes
     def test_degenerate_schubert_codes(self, alpha):
         gb = coset_engine(LinearCode.from_generator(generator_matrix(SchubertSpec(2, 5, 2, alpha)), 2))
         words = np.arange(1 << gb.n, dtype=np.uint64)
-        assert np.array_equal(groebner._reduce_many(words, gb._test_set),
-                              scalar_reduce(words, gb._test_set))
+        for index in indexes(gb):
+            assert np.array_equal(groebner._reduce_many(words, index), scalar_reduce(words, index))
 
     def test_empty_and_single_word(self, bases):
-        index = bases["2_4"]._test_set
-        empty = groebner._reduce_many(np.zeros(0, dtype=np.uint64), index)
-        assert empty.dtype == np.uint64 and empty.shape == (0,)
-        word = (1 << 19) - 1
-        one = groebner._reduce_many(np.array([word], dtype=np.uint64), index)
-        assert one.tolist() == [groebner._reduce(word, index)]
+        for index in indexes(bases["2_4"]):
+            empty = groebner._reduce_many(np.zeros(0, dtype=np.uint64), index)
+            assert empty.dtype == np.uint64 and empty.shape == (0,)
+            word = (1 << 19) - 1
+            one = groebner._reduce_many(np.array([word], dtype=np.uint64), index)
+            assert one.tolist() == [groebner._reduce(word, index)]
 
     def test_input_is_not_written(self, bases):
         words = np.arange(1 << 7, dtype=np.uint64)
-        groebner._reduce_many(words, bases["1_4"]._test_set)
-        assert np.array_equal(words, np.arange(1 << 7, dtype=np.uint64))
+        for index in indexes(bases["1_4"]):
+            groebner._reduce_many(words, index)
+            assert np.array_equal(words, np.arange(1 << 7, dtype=np.uint64))
 
-    def test_first_beating_rewrite_on_non_groebner_lists(self, codes):
-        # oriented pairs in random order, leads dividing leads included: the
-        # result depends on which beating rewrite each step takes
-        rng = random.Random(5)
+    @staticmethod
+    def non_groebner_lists(codes, rng):
+        # oriented pairs in random order, leads dividing leads included
         lists = []
         for code in codes.values():
             rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
@@ -764,7 +828,24 @@ class TestBatchKernel:
                     leads.append(a)
                     trails.append(b)
             lists.append((n, leads, trails))
-        for n, leads, trails in lists:
+        return lists
+
+    def test_first_divisor_in_list_order_on_non_groebner_lists(self, codes):
+        # the result depends on which dividing lead each step takes
+        rng = random.Random(5)
+        for n, leads, trails in self.non_groebner_lists(codes, rng):
+            index = groebner._DivisorIndex(n, leads, trails)
+            words = np.array([rng.getrandbits(n) for _ in range(400)], dtype=np.uint64)
+            got = groebner._reduce_many(words, index)
+            assert np.array_equal(got, scalar_reduce(words, index))
+            lead_arr, trail_arr = np.array(leads, dtype=np.uint64), np.array(trails, dtype=np.uint64)
+            assert got.tolist() == [scan_reduce(m, lead_arr, trail_arr) for m in words.tolist()]
+
+    def test_first_beating_rewrite_on_non_groebner_lists(self, codes):
+        # the same lists: the result depends on which beating rewrite each
+        # step takes
+        rng = random.Random(5)
+        for n, leads, trails in self.non_groebner_lists(codes, rng):
             index = groebner._TestSet(n, leads, trails)
             words = np.array([rng.getrandbits(n) for _ in range(400)], dtype=np.uint64)
             got = groebner._reduce_many(words, index)
@@ -777,25 +858,27 @@ class TestBatchKernel:
         monkeypatch.setattr(groebner, "_BATCH_LIMBS", limbs)  # 1 to 65 words per block
         for gb in (bases["1_4"], bases["1_5"]):
             words = sample_words(gb.n, count=300, seed=limbs)[:300]
-            assert np.array_equal(groebner._reduce_many(words, gb._test_set),
-                                  scalar_reduce(words, gb._test_set))
+            for index in indexes(gb):
+                assert np.array_equal(groebner._reduce_many(words, index), scalar_reduce(words, index))
 
     def test_memory_does_not_grow_with_the_array(self, ladder_bases):
-        # 2^20 words at n = 24, where R has 31 rewrites in 4 lane limbs.  The
-        # first 2^14 are random and the rest 0, which no rewrite beats: in one
-        # block the live-word index alone would take 8 MB
-        index = ladder_bases[24]._test_set
+        # 2^20 words at n = 24, where one bitset is 454 limbs and R has 31
+        # rewrites in 4 lane limbs.  The first 2^14 are random and the rest
+        # 0, which no lead divides and no rewrite beats: in one block the
+        # random words alone would take some 60 MB per bitset array, and
+        # the live-word index alone 8 MB
         words = np.zeros(1 << 20, dtype=np.uint64)
         words[:1 << 14] = np.random.default_rng(24).integers(0, 1 << 24, 1 << 14, dtype=np.uint64)
-        tracemalloc.start()
-        try:
-            out = groebner._reduce_many(words, index)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + (8 << 20)
-        sample = slice(0, 1 << 20, 997)
-        assert np.array_equal(out[sample], scalar_reduce(words[sample], index))
+        for index in indexes(ladder_bases[24]):
+            tracemalloc.start()
+            try:
+                out = groebner._reduce_many(words, index)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + (8 << 20)
+            sample = slice(0, 1 << 20, 997)
+            assert np.array_equal(out[sample], scalar_reduce(words[sample], index))
 
 
 class TestCapability:

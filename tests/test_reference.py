@@ -75,13 +75,22 @@ def test_moved_names_are_defined_only_in_reference():
     assert not set(MOVED) & set(schubert_gb.__all__)
 
 
+def test_production_divisor_index_does_not_grow():
+    # the coset engine builds each index once
+    from schubert_gb.groebner import _DivisorIndex
+
+    assert {name for name in vars(_DivisorIndex) if not name.startswith("__")} == {
+        "slices", "rewrites", "limbs", "rewrite_masks", "lightest",
+    }
+
+
 def test_production_test_set_index_does_not_grow():
-    # the index is built once from its list; its only members are the two
-    # forms of its rows, each cached on first use
+    # the index is built once from its list; its only members are its lane
+    # table and the two forms of its rows, each cached on first use
     from functools import cached_property
 
     from schubert_gb.groebner import _TestSet
 
     members = {name: value for name, value in vars(_TestSet).items() if not name.startswith("__")}
-    assert set(members) == {"limbs", "rows"}
+    assert set(members) == {"lanes", "limbs", "rows"}
     assert all(isinstance(value, cached_property) for value in members.values())
