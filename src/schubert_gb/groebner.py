@@ -715,51 +715,39 @@ def _reduce_many(words: np.ndarray, index: _DivisorIndex | _TestSet) -> np.ndarr
     out = np.array(words, dtype=np.uint64)
     if not index.rewrites:
         return out
-    limbs = index.limbs
-    block = _divide_block if type(index) is _DivisorIndex else _descend_block
-    step = max(1, _BATCH_LIMBS // limbs.shape[2])
+    step = max(1, _BATCH_LIMBS // index.limbs.shape[2])
     for a in range(0, out.size, step):
-        block(out[a:a + step], limbs, index.rewrite_masks, index.lightest)
+        _reduce_block(out[a:a + step], index)
     return out
 
 
-def _divide_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
-    """Reduce the uint64 words ``m`` in place by a divisor index's bitsets."""
+def _reduce_block(m: np.ndarray, index: _DivisorIndex | _TestSet) -> None:
+    """Reduce the uint64 words ``m`` in place; see :func:`_reduce_many`.
+
+    A divisor index's rows are bitsets over the leads, one bit per lead,
+    ANDed over the 4-bit slices; a test set's are 8-bit lanes over R,
+    summed over the bytes and masked to each lane's top bit.
+    """
+    divide = type(index) is _DivisorIndex
+    limbs, rewrites, lightest = index.limbs, index.rewrite_masks, index.lightest
+    width, field, combine = (4, _NIBBLE, np.bitwise_and) if divide else (8, _BYTE, np.add)
     live = np.arange(m.size)
     while live.size:
         live = live[np.bitwise_count(m[live]) >= lightest]
         w = m[live]
-        hits = limbs[0][w & _NIBBLE]
+        hits = limbs[0][w & field]
         for s in range(1, len(limbs)):
-            hits &= limbs[s][(w >> np.uint64(4 * s)) & _NIBBLE]
+            combine(hits, limbs[s][(w >> np.uint64(width * s)) & field], out=hits)
+        if not divide:
+            hits &= _HIGH
         nonzero = hits != 0
         first = nonzero.argmax(axis=1)
-        divided = np.flatnonzero(nonzero[np.arange(live.size), first])
-        first = first[divided]
-        limb = hits[divided, first]
-        lead = 64 * first + np.bitwise_count(limb ^ (limb - _ONE)) - 1
-        live = live[divided]
-        m[live] ^= rewrites[lead]
-
-
-def _descend_block(m: np.ndarray, limbs: np.ndarray, rewrites: np.ndarray, lightest: int) -> None:
-    """Reduce the uint64 words ``m`` in place by a test set's lane limbs."""
-    live = np.arange(m.size)
-    while live.size:
-        live = live[np.bitwise_count(m[live]) >= lightest]
-        w = m[live]
-        lanes = limbs[0][w & _BYTE]
-        for s in range(1, len(limbs)):
-            lanes += limbs[s][(w >> np.uint64(8 * s)) & _BYTE]
-        lanes &= _HIGH
-        nonzero = lanes != 0
-        first = nonzero.argmax(axis=1)
-        beaten = np.flatnonzero(nonzero[np.arange(live.size), first])
-        first = first[beaten]
-        limb = lanes[beaten, first]
-        lane = 8 * first + (np.bitwise_count(limb ^ (limb - _ONE)) >> 3) - 1
-        live = live[beaten]
-        m[live] ^= rewrites[lane]
+        found = np.flatnonzero(nonzero[np.arange(live.size), first])
+        first = first[found]
+        limb = hits[found, first]
+        bit = np.bitwise_count(limb ^ (limb - _ONE)) - 1  # the lowest set bit of each limb
+        live = live[found]
+        m[live] ^= rewrites[64 * first + bit if divide else 8 * first + (bit >> 3)]
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:
