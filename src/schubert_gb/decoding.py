@@ -7,20 +7,21 @@ is at most the capability t, it is the error pattern and w decodes to
 w XOR error; otherwise the word is reported as carrying more than t errors.
 
 Single words and batches share one decode rule on two entry points of the
-rewrite kernel of the basis's own index, which divides by its leads or
-descends by its distinct rewrites, whichever costs less per step
-(:mod:`schubert_gb.groebner`): :func:`gb_decode` runs the scalar
-``_reduce`` and wraps its result in a :class:`DecodeOutcome`, and
-:func:`_canonical_many` runs
-``_reduce_many`` on a uint64 array for the batch callers (:func:`simulate`,
-``GroebnerDecoder.predict``).  Single words stay on the scalar kernel, since
-a one-word batch pays some hundred microseconds of fixed numpy calls where
-``_reduce`` takes a few.
+one rewrite kernel (:mod:`schubert_gb.groebner`), which reads the basis's
+own index, a byte-sliced table that divides by the leads or descends by
+the distinct rewrites, whichever costs less per step: :func:`gb_decode`
+runs the scalar ``_reduce`` and wraps its result in a
+:class:`DecodeOutcome`, and :func:`_canonical_many` runs ``_reduce_many``
+on a uint64 array for the batch callers (:func:`simulate`,
+``GroebnerDecoder.predict``).  Single words stay on the scalar entry point,
+since a one-word batch pays some hundred microseconds of fixed numpy calls
+where ``_reduce`` takes a few.
 
 The seeded channel simulator draws and decodes its trials in blocks of at
 most ``_BLOCK`` as uint64 arrays: trial i is a splitmix64 stream of its own,
 fixed by (seed, i) alone, so a report is bit-identical per seed however the
-trials are blocked.  The scalar form of that stream is kept in
+trials are blocked; a trial's codeword is the XOR of the generator rows
+that its first draw picks.  The scalar form of that stream is kept in
 :mod:`schubert_gb.reference` as the oracle the array stream is tested
 against.
 
@@ -215,17 +216,21 @@ def simulate(
     success: the transmitted codeword is recovered; failures_flagged: the
     decoder reported too many errors; miscorrection: it decoded to a wrong
     codeword (impossible within radius t, counted to catch implementation
-    bugs).  Draw 0 of a trial picks the codeword, the draws after it the error.
+    bugs).  Draw 0 of a trial picks the codeword, the draws after it the
+    error: the low k bits of draw 0 pick the generator rows whose XOR is
+    sent, so no array spans the 2^k codewords.
     """
     n = code.n
     model._check(n)
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    codewords = code.codeword_masks()
+    rows = code.row_masks()
     successes = flagged = 0
     for start in range(0, trials, _BLOCK):
         draws = _draws(seed, start, min(start + _BLOCK, trials), n + 1)
-        sent = codewords[(draws[:, 0] % np.uint64(len(codewords))).astype(np.intp)]
+        sent = np.zeros(len(draws), dtype=np.uint64)
+        for i, row in enumerate(rows):
+            sent ^= np.uint64(row) * ((draws[:, 0] >> np.uint64(i)) & np.uint64(1))
         errors = model._errors(draws[:, 1:], n)
         canonical, decoded = _canonical_many(sent ^ errors, gb, "bounded")
         flagged += int(np.count_nonzero(~decoded))

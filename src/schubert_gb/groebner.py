@@ -24,35 +24,36 @@ takes the cheaper by two work counts; the enumeration guard counts the
 - One layered walk over the 2^(n-k) cosets, which yields both the leaders
   and the leads (:func:`~schubert_gb.linalg._coset_walk`), for the rest.
 
-Every rewrite runs through one of two kernels, each with two entry points,
-and monomials are ordered by degrevlex keys computed directly on masks.
-:func:`_reduce` rewrites one mask (:func:`normal_form`, ``gb_decode``) and
+Every rewrite runs through one kernel with two entry points, and monomials
+are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
+rewrites one mask (:func:`normal_form`, ``gb_decode``) and
 :func:`_reduce_many` a uint64 array of masks (``simulate``,
 ``GroebnerDecoder.predict`` and the exhaustive checks of ``verify-paper``),
-with the same result word by word.  Each basis builds one rewrite index on
-first use, whichever costs fewer limbs per step (:func:`_rewrite_index`):
+with the same result word by word.  Each basis builds one of two rewrite
+indexes on first use, whichever costs fewer limbs per step
+(:func:`_rewrite_index`).  Both hold one table per byte of the word, 256
+rows each, and the kernel combines the rows that the word's bytes pick:
 
 - A divisor index (:class:`_DivisorIndex`) divides by the first dividing
-  lead in list order: per 4-bit slice of the word, one bitset over the N
-  leads, so a step costs about N bits per slice.  High-rate codes, whose
+  lead in list order: a row is a bitset over the N leads, the rows are
+  ANDed, and a step costs about N bits per byte.  High-rate codes, whose
   leads are about as many as their distinct rewrites, take it.
 - A test set (:class:`_TestSet`) descends by R, the distinct values of
   lead ^ trail: each step applies the first r in R, ascending in
   degrevlex, with key(m ^ r) < key(m) (gradient-descent decoding;
   Ashikhmin and Barg, IEEE-IT 44, 1998; Borges-Quintana et al., "An
-  algebraic view to gradient descent decoding", ITW 2010).  R has at most
-  2^k - 1 members however many leads there are, 31 at [31,5,16] against
-  199,330 leads, so low-rate codes take it.  A dividing lead's own rewrite
-  lowers the word, so on a reduced basis the descent ends at the standard
-  monomial too; per byte of the word, one table of 8-bit lanes finds the
-  lowering rewrites.
+  algebraic view to gradient descent decoding", ITW 2010).  A row holds
+  one 8-bit lane per r, and the rows are added and masked to the lanes'
+  top bits.  R has at most 2^k - 1 members however many leads there are,
+  31 at [31,5,16] against 199,330 leads, so low-rate codes take it.  A
+  dividing lead's own rewrite lowers the word, so on a reduced basis the
+  descent ends at the standard monomial too.
 
 Both rules give the coset's standard monomial on a reduced basis; on other
-lists they differ, and each entry point applies its index's rule.  The
-scalar entry point holds the index's rows as Python ints, the batch one as
-uint64 limbs.  Single words stay on the scalar one: a one-word batch pays
-some hundred microseconds of fixed numpy calls, where ``_reduce`` takes a
-few.
+lists they differ, and each index applies its own rule.  The scalar entry
+point reads the table's rows as Python ints, the batch one as uint64
+limbs.  Single words stay on the scalar one: a one-word batch pays some
+hundred microseconds of fixed numpy calls, where ``_reduce`` takes a few.
 
 This module holds the production routes only.  The Buchberger run that the
 coset engine is checked against, with its own rewrite table, the ideal
@@ -73,10 +74,8 @@ from .validation import EnumerationLimitError, check_word_mask, enum_limit, guar
 from .words import WORD_LIMIT, support
 
 ORDER_ID = "degrevlex"
-# bitset or lane limbs per block of the batch kernels: bounds their working memory
+# table limbs per block of the batch kernel: bounds its working memory
 _BATCH_LIMBS = 1 << 18
-_NIBBLE = np.uint64(15)
-_OUTSIDE = ~np.arange(16, dtype=np.uint8)[:, None]  # row v: the bits outside nibble v
 _BYTE = np.uint64(255)
 _BYTES = np.arange(256, dtype=np.uint64)[:, None]
 _HIGH = np.uint64(0x8080808080808080)  # the top bit of each 8-bit lane
@@ -160,7 +159,7 @@ class ReducedGroebnerBasis:
         return tuple(map(Binomial, self.leads.tolist(), self.trails.tolist()))
 
     @cached_property
-    def _index(self) -> _DivisorIndex | _TestSet:
+    def _index(self) -> _RewriteIndex:
         """The rewrite index of the code binomials, built on first use."""
         return _rewrite_index(self.n, self.leads, self.trails)
 
@@ -512,103 +511,138 @@ def normal_form(
     """Canonical form of a squarefree monomial: its coset's standard monomial.
 
     Rewrites m -> m XOR lead XOR trail through the basis's rewrite index,
-    built once on first use (:func:`_rewrite_index`): either by dividing
-    leads, the first of them in ascending element order, or by the basis as
-    a test set, the first distinct rewrite r = lead ^ trail in ascending
-    degrevlex with key(m ^ r) < key(m).  Each step stays in m's coset and
-    lowers m, and either rule ends at the standard monomial.  The result is
-    selection-independent; ``selector`` picks among the index's hits, the
-    dividing leads or the beating rewrites (ascending index array ->
-    position), is called once per step, and exists so tests can randomize
-    the reduction path and count its steps.
+    built once on first use (:func:`_rewrite_index`), whose byte-sliced
+    table finds either the dividing leads, of which the first in ascending
+    element order is taken, or the beating rewrites r = lead ^ trail, the
+    first in ascending degrevlex with key(m ^ r) < key(m).  Each step stays
+    in m's coset and lowers m, and either rule ends at the standard
+    monomial.  The result is selection-independent; ``selector`` picks
+    among the index's hits (ascending index array -> position), is called
+    once per step, and exists so tests can randomize the reduction path and
+    count its steps.
     """
     m = check_word_mask(monomial, gb.n)
     return _reduce(m, gb._index, selector)
 
 
-def _rewrite_index(n: int, leads: np.ndarray, trails: np.ndarray) -> _DivisorIndex | _TestSet:
+def _rewrite_index(n: int, leads: np.ndarray, trails: np.ndarray) -> _RewriteIndex:
     """The rewrite index of a binomial list whose step costs fewer 64-bit
     limbs of big-integer work.
 
-    Division ANDs one bitset of the N leads per 4-bit slice, ceil(n / 4) *
-    ceil(N / 64) limbs.  The test set adds one row of 8-bit lanes over the
-    R distinct rewrites per byte slice and masks the sum once,
-    (ceil(n / 8) + 1) * ceil(R / 8) limbs.  R is at most 2^k - 1, so
+    Both indexes read one row per byte slice of the word.  Division ANDs
+    bitsets over the N leads, ceil(n / 8) * ceil(N / 64) limbs; the test set
+    adds rows of 8-bit lanes over the R distinct rewrites and masks the sum
+    once, (ceil(n / 8) + 1) * ceil(R / 8) limbs.  R is at most 2^k - 1, so
     low-rate codes descend by the test set, while high-rate codes, whose
     rewrites are about as many as their leads, divide.  On a tie the list
     is divided: division reads each lead as given, where the descent
     relies on the list holding every lead of a reduced basis.
     """
     tests = _TestSet(n, leads, trails)
-    if (-(-n // 8) + 1) * -(-len(tests.rewrites) // 8) < -(-n // 4) * -(-len(leads) // 64):
+    slices = -(-n // 8)
+    if (slices + 1) * -(-len(tests.rewrites) // 8) < slices * -(-len(leads) // 64):
         return tests
     return _DivisorIndex(n, leads, trails)
 
 
-class _DivisorIndex:
-    """Which leads of a binomial list divide a monomial, as bitsets.
+class _RewriteIndex:
+    """A rewrite rule over a binomial list, as one byte-sliced table.
 
-    The n variables are cut into 4-bit slices, kept as ``(shift, table)``
-    pairs.  ``table[v]`` is a Python int with bit i set when lead i's bits
-    in the slice, ``(lead_i >> shift) & 15``, lie inside the nibble v, so
-    lead i divides m exactly when bit i survives the AND of
-    ``table[(m >> shift) & 15]`` over all slices.  ``rewrites[i]`` is
-    lead_i ^ trail_i, the XOR that rewrites a monomial lead_i divides.
-    Leads are numbered in the order given.  The index is built once from
-    its lead list and never changed.
-
-    The batch kernel reads the same bitsets as ``limbs``, a
-    ``(slices, 16, W)`` uint64 array: ``limbs[s, v]`` holds
-    ``slices[s][1][v]`` in W little-endian 64-bit limbs, and the ints are
-    read off its bytes.  It also reads the rewrites as the uint64 array
-    ``rewrite_masks``, and ``lightest``, the least lead degree: no lead
-    divides a lighter monomial.
+    ``table`` is a ``(ceil(n / 8), 256, width)`` uint8 array, ``width`` in
+    whole 64-bit limbs: row b of slice s holds ``lane`` bits per rewrite
+    for a word whose byte s is b.  The kernel ANDs the rows that a word's
+    bytes pick (division) or adds them and masks each 8-bit lane's top bit
+    (descent, ``adds``); rewrite i applies when the bit of bit length
+    ``lane * (i + 1)`` is left, and ``picks`` maps that bit length to the
+    rewrite mask.  No rewrite applies to a word lighter than ``lightest``,
+    which passes every word's weight when there is none.  The scalar kernel
+    reads the rows as Python ints (``rows``), the batch kernel as uint64
+    limbs (``limbs``).  The table and each form are built on first use; the
+    index is built once from its list and never changed.
     """
 
-    __slots__ = ("slices", "rewrites", "limbs", "rewrite_masks", "lightest")
+    lane: int  # set by each rule, which also fills the table (``_fill``)
+    adds: bool
+
+    def __init__(self, n: int, rewrites: np.ndarray, lightest: int):
+        self.n, self.rewrites, self.lightest = n, rewrites.tolist(), lightest
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        width = 8 * -(-self.lane * len(self.rewrites) // 64)
+        table = np.zeros((-(-self.n // 8), 256, width), dtype=np.uint8)
+        self._fill(table)
+        return table
+
+    @cached_property
+    def limbs(self) -> np.ndarray:
+        return self.table.view("<u8")
+
+    @cached_property
+    def picks(self) -> np.ndarray:
+        picks = np.zeros(8 * self.table.shape[2] + 1, dtype=np.uint64)
+        picks[self.lane::self.lane][:len(self.rewrites)] = self.rewrites
+        return picks
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int, list[int]]:
+        """The scalar form: slice 0's row table, the (shift, row table) pair
+        of each other slice, the int with the top bit of every 8-bit lane
+        set, and ``picks`` as a list."""
+        data, width = self.table.tobytes(), self.table.shape[2]
+        ints = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+        tables = [ints[a:a + 256] for a in range(0, len(ints), 256)]
+        high = int.from_bytes(b"\x80" * width, "little")
+        return tables[0], [(8 * s, t) for s, t in enumerate(tables) if s], high, self.picks.tolist()
+
+
+class _DivisorIndex(_RewriteIndex):
+    """Which leads of a binomial list divide a monomial, as bitsets.
+
+    Bit i of row b in slice s is set when lead i's byte s, ``(lead_i >> 8 s)
+    & 255``, lies inside b, so lead i divides m exactly when bit i survives
+    the AND of the rows that m's bytes pick.  ``rewrites[i]`` is lead_i ^
+    trail_i, the XOR that rewrites a monomial lead_i divides, with leads
+    numbered in the order given.  ``lightest`` is the least lead degree: no
+    lead divides a lighter monomial.
+    """
+
+    lane, adds = 1, False
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
-        leads = np.asarray(leads, dtype=np.uint64)
-        trails = np.asarray(trails, dtype=np.uint64)
-        width = 8 * -(-leads.size // 64)  # bytes per bitset, in whole limbs
-        packed = np.zeros((-(-n // 4), 16, width), dtype=np.uint8)
-        for s, rows in enumerate(packed):  # leads whose nibble in slice s lies inside v
-            fits = (((leads >> np.uint64(4 * s)) & _NIBBLE).astype(np.uint8) & _OUTSIDE) == 0
-            rows[:, :-(-leads.size // 8)] = np.packbits(fits, axis=1, bitorder="little")
-        self.limbs = packed.view("<u8")
-        data = packed.tobytes()
-        tables = [int.from_bytes(data[i * width:(i + 1) * width], "little")
-                  for i in range(16 * len(packed))]
-        self.slices = [(4 * s, tables[16 * s:16 * s + 16]) for s in range(len(packed))]
-        self.rewrite_masks = leads ^ trails
-        self.rewrites = self.rewrite_masks.tolist()
-        self.lightest = int(np.bitwise_count(leads).min(initial=WORD_LIMIT))
+        self.leads = np.asarray(leads, dtype=np.uint64)
+        rewrites = self.leads ^ np.asarray(trails, dtype=np.uint64)
+        super().__init__(n, rewrites, int(np.bitwise_count(self.leads).min(initial=WORD_LIMIT + 1)))
+
+    def _fill(self, table: np.ndarray) -> None:
+        at = np.arange(self.leads.size)
+        bits = (1 << (at & 7)).astype(np.uint8)
+        for s, rows in enumerate(table):  # each lead in the row of its own byte,
+            byte = ((self.leads >> np.uint64(8 * s)) & _BYTE).astype(np.intp)
+            np.bitwise_or.at(rows, (byte, at >> 3), bits)
+        for j in range(8):  # then in every row whose byte holds it
+            half = table.reshape(len(table), -1, 2, 1 << j, table.shape[2])
+            half[:, :, 1] |= half[:, :, 0]
 
 
-class _TestSet:
+class _TestSet(_RewriteIndex):
     """The distinct rewrites of a binomial list, as a test-set index.
 
     ``rewrites`` holds R, the distinct nonzero values of lead ^ trail,
     ascending in degrevlex.  Say r beats m when key(m ^ r) < key(m) in the
     mask order key(m) = (wt m, -m); with h_r and c'_r as in
     :func:`_beat_test`, r beats m exactly when popcount(m & c'_r) >= h_r.
-    ``lanes`` holds one 256-row table per byte slice of the n variables:
-    lane r of row b in slice s is popcount(b & byte s of c'_r), and slice 0
-    also carries 128 - h_r.  So in the sum over the slices of the rows that
-    m's bytes pick, lane r is at least 128 exactly when r beats m, and it
-    stays below 192: the lanes never carry into each other.  Lanes are
-    padded with zeros, which never reach 128, to whole 8-lane limbs.
-    ``lightest`` is the least h_r, past any word's weight when R is empty:
+    Lane r of row b in slice s is popcount(b & byte s of c'_r), and slice 0
+    also carries 128 - h_r.  So in the sum of the rows that m's bytes pick,
+    lane r is at least 128 exactly when r beats m, and it stays below 192:
+    the lanes never carry into each other.  ``lightest`` is the least h_r:
     no r beats a lighter word.  A lead L with trail T that divides m gives
     the r = L ^ T that beats m, so on a reduced basis a word no r beats is
     the standard monomial (gradient-descent decoding; Ashikhmin and Barg,
     IEEE-IT 44, 1998).
-
-    The scalar kernel reads the rows as Python ints (``rows``) and the batch
-    kernel as uint64 limbs of 8 lanes (``limbs``); the lanes and each form
-    are built on first use.  The index is built once from its list and
-    never changed.
     """
+
+    lane, adds = 8, True
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
         r = np.sort(np.asarray(leads, dtype=np.uint64) ^ np.asarray(trails, dtype=np.uint64))
@@ -616,94 +650,60 @@ class _TestSet:
         distinct[1:] &= r[1:] != r[:-1]
         r = r[distinct]
         r = r[np.lexsort((~r, np.bitwise_count(r)))]  # degrevlex: lighter, then the larger mask
-        self.n, self.rewrite_masks = n, r
         self.halves, self.inner = _beat_test(r)
-        self.rewrites = r.tolist()
-        self.lightest = int(self.halves.min(initial=WORD_LIMIT + 1))
+        super().__init__(n, r, int(self.halves.min(initial=WORD_LIMIT + 1)))
 
-    @cached_property
-    def lanes(self) -> np.ndarray:
-        r = self.rewrite_masks
-        lanes = np.zeros((-(-self.n // 8), 256, 8 * -(-r.size // 8)), dtype=np.uint8)
-        for s, rows in enumerate(lanes):
-            rows[:, :r.size] = np.bitwise_count(_BYTES & (self.inner >> np.uint64(8 * s)))
-        if r.size:
-            lanes[0, :, :r.size] += (128 - self.halves).astype(np.uint8)
-        return lanes
-
-    @cached_property
-    def limbs(self) -> np.ndarray:
-        return self.lanes.view("<u8")
-
-    @cached_property
-    def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int, list[int]]:
-        """The scalar form: slice 0's row table, the (shift, row table) pair
-        of each other slice, the int with the top bit of every lane set,
-        and the rewrites by the bit length of their lane's top bit, so
-        ``picks[8 i + 8]`` is rewrite i."""
-        data, width = self.lanes.tobytes(), self.lanes.shape[2]
-        ints = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-        tables = [ints[a:a + 256] for a in range(0, len(ints), 256)]
-        picks = [0] * (8 * len(self.rewrites) + 1)
-        picks[8::8] = self.rewrites
-        high = int.from_bytes(b"\x80" * width, "little")
-        return tables[0], [(8 * s, t) for s, t in enumerate(tables) if s], high, picks
+    def _fill(self, table: np.ndarray) -> None:
+        count = len(self.rewrites)
+        for s, rows in enumerate(table):
+            rows[:, :count] = np.bitwise_count(_BYTES & (self.inner >> np.uint64(8 * s)))
+        table[0, :, :count] += (128 - self.halves).astype(np.uint8)
 
 
 def _reduce(
     m: int,
-    index: _DivisorIndex | _TestSet,
+    index: _RewriteIndex,
     selector: Callable[[np.ndarray], int] | None = None,
 ) -> int:
     """Rewrite m -> m XOR r while the index finds a rewrite r for m.
 
-    The scalar entry point of the rewrite kernels.  A divisor index ANDs
-    one bitset per 4-bit slice to get the set of leads dividing m; a test
-    set adds one row per byte of m and keeps the top bit of each lane, the
-    set of rewrites that beat m.  Either way a few big-integer operations
-    stand for a pass over every lead or rewrite.  Without a ``selector``
-    the lowest bit of that set, the first hit in index order, is used, so
-    the result is a deterministic function of m for any list, Groebner
-    basis or not; otherwise ``selector`` is called once per step with the
-    ascending indices of all hits.
+    The scalar entry point of the rewrite kernel: one row per byte of m,
+    ANDed into the set of dividing leads or added and masked into the set
+    of beating rewrites, so a few big-integer operations stand for a pass
+    over every lead or rewrite.  Without a ``selector`` the lowest bit of
+    that set, the first hit in index order, is used, so the result is a
+    deterministic function of m for any list, Groebner basis or not;
+    otherwise ``selector`` is called once per step with the ascending
+    indices of all hits.
     """
-    if type(index) is _DivisorIndex:
-        slices, rewrites = index.slices, index.rewrites
-        while rewrites:
-            hits = -1
-            for shift, table in slices:
-                hits &= table[(m >> shift) & 15]
-            if not hits:
-                return m
-            if selector is None:
-                m ^= rewrites[(hits & -hits).bit_length() - 1]
-            else:
-                found = np.array(support(hits), dtype=np.intp) - 1
-                m ^= rewrites[found[selector(found)]]
-        return m
     lightest = index.lightest
-    if m.bit_count() < lightest:  # so is every word when R is empty: no rows needed
+    if m.bit_count() < lightest:  # so is every word when the index is empty: no rows needed
         return m
     first, rest, high, picks = index.rows
+    adds = index.adds
     while m.bit_count() >= lightest:
         hits = first[m & 255]
-        for shift, table in rest:
-            hits += table[(m >> shift) & 255]
-        hits &= high
+        if adds:
+            for shift, table in rest:
+                hits += table[(m >> shift) & 255]
+            hits &= high
+        else:
+            for shift, table in rest:
+                hits &= table[(m >> shift) & 255]
         if not hits:
             return m
         if selector is None:
             m ^= picks[(hits & -hits).bit_length()]
         else:
-            found = (np.array(support(hits), dtype=np.intp) >> 3) - 1
+            found = np.array(support(hits), dtype=np.intp) // index.lane - 1
             m ^= index.rewrites[found[selector(found)]]
     return m
 
 
-def _reduce_many(words: np.ndarray, index: _DivisorIndex | _TestSet) -> np.ndarray:
+def _reduce_many(words: np.ndarray, index: _RewriteIndex) -> np.ndarray:
     """:func:`_reduce` of every word of a uint64 array, as a new array.
 
-    The batch entry point of the rewrite kernels, reading the index's
+    The batch entry point of the rewrite kernel, reading the index's
     ``limbs``: each step finds the hits of every word still live, and the
     first limb with a hit and its lowest hit name the first hit in index
     order, as in the scalar kernel, so the results match it word by word
@@ -721,33 +721,26 @@ def _reduce_many(words: np.ndarray, index: _DivisorIndex | _TestSet) -> np.ndarr
     return out
 
 
-def _reduce_block(m: np.ndarray, index: _DivisorIndex | _TestSet) -> None:
-    """Reduce the uint64 words ``m`` in place; see :func:`_reduce_many`.
-
-    A divisor index's rows are bitsets over the leads, one bit per lead,
-    ANDed over the 4-bit slices; a test set's are 8-bit lanes over R,
-    summed over the bytes and masked to each lane's top bit.
-    """
-    divide = type(index) is _DivisorIndex
-    limbs, rewrites, lightest = index.limbs, index.rewrite_masks, index.lightest
-    width, field, combine = (4, _NIBBLE, np.bitwise_and) if divide else (8, _BYTE, np.add)
+def _reduce_block(m: np.ndarray, index: _RewriteIndex) -> None:
+    """Reduce the uint64 words ``m`` in place; see :func:`_reduce_many`."""
+    limbs, picks, lightest, adds = index.limbs, index.picks, index.lightest, index.adds
+    combine = np.add if adds else np.bitwise_and
     live = np.arange(m.size)
     while live.size:
         live = live[np.bitwise_count(m[live]) >= lightest]
         w = m[live]
-        hits = limbs[0][w & field]
+        hits = limbs[0][w & _BYTE]
         for s in range(1, len(limbs)):
-            combine(hits, limbs[s][(w >> np.uint64(width * s)) & field], out=hits)
-        if not divide:
+            combine(hits, limbs[s][(w >> np.uint64(8 * s)) & _BYTE], out=hits)
+        if adds:
             hits &= _HIGH
         nonzero = hits != 0
         first = nonzero.argmax(axis=1)
         found = np.flatnonzero(nonzero[np.arange(live.size), first])
         first = first[found]
         limb = hits[found, first]
-        bit = np.bitwise_count(limb ^ (limb - _ONE)) - 1  # the lowest set bit of each limb
         live = live[found]
-        m[live] ^= rewrites[64 * first + bit if divide else 8 * first + (bit >> 3)]
+        m[live] ^= picks[64 * first + np.bitwise_count(limb ^ (limb - _ONE))]
 
 
 def capability(gb: ReducedGroebnerBasis) -> int:

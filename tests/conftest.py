@@ -6,6 +6,7 @@ import pytest
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
 from schubert_gb.groebner import _check_fields, _validated_masks
+from schubert_gb.linalg import parity_check_of
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
@@ -59,6 +60,12 @@ def ladder_code(n: int) -> LinearCode:
     G = generator_matrix(SchubertSpec(l=2, m=6, q=2, alpha=(1, 6)))
     order = np.random.default_rng(0).permutation(G.shape[1])
     return LinearCode.from_generator(G[:, np.sort(order[:n])])
+
+
+def hamming_code(r: int) -> LinearCode:
+    """The [2^r - 1, 2^r - 1 - r] Hamming code: column c of H is c in binary."""
+    H = np.array([[(c >> i) & 1 for c in range(1, 1 << r)] for i in range(r)])
+    return LinearCode.from_generator(parity_check_of(H), 2)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,10 @@ import pytest
 from schubert_gb import fixtures as fixture_mod
 from schubert_gb.cli import main
 from schubert_gb.fixtures import FixtureMissingError, load_generator
-from schubert_gb.formats import parse_basis, parse_matrix
+from schubert_gb.formats import format_matrix, parse_basis, parse_matrix
 from schubert_gb.validation import ENUM_ENV_VAR
 
-from conftest import wide_lead_basis_text
+from conftest import hamming_code, wide_lead_basis_text
 
 
 def run(capsys, *argv):
@@ -347,6 +347,17 @@ class TestSimulate:
             "--model", "bsc:0.05", "--trials", "200", "--seed", "7",
         )
         assert run(capsys, *args)[1] == run(capsys, *args)[1]
+
+    def test_hamming_31_26_at_the_default_guard(self, capsys, tmp_path, monkeypatch):
+        # the trials pick codewords from the generator rows: 2^26 codewords
+        # are past the default guard, and the record is the one they gave
+        monkeypatch.delenv(ENUM_ENV_VAR, raising=False)
+        matrix = tmp_path / "h31.txt"
+        matrix.write_text(format_matrix(hamming_code(5).generator, 2))
+        code, out, _ = run(capsys, "simulate", "--matrix", str(matrix), "--model", "bsc:0.02",
+                           "--trials", "100000", "--seed", "7")
+        assert code == 0 and out == ("trials=100000 successes=87165 failures_flagged=0 "
+                                     "miscorrections=12835 seed=7 model=bsc(0.02)\n")
 
     def test_negative_trials_exit_2(self, capsys, fixture_matrix_file):
         code, out, err = run(

@@ -53,7 +53,7 @@ from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, monomial_from_string, weight
 
-from conftest import ladder_code, validated, wide_lead_basis_text
+from conftest import hamming_code, ladder_code, validated, wide_lead_basis_text
 
 
 def exps(mon: str, n: int):
@@ -677,11 +677,23 @@ class TestDivisorIndex:
             assert np.array_equal(groebner._reduce_many(words, index), words)
 
     def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
+        # the divisor index is byte-sliced too: n = 7, 19 and the random
+        # codes' 6 to 10 leave a short last slice
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
             index = groebner._DivisorIndex(gb.n, gb.leads, gb.trails)
-            assert [shift for shift, _ in index.slices] == list(range(0, gb.n, 4))
-            assert all(len(table) == 16 for _, table in index.slices)
-            assert len(index.rewrites) == len(gb.code_binomials)
+            slices, bits = -(-gb.n // 8), 64 * -(-len(gb.leads) // 64)
+            assert index.rewrites == (gb.leads ^ gb.trails).tolist()
+            assert index.table.shape == (slices, 256, bits // 8)
+            first, rest, _, _ = index.rows
+            assert [shift for shift, _ in rest] == list(range(8, gb.n, 8))
+            assert all(len(table) == 256 for table in [first] + [t for _, t in rest])
+            for s in range(slices):
+                # bit i of row b is set exactly when lead i's byte s lies inside b
+                row_bits = np.unpackbits(index.table[s], axis=1, bitorder="little")
+                lead_bytes = [(lead >> 8 * s) & 255 for lead in gb.leads.tolist()]
+                want = [[lb & ~b == 0 for lb in lead_bytes] for b in range(256)]
+                assert row_bits[:, :len(lead_bytes)].tolist() == want
+                assert not row_bits[:, len(lead_bytes):].any()
 
     def test_byte_slices_cover_n_not_a_multiple_of_eight(self, bases, small_random_codes):
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
@@ -689,28 +701,30 @@ class TestDivisorIndex:
             rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
             slices, lanes = -(-gb.n // 8), 8 * -(-len(rewrites) // 8)
             assert index.rewrites == rewrites
-            assert index.lanes.shape == (slices, 256, lanes)
+            assert index.table.shape == (slices, 256, lanes)
             first, rest, _, _ = index.rows
             assert [shift for shift, _ in rest] == list(range(8, gb.n, 8))
             assert all(len(table) == 256 for table in [first] + [t for _, t in rest])
             rng = random.Random(gb.n)
             for m in rng.sample(range(1 << gb.n), min(200, 1 << gb.n)):
                 # the lanes of m's rows reach 128 exactly at the rewrites that beat m
-                total = sum(index.lanes[s, (m >> 8 * s) & 255].astype(int) for s in range(slices))
+                total = sum(index.table[s, (m >> 8 * s) & 255].astype(int) for s in range(slices))
                 beats = [degrevlex_key(m ^ r) < degrevlex_key(m) for r in rewrites]
                 assert (total >= 128).tolist() == beats + [False] * (lanes - len(rewrites))
 
     @pytest.mark.parametrize("name, route", [
         ("1_4", "divide"), ("2_3", "divide"), ("1_5", "descend"), ("2_4", "descend"),
         ("hamming_15_11", "divide"), ("ladder_24", "descend"), ("wide", "divide"),
+        ("hamming_31_26", "divide"), ("hamming_63_57", "divide"),
     ])
     def test_route_follows_the_step_cost(self, codes, wide_code, name, route):
-        # per step, division costs ceil(n/4) * ceil(N/64) limbs and the test
-        # set (ceil(n/8) + 1) * ceil(R/8): 2 against 2 at c_1_4, where the
-        # tie divides, 32 against 6 at c_1_5, 165 against 16 at c_2_4
-        hamming = np.array([[(c >> i) & 1 for c in range(1, 16)] for i in range(4)])
+        # per step, division costs ceil(n/8) * ceil(N/64) limbs and the test
+        # set (ceil(n/8) + 1) * ceil(R/8): 1 against 2 at c_1_4, 16 against
+        # 6 at c_1_5, 99 against 16 at c_2_4, 248 against 738 at [63,57]
         code = codes.get(name) or {
-            "hamming_15_11": lambda: LinearCode.from_generator(linalg.parity_check_of(hamming), 2),
+            "hamming_15_11": lambda: hamming_code(4),
+            "hamming_31_26": lambda: hamming_code(5),
+            "hamming_63_57": lambda: hamming_code(6),
             "ladder_24": lambda: ladder_code(24),
             "wide": lambda: wide_code,
         }[name]()
@@ -718,8 +732,18 @@ class TestDivisorIndex:
         kind = groebner._DivisorIndex if route == "divide" else groebner._TestSet
         assert type(gb._index) is kind
         n, rewrites = gb.n, len(scan_rewrites(gb.leads.tolist(), gb.trails.tolist()))
-        descend = (-(-n // 8) + 1) * -(-rewrites // 8) < -(-n // 4) * -(-len(gb.leads) // 64)
+        descend = (-(-n // 8) + 1) * -(-rewrites // 8) < -(-n // 8) * -(-len(gb.leads) // 64)
         assert descend == (route == "descend")
+
+    def test_hamming_63_57_with_a_seven_bit_last_slice(self):
+        # n = 63: the last byte slice holds bits 56 to 62 only
+        code = hamming_code(6)
+        gb = coset_engine(code)
+        leaders = build_coset_leader_table(code).leaders
+        words = np.random.default_rng(63).integers(0, 1 << 63, 2000, dtype=np.uint64)
+        want = [int(leaders[syndrome(m, code)]) for m in words.tolist()]
+        assert groebner._reduce_many(words, gb._index).tolist() == want
+        assert scalar_reduce(words, gb._index).tolist() == want
 
     def test_bit_63_of_a_64_bit_word(self, wide_code):
         gb = coset_engine(wide_code)

@@ -76,21 +76,26 @@ def test_moved_names_are_defined_only_in_reference():
 
 
 def test_production_divisor_index_does_not_grow():
-    # the coset engine builds each index once
+    # the coset engine builds each index once; division keeps its leads
+    # beside what both rules share, and fills the shared table from them
     from schubert_gb.groebner import _DivisorIndex
 
     assert {name for name in vars(_DivisorIndex) if not name.startswith("__")} == {
-        "slices", "rewrites", "limbs", "rewrite_masks", "lightest",
+        "lane", "adds", "_fill",
     }
+    assert set(vars(_DivisorIndex(3, [3, 5], [4, 2]))) == {"n", "rewrites", "lightest", "leads"}
 
 
 def test_production_test_set_index_does_not_grow():
-    # the index is built once from its list; its only members are its lane
-    # table and the two forms of its rows, each cached on first use
+    # the index is built once from its list; both rules share one byte-sliced
+    # table and its batch form, per-bit rewrite map and scalar form, each
+    # cached on first use
     from functools import cached_property
 
-    from schubert_gb.groebner import _TestSet
+    from schubert_gb.groebner import _RewriteIndex, _TestSet
 
-    members = {name: value for name, value in vars(_TestSet).items() if not name.startswith("__")}
-    assert set(members) == {"lanes", "limbs", "rows"}
-    assert all(isinstance(value, cached_property) for value in members.values())
+    shared = {name: value for name, value in vars(_RewriteIndex).items() if not name.startswith("__")}
+    assert set(shared) == {"table", "limbs", "picks", "rows"}
+    assert all(isinstance(value, cached_property) for value in shared.values())
+    assert {name for name in vars(_TestSet) if not name.startswith("__")} == {"lane", "adds", "_fill"}
+    assert set(vars(_TestSet(3, [3, 5], [4, 2]))) == {"n", "rewrites", "lightest", "halves", "inner"}
