@@ -587,12 +587,12 @@ class _RewriteIndex:
     @cached_property
     def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int, list[int]]:
         """The scalar form: slice 0's row table, the (shift, row table) pair
-        of each other slice, the int with the top bit of every 8-bit lane
-        set, and ``picks`` as a list."""
+        of each other slice, the mask of every 8-bit lane's top bit when the
+        rows are added (None when they are ANDed), and ``picks`` as a list."""
         data, width = self.table.tobytes(), self.table.shape[2]
         ints = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
         tables = [ints[a:a + 256] for a in range(0, len(ints), 256)]
-        high = int.from_bytes(b"\x80" * width, "little")
+        high = int.from_bytes(b"\x80" * width, "little") if self.adds else None
         return tables[0], [(8 * s, t) for s, t in enumerate(tables) if s], high, self.picks.tolist()
 
 
@@ -680,16 +680,15 @@ def _reduce(
     if m.bit_count() < lightest:  # so is every word when the index is empty: no rows needed
         return m
     first, rest, high, picks = index.rows
-    adds = index.adds
     while m.bit_count() >= lightest:
         hits = first[m & 255]
-        if adds:
+        if high is None:
+            for shift, table in rest:
+                hits &= table[(m >> shift) & 255]
+        else:
             for shift, table in rest:
                 hits += table[(m >> shift) & 255]
             hits &= high
-        else:
-            for shift, table in rest:
-                hits &= table[(m >> shift) & 255]
         if not hits:
             return m
         if selector is None:
