@@ -585,7 +585,7 @@ class _RewriteIndex:
         return picks
 
     @cached_property
-    def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int, list[int]]:
+    def rows(self) -> tuple[list[int], list[tuple[int, list[int]]], int | None, list[int]]:
         """The scalar form: slice 0's row table, the (shift, row table) pair
         of each other slice, the mask of every 8-bit lane's top bit when the
         rows are added (None when they are ANDed), and ``picks`` as a list."""

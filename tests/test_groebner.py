@@ -677,8 +677,8 @@ class TestDivisorIndex:
             assert np.array_equal(groebner._reduce_many(words, index), words)
 
     def test_slices_cover_n_not_a_multiple_of_four(self, bases, small_random_codes):
-        # the divisor index is byte-sliced too: n = 7, 19 and the random
-        # codes' 6 to 10 leave a short last slice
+        # the divisor index is byte-sliced too: n = 7 and 19 leave a short
+        # last slice
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
             index = groebner._DivisorIndex(gb.n, gb.leads, gb.trails)
             slices, bits = -(-gb.n // 8), 64 * -(-len(gb.leads) // 64)
