@@ -24,6 +24,11 @@ takes the cheaper by two work counts; the enumeration guard counts the
 - One layered walk over the 2^(n-k) cosets, which yields both the leaders
   and the leads (:func:`~schubert_gb.linalg._coset_walk`), for the rest.
 
+The walk is also the coset-leader table's route for high-rate codes; a
+low-rate code's table comes from a recurrence over the columns of H
+(:func:`~schubert_gb.linalg.build_coset_leader_table`).  The engine needs
+the leads, so it walks whenever half-subsets do not win.
+
 Every rewrite runs through one kernel with two entry points, and monomials
 are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
 rewrites one mask (:func:`normal_form`, ``gb_decode``) and
@@ -536,13 +541,23 @@ def _rewrite_index(n: int, leads: np.ndarray, trails: np.ndarray) -> _RewriteInd
     low-rate codes descend by the test set, while high-rate codes, whose
     rewrites are about as many as their leads, divide.  On a tie the list
     is divided: division reads each lead as given, where the descent
-    relies on the list holding every lead of a reduced basis.
+    relies on the list holding every lead of a reduced basis.  R is
+    counted first, so the test set's degrevlex order and beat tests are
+    made only when it wins.
     """
-    tests = _TestSet(n, leads, trails)
+    rewrites = _distinct_rewrites(leads, trails)
     slices = -(-n // 8)
-    if (slices + 1) * -(-len(tests.rewrites) // 8) < slices * -(-len(leads) // 64):
-        return tests
+    if (slices + 1) * -(-rewrites.size // 8) < slices * -(-len(leads) // 64):
+        return _TestSet(n, rewrites, np.zeros_like(rewrites))  # the same R, as binomials r - 1
     return _DivisorIndex(n, leads, trails)
+
+
+def _distinct_rewrites(leads: Iterable[int], trails: Iterable[int]) -> np.ndarray:
+    """R: the distinct nonzero values of lead ^ trail, ascending as integers."""
+    r = np.sort(np.asarray(leads, dtype=np.uint64) ^ np.asarray(trails, dtype=np.uint64))
+    distinct = r != 0
+    distinct[1:] &= r[1:] != r[:-1]
+    return r[distinct]
 
 
 class _RewriteIndex:
@@ -645,10 +660,7 @@ class _TestSet(_RewriteIndex):
     lane, adds = 8, True
 
     def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
-        r = np.sort(np.asarray(leads, dtype=np.uint64) ^ np.asarray(trails, dtype=np.uint64))
-        distinct = r != 0
-        distinct[1:] &= r[1:] != r[:-1]
-        r = r[distinct]
+        r = _distinct_rewrites(leads, trails)
         r = r[np.lexsort((~r, np.bitwise_count(r)))]  # degrevlex: lighter, then the larger mask
         self.halves, self.inner = _beat_test(r)
         super().__init__(n, r, int(self.halves.min(initial=WORD_LIMIT + 1)))

@@ -6,6 +6,12 @@ function of immutable inputs, so values can be shared freely across threads.
 
 All GF(p) elimination of the package runs through one batched kernel,
 :func:`_eliminate`, whose residues :func:`_residues` holds.
+
+The coset-leader table of a binary code has two routes, chosen by the code
+alone (:func:`build_coset_leader_table`): low-rate codes, k <= n - k with
+n <= 57, fold the columns of H into a per-syndrome key
+(:func:`_column_recurrence`), and the rest take the layered coset walk
+(:func:`_coset_walk`), which also yields the leads of the coset engine.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .words import WORD_LIMIT, masks_of_rows, support
 _CHUNK = 1 << 16
 # candidate extensions per slice of the coset walk: bounds its working memory
 _SLICE_WORDS = 1 << 16
+# the longest code whose column-recurrence keys, below (n + 1) * 2^n, fit under 2^63
+_RECURRENCE_MAX_N = 57
 _ONE = np.uint64(1)
 
 
@@ -236,14 +244,87 @@ class CosetLeaderTable:
 
 
 def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
-    """Degrevlex-minimal word of every coset, by the layered coset walk.
+    """Degrevlex-minimal word of every coset, by one of two routes.
 
     The enumeration guard bounds the number of cosets, 2^(n-k), before
-    anything is allocated.  The walk (:func:`_coset_walk`) makes about n word
-    operations per coset and holds the table plus one bounded slice, never
-    an array over all 2^n words.  Syndromes index it as intp; n - k > 32 is refused.
+    anything is allocated; then a non-binary code and n - k > 32 are
+    refused, since syndromes index the table as intp.  Neither route holds
+    an array over all 2^n words.  Low-rate codes, k <= n - k with n <=
+    :data:`_RECURRENCE_MAX_N`, fold the n columns of H into a per-syndrome
+    key (:func:`_column_recurrence`): n - k doublings and k passes over
+    the table.  The rest take the layered walk (:func:`_coset_walk`), about
+    n word operations per coset in some 30 numpy calls per weight layer,
+    which on a high-rate code has fewer layers than the recurrence has
+    passes.  Both give the same table; the route depends on the code only.
     """
-    return CosetLeaderTable(leaders=_coset_walk(code)[0], n=code.n, k=code.k)
+    low_rate = code.k <= code.n - code.k and code.n <= _RECURRENCE_MAX_N
+    leaders = _column_recurrence(code) if low_rate else _coset_walk(code)[0]
+    return CosetLeaderTable(leaders=leaders, n=code.n, k=code.k)
+
+
+def _check_table(code: LinearCode) -> None:
+    """The guard on the 2^(n-k) cosets, then the binary and width checks."""
+    n, k = code.n, code.k
+    guard_enumeration(1 << (n - k), "coset leader table", "cosets")
+    code._require_binary()
+    if n - k > 32:
+        raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")
+
+
+def _column_recurrence(code: LinearCode) -> np.ndarray:
+    """Coset-leader table by one recurrence over the columns of H.
+
+    ``keys[s]`` is the key (wt m << n) | (~m & (2^n - 1)) of the best word
+    m of syndrome s found so far, whose least value is the degrevlex-first
+    word; no word yet is 2^63 | (2^n - 1), which reads back as 0 like an
+    entry the walk never reaches.  Folding column j, of syndrome c_j, sets
+    keys[s] = min(keys[s], keys[s ^ c_j] + 2^n - 2^j): adding x_j to a word
+    without it keeps the (wt, -mask) order, so once every column has folded,
+    in any order, each key is its coset's minimum.  The unit columns e_0,
+    e_1, ... that ``parity_check_of`` puts at G's non-pivot columns fold
+    first, as doublings of the filled prefix.  Each other column pairs s
+    with s ^ c_j across c_j's top bit, on the table viewed as a (2,) *
+    (n - k) cube with c_j's lower bits flipped, through one half-size
+    scratch.  Keys stay below 2^63 for n <= 57, and the table is inverted
+    in place into the leaders.
+    """
+    _check_table(code)
+    n, r = code.n, code.n - code.k
+    cols = code.column_syndromes
+    full = (1 << n) - 1
+    keys = np.empty(1 << r, dtype=np.uint64)
+    keys[0] = full  # the word 0
+    first = {}
+    for j, c in enumerate(cols):
+        first.setdefault(c, j)
+    rest, b = list(range(n)), 0
+    while b < r and (1 << b) in first:  # column j = e_b: keys[2^b + s] = keys[s] + delta_j
+        j = first[1 << b]
+        rest.remove(j)
+        np.add(keys[:1 << b], np.uint64((1 << n) - (1 << j)), out=keys[1 << b:2 << b])
+        b += 1
+    keys[1 << b:] = np.uint64(1 << 63 | full)
+    cube = keys.reshape((2,) * r)
+    scratch = np.empty((2,) * (r - 1), dtype=np.uint64) if r else None
+    for j in rest:
+        c = cols[j]
+        if not c:  # a zero column reaches nothing new
+            continue
+        top = c.bit_length() - 1
+        at = (slice(None),) * (r - 1 - top)
+        flip = tuple(slice(None, None, -1 if c >> i & 1 else 1) for i in reversed(range(top)))
+        low = cube[at + (0, ...)]  # s without c's top bit, and s ^ c lined up with it
+        high = cube[at + (1, ...) + flip]
+        delta = np.uint64((1 << n) - (1 << j))
+        # both halves read the other's old keys: the new low half waits in the scratch
+        np.add(high, delta, out=scratch)
+        np.minimum(scratch, low, out=scratch)
+        low += delta
+        np.minimum(high, low, out=high)
+        low[...] = scratch
+    np.invert(keys, out=keys)
+    keys &= np.uint64(full)
+    return keys
 
 
 def _coset_walk(
@@ -274,11 +355,8 @@ def _coset_walk(
     empty.  Either way it holds at most two 2^(n-k) arrays, the current
     layer and one slice, plus the kept extensions of the layer.
     """
+    _check_table(code)
     n, k = code.n, code.k
-    guard_enumeration(1 << (n - k), "coset leader table", "cosets")
-    code._require_binary()
-    if n - k > 32:
-        raise ValueError(f"coset table syndromes need n - k <= 32, got {n - k}")
     cols = np.array(code.column_syndromes, dtype=np.intp)
     leaders = np.zeros(1 << (n - k), dtype=np.uint64)
     below = np.zeros_like(leaders) if with_leads else None

@@ -735,6 +735,18 @@ class TestDivisorIndex:
         descend = (-(-n // 8) + 1) * -(-rewrites // 8) < -(-n // 8) * -(-len(gb.leads) // 64)
         assert descend == (route == "descend")
 
+    def test_division_builds_no_test_set(self, monkeypatch, codes):
+        # R is counted before the test set is built, so a code that divides never builds one
+        def refuse(*args):
+            raise AssertionError("test set built where division wins")
+
+        monkeypatch.setattr(groebner, "_TestSet", refuse)
+        for code in (codes["1_4"], hamming_code(4)):
+            gb = coset_engine(code)
+            index = groebner._rewrite_index(gb.n, gb.leads, gb.trails)
+            assert type(index) is groebner._DivisorIndex
+            assert normal_form(int(gb.leads[0]), gb) == int(gb.trails[0])
+
     def test_hamming_63_57_with_a_seven_bit_last_slice(self):
         # n = 63: the last byte slice holds bits 56 to 62 only
         code = hamming_code(6)

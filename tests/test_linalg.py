@@ -24,7 +24,7 @@ from schubert_gb.reference import nn_decode, scan_coset_leaders
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, masks_of_rows, weight, word_from_string
 
-from conftest import A_1_4, LARGE_PRIME
+from conftest import A_1_4, LARGE_PRIME, hamming_code, ladder_code
 
 
 def enumerate_codeword_masks(G):
@@ -299,6 +299,13 @@ class TestDistanceAndWeights:
         assert dist.sum() == 1 << 17
 
 
+def long_code_with_few_cosets() -> LinearCode:
+    """A [60,48] code: 4,096 cosets, distinct parity-check columns of weight >= 2 beside I."""
+    vals = [v for v in range(1, 1 << 12) if bin(v).count("1") >= 2][:48]
+    A = np.array([[(v >> j) & 1 for j in range(12)] for v in vals])
+    return LinearCode.from_generator(np.hstack([np.eye(48, dtype=int), A]), 2)
+
+
 class TestCosetLeaders:
     def test_zero_syndrome_leader_is_zero(self, tables):
         assert tables["1_4"].leader(0) == 0
@@ -366,9 +373,7 @@ class TestCosetLeaders:
     def test_long_code_with_few_cosets_builds(self):
         # n = 60, n - k = 12: 4,096 cosets under the default 2^24 guard, where a
         # scan over words would need 2^60; the walk holds the table and one slice
-        vals = [v for v in range(1, 1 << 12) if bin(v).count("1") >= 2][:48]
-        A = np.array([[(v >> j) & 1 for j in range(12)] for v in vals])
-        code = LinearCode.from_generator(np.hstack([np.eye(48, dtype=int), A]), 2)
+        code = long_code_with_few_cosets()
         tracemalloc.start()
         try:
             table = build_coset_leader_table(code)
@@ -438,6 +443,14 @@ class TestCosetWalk:
         assert table.leaders.tolist() == leaders  # recorded with the former 2^n scan
         assert (table.leaders == scan_coset_leaders(code)).all()
 
+    @pytest.mark.parametrize("slice_words", [linalg._SLICE_WORDS, 64])
+    def test_table_mode_equals_scan_oracle(self, monkeypatch, codes, ladder_rungs, slice_words):
+        # the fixtures and rungs build their tables by the column recurrence, so
+        # the walk's table mode is checked here directly
+        monkeypatch.setattr(linalg, "_SLICE_WORDS", slice_words)
+        for code in list(codes.values()) + list(ladder_rungs.values()):
+            assert (linalg._coset_walk(code)[0] == scan_coset_leaders(code)).all()
+
     def test_guard_counts_cosets_before_binary_check(self):
         # [155,10] is too long for masks, but the guard on its 2^145 cosets speaks first
         I = np.eye(10, dtype=int)
@@ -445,6 +458,70 @@ class TestCosetWalk:
         assert (code.n, code.k) == (155, 10)
         with pytest.raises(EnumerationLimitError, match=f"table needs {2**145} > 16777216"):
             build_coset_leader_table(code)
+
+
+class TestColumnRecurrence:
+    """The column recurrence against the scan oracle and the layered walk."""
+
+    def test_equals_scan_oracle(self, codes, small_random_codes):
+        for code in list(codes.values()) + small_random_codes + random_codes():
+            assert (linalg._column_recurrence(code) == scan_coset_leaders(code)).all()
+
+    def test_rungs_22_and_24_equal_the_walk(self):
+        for n in (22, 24):
+            code = ladder_code(n)
+            assert np.array_equal(build_coset_leader_table(code).leaders, linalg._coset_walk(code)[0])
+
+    def test_parity_check_without_unit_columns(self):
+        # rows of H mixed by an invertible M: no column is a unit vector, so
+        # every column folds by the flip and none by doubling
+        base = ladder_code(18)
+        rng = np.random.default_rng(18)
+        r = base.n - base.k
+        while True:
+            M = rng.integers(0, 2, (r, r))
+            H = M @ base.parity_check % 2
+            if rank(M, 2) == r and all(bin(c).count("1") >= 2 for c in masks_of_rows(H.T).tolist()):
+                break
+        code = LinearCode(generator=base.generator, parity_check=H, n=base.n, k=base.k, p=2)
+        walk = linalg._coset_walk(code)[0]
+        assert np.array_equal(build_coset_leader_table(code).leaders, walk)
+        assert (walk == scan_coset_leaders(code)).all()
+
+    def test_unreached_cosets_read_zero_on_both_routes(self):
+        # a parity check of rank 2 in 3 rows reaches 4 of its 8 syndromes
+        H = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]])
+        code = LinearCode(generator=np.array([[1, 1, 0, 0]]), parity_check=H, n=4, k=1, p=2)
+        leaders = [0, 2, 0, 0, 0, 0, 4, 6]
+        assert linalg._column_recurrence(code).tolist() == leaders
+        assert linalg._coset_walk(code)[0].tolist() == leaders
+
+    def test_route_depends_on_the_code(self, monkeypatch, codes, ladder_rungs):
+        def refuse(code, *args):
+            raise AssertionError(f"[{code.n},{code.k}] took the wrong route")
+
+        low_rate = list(codes.values()) + list(ladder_rungs.values())
+        high_rate = [hamming_code(4), long_code_with_few_cosets()]
+        want = {id(code): linalg._coset_walk(code)[0] for code in low_rate + high_rate}
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_coset_walk", refuse)
+            for code in low_rate:
+                assert np.array_equal(build_coset_leader_table(code).leaders, want[id(code)])
+        monkeypatch.setattr(linalg, "_column_recurrence", refuse)
+        for code in high_rate:
+            assert np.array_equal(build_coset_leader_table(code).leaders, want[id(code)])
+
+    def test_rung_24_holds_two_tables(self):
+        # the table and a half-size scratch; at most two 2^(n-k) uint64 arrays plus 1 MiB
+        code = ladder_code(24)
+        tracemalloc.start()
+        try:
+            table = build_coset_leader_table(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.leaders.nbytes == 8 << 19
+        assert peak <= 2 * table.leaders.nbytes + (1 << 20)
 
 
 class TestReferenceDecoders:
