@@ -15,8 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .formats import parse_basis, parse_element_lines, parse_matrix
-from .groebner import Binomial, ReducedGroebnerBasis
+from .formats import _read_basis, parse_element_lines, parse_matrix
+from .groebner import Binomial, ReducedGroebnerBasis, _validated_masks
 from .linalg import LinearCode
 from .words import monomial_from_string
 
@@ -46,8 +46,15 @@ def load_code(tag: str) -> LinearCode:
 
 
 def load_basis(tag: str) -> ReducedGroebnerBasis:
-    """Complete transcribed basis; available for tags '1_4' and '2_3'."""
-    return parse_basis(_read(f"c_{tag}.gb.txt"))
+    """Complete transcribed basis; available for tags '1_4' and '2_3'.
+
+    A listing is the reference that the coset engine is checked against, so
+    it is read without the engine: its grammar, field relations and
+    per-element checks, but not the rebuild of
+    :func:`~schubert_gb.formats.parse_basis`.  An engine fault then shows as
+    a failed listing check in ``verify-paper``, not as a refused file.
+    """
+    return _validated_masks(*_read_basis(_read(f"c_{tag}.gb.txt")))
 
 
 def load_spot_elements(tag: str) -> list[Binomial]:

@@ -11,7 +11,9 @@ d >= 3, while a code with d <= 2 has leads such as ``x1`` in ``x1 - x3``.
 A header with n > 64 and an index outside 1..64 are refused as they are
 read, so every element fits a uint64 mask.  The writer emits lines sorted
 ascending by lead; the parser accepts any order and extra whitespace, so
-transcribed listings can be compared set-wise.
+transcribed listings can be compared set-wise.  :func:`parse_basis` accepts
+a file only when it is the reduced basis of the code its rewrites span,
+which it rebuilds (:func:`~schubert_gb.groebner._certified`).
 
 Both directions work on uint64 mask arrays, the only form parsed elements
 take, in slices of at most ``_SLICE_LINES`` lines, so no array grows with
@@ -40,8 +42,8 @@ from .groebner import (
     ORDER_ID,
     ReducedGroebnerBasis,
     _binomials,
+    _certified,
     _check_fields,
-    _validated_masks,
 )
 from .linalg import _bit_index, _lowest_bit
 from .validation import check_matrix
@@ -276,23 +278,39 @@ def _read(text: str) -> tuple[int | None, _Masks]:
 
 
 def parse_element_lines(text: str) -> tuple[int | None, list[Binomial]]:
-    """Parse basis-format lines without reducedness validation.
+    """Parse basis-format lines, checking only their grammar.
 
-    Returns (n from the header if present, elements).  Used for spot-check
-    fixture files that hold only a subset of a basis.
+    Returns (n from the header if present, elements), in file order; the
+    elements need not form a basis.  Used for spot-check fixture files that
+    hold only a subset of a basis.
     """
     n, masks = _read(text)
     return n, list(_binomials(*masks))
 
 
-def parse_basis(text: str) -> ReducedGroebnerBasis:
-    """Parse and validate a complete reduced basis file: its field relations
-    first, then its code binomials."""
+def _read_basis(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """n and the code binomials' lead and trail masks of a basis file, once
+    its header and field relations (:func:`~schubert_gb.groebner._check_fields`)
+    have been checked."""
     n, (leads, trails, is_field) = _read(text)
     if n is None:
         raise ValueError("missing '# n=... order=... field=GF(2)' header")
     _check_fields(n, leads, trails, is_field)
-    return _validated_masks(n, leads[~is_field], trails[~is_field])
+    return n, leads[~is_field], trails[~is_field]
+
+
+def parse_basis(text: str) -> ReducedGroebnerBasis:
+    """Parse a basis file and certify it as the reduced basis of its code.
+
+    The header and field relations are checked first (:func:`_read_basis`),
+    then each code binomial: range, orientation and repeated leads.  Then
+    the code that the rewrites lead ^ trail span is rebuilt by the coset
+    engine, under its guard on the 2^(n-k) cosets, and the file must equal
+    its reduced basis (:func:`~schubert_gb.groebner._certified`); otherwise
+    the first extra, missing or mis-trailed element is named.  So a file is
+    accepted under the same ``SGB_MAX_N`` that its code builds under.
+    """
+    return _certified(*_read_basis(text))
 
 
 def format_points(points: list[tuple[int, ...]], tuples: list[tuple[int, ...]]) -> str:

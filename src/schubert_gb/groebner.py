@@ -29,6 +29,12 @@ low-rate code's table comes from a recurrence over the columns of H
 (:func:`~schubert_gb.linalg.build_coset_leader_table`).  The engine needs
 the leads, so it walks whenever half-subsets do not win.
 
+A basis read from a file is certified by rebuilding it (:func:`_certified`):
+the rewrites lead ^ trail of any basis of I(C) span C, the engine builds the
+reduced basis of that code under its own coset guard, and the file must equal
+it, which makes it reduced and complete.  What the engine builds itself is
+only sorted and checked element by element (:func:`_validated_masks`).
+
 Every rewrite runs through one kernel with two entry points, and monomials
 are ordered by degrevlex keys computed directly on masks.  :func:`_reduce`
 rewrites one mask (:func:`normal_form`, ``gb_decode``) and
@@ -75,8 +81,9 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 import numpy as np
 
 from .linalg import _ONE, _SLICE_WORDS, LinearCode, _coset_walk, _lowest_bit
-from .validation import EnumerationLimitError, check_word_mask, enum_limit, guard_enumeration
-from .words import WORD_LIMIT, support
+from .linalg import _dual_of_rref, rref
+from .validation import check_word_mask, guard_enumeration
+from .words import WORD_LIMIT, degrevlex_key, monomial_to_string, rows_of_masks, support
 
 ORDER_ID = "degrevlex"
 # table limbs per block of the batch kernel: bounds its working memory
@@ -84,6 +91,8 @@ _BATCH_LIMBS = 1 << 18
 _BYTE = np.uint64(255)
 _BYTES = np.arange(256, dtype=np.uint64)[:, None]
 _HIGH = np.uint64(0x8080808080808080)  # the top bit of each 8-bit lane
+# rewrites per rref call when a parsed basis's code is rebuilt: bounds its working memory
+_SLICE_ROWS = 1 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -176,48 +185,28 @@ class ReducedGroebnerBasis:
 
 
 def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGroebnerBasis:
-    """The basis of uint64 code-binomial lead and trail masks, checked.
+    """The basis of uint64 code-binomial lead and trail masks, sorted and
+    checked element by element.
 
-    Besides the per-element checks - both masks in range, the lead above
-    the trail in degrevlex - the code binomials must be reduced: no lead
-    divides another lead or any trail.  That is checked over the standard
-    monomials (those no lead divides) rather than lead against lead.  A lead
-    dividing a trail lies below that trail, and a lead strictly dividing
-    another lead L lies below some maximal proper divisor L ^ bit; so the
-    basis is reduced exactly when its leads are distinct and the down-closure
-    of all trails and all L ^ bit holds no lead (:func:`_leads_below`).  For
-    a genuine basis that closure consists of standard monomials, which are
-    closed under division and number one per coset, so the check visits at
-    most 2^(n-k) monomials, with about n word operations each plus a sort,
-    instead of O(N^2) work in the N code binomials.  The distinct monomials
-    it visits count against the enumeration guard, so a genuine
-    basis passes wherever its coset table does, and the words it holds stay
-    within a small multiple of the guard, so a hostile basis ends in
-    EnumerationLimitError, not an unbounded allocation.
-
-    The field relations are implicit in the basis; those read from a file
-    are checked by :func:`_check_fields` first.  The code binomials are put
-    in ascending order by lead (:func:`_element_order`), and the first of
-    them in that order that fails any check is named, with its first
-    failing check in the order range, orientation, reducedness.
+    The code binomials are put in ascending order by lead
+    (:func:`_element_order`), and the first of them in that order that fails
+    a check is named, with its first failing check in the order range,
+    orientation (the lead above the trail in degrevlex), repeated lead.
+    Whether the list is the reduced basis of its code is left to
+    :func:`_certified`, which every parsed file goes through;
+    :func:`coset_engine` and the reference Buchberger run call this one on
+    what they build.  The field relations are implicit in the basis; those
+    read from a file are checked by :func:`_check_fields` first.
     """
     order = _element_order(leads, np.zeros(leads.size, dtype=bool))
     code_leads, code_trails = leads[order], trails[order]
     lw, tw = np.bitwise_count(code_leads), np.bitwise_count(code_trails)
     # degrevlex: equal degree, larger mask is smaller
     disoriented = (lw < tw) | ((lw == tw) & (code_leads >= code_trails))
-    faulty = ((code_leads | code_trails) > np.uint64((1 << n) - 1)) | disoriented
-    ordered = np.sort(code_leads)
-    repeated = np.isin(code_leads, ordered[1:][ordered[1:] == ordered[:-1]])
-    try:
-        unreduced = repeated | np.isin(
-            code_leads, _leads_below(ordered, code_leads, code_trails)
-        )
-    except EnumerationLimitError:
-        if not (faulty | repeated).any():
-            raise
-        unreduced = repeated  # rejected either way; name what is known
-    rejected = faulty | unreduced
+    repeated = np.zeros(code_leads.size, dtype=bool)  # equal leads sort next to each other
+    repeated[1:] = code_leads[1:] == code_leads[:-1]
+    repeated[:-1] |= repeated[1:]
+    rejected = ((code_leads | code_trails) > np.uint64((1 << n) - 1)) | disoriented | repeated
     if rejected.any():
         at = int(rejected.argmax())
         b = Binomial(int(code_leads[at]), int(code_trails[at]))
@@ -225,11 +214,59 @@ def _validated_masks(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGr
         check_word_mask(b.trail, n)
         if disoriented[at]:
             raise ValueError(f"element not oriented lead > trail: {b}")
-        L = code_leads[at]
-        if np.count_nonzero((code_leads & L) == L) != 1:
-            raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
-        raise ValueError(f"lead {b.lead:#x} divides a trail: basis not reduced")
+        raise ValueError(f"lead {b.lead:#x} divides another lead: basis not reduced")
     return ReducedGroebnerBasis._of_masks(n, code_leads, code_trails)
+
+
+def _certified(n: int, leads: np.ndarray, trails: np.ndarray) -> ReducedGroebnerBasis:
+    """The basis of code-binomial masks read from a file, when it is the
+    reduced basis of the code its rewrites span.
+
+    After the checks of :func:`_validated_masks` the code is rebuilt from the
+    list alone.  The rewrites lead ^ trail of any basis of I(C) span C, so
+    the rows that ``rref`` leaves of R (:func:`_distinct_rewrites`), taken
+    ``_SLICE_ROWS`` at a time, generate it; that one elimination also gives
+    the parity check.  :func:`coset_engine` builds the code's reduced basis
+    under its own guard on the 2^(n-k) cosets.  The list must equal that basis: the
+    reduced basis is unique, so equality makes the list reduced and complete
+    at once.  Otherwise the first element, in ascending lead order, that the
+    list has and the code's basis lacks, or the reverse, or whose trail
+    differs, is named.
+    """
+    gb = _validated_masks(n, leads, trails)
+    rewrites = _distinct_rewrites(gb.leads, gb.trails)
+    rows, pivots = np.zeros((0, n), dtype=np.int64), ()
+    for a in range(0, rewrites.size, _SLICE_ROWS):
+        more = rows_of_masks(rewrites[a:a + _SLICE_ROWS], n)
+        rows, pivots, rank = rref(np.vstack([rows, more]), 2)
+        rows = rows[:rank]
+    # n <= 64 bounds the parity check, so only the coset guard can refuse the rebuild
+    rebuilt = coset_engine(LinearCode(rows, _dual_of_rref(rows, pivots, 2), n, len(rows), 2))
+    if rebuilt != gb:
+        raise ValueError(f"{_first_difference(gb, rebuilt)}: not the reduced basis of its code")
+    return gb
+
+
+def _first_difference(given: ReducedGroebnerBasis, true: ReducedGroebnerBasis) -> str:
+    """The first element, in ascending lead order, that ``given`` has and
+    ``true`` lacks, the reverse, or that has another trail in ``true``."""
+    both = min(given.leads.size, true.leads.size)
+    apart = (given.leads[:both] != true.leads[:both]) | (given.trails[:both] != true.trails[:both])
+    at = int(apart.argmax()) if apart.any() else both  # both lists ascend by lead
+    mine, want = (_element_at(gb, at) for gb in (given, true))
+    if mine and want and mine[0] == want[0]:
+        return f"element {mine[1]} should be {want[1]}"
+    if mine and not (want and degrevlex_key(want[0]) < degrevlex_key(mine[0])):
+        return f"extra element {mine[1]}"
+    return f"missing element {want[1]}"
+
+
+def _element_at(gb: ReducedGroebnerBasis, at: int) -> tuple[int, str] | None:
+    """The lead and the text of code binomial ``at``, or None past the last."""
+    if at >= gb.leads.size:
+        return None
+    lead, trail = int(gb.leads[at]), int(gb.trails[at])
+    return lead, f"{monomial_to_string(lead)} - {monomial_to_string(trail)}"
 
 
 def _field_leads(n: int, leads: np.ndarray) -> np.ndarray:
@@ -273,93 +310,6 @@ def _element_order(leads: np.ndarray, is_field: np.ndarray) -> np.ndarray:
     return np.lexsort((~low, ~high, degree))
 
 
-def _leads_below(ordered: np.ndarray, leads: np.ndarray, trails: np.ndarray) -> np.ndarray:
-    """Leads that divide a trail or strictly divide another lead.
-
-    ``ordered`` is ``leads`` sorted.  Walks the down-closure of the trails
-    and of every lead ^ bit one weight layer at a time, heaviest first: the
-    leads are looked up in each layer of distinct monomials, which is
-    expanded - together with the leads of its weight - by clearing one set
-    bit (:func:`_next_layer`).  The walk stops at degree 1.  The guard counts
-    the distinct monomials visited.  A lead of degree d has 2^d - 2 proper
-    divisors other than 1, all of which the walk visits, so a lead with more
-    of them than the guard admits is refused before the walk.  A genuine
-    basis never is: a lead's proper divisors are distinct standard
-    monomials, fewer than its 2^(n-k) cosets.
-    """
-    if not leads.size:
-        return leads
-    lw, tw = np.bitwise_count(leads), np.bitwise_count(trails)
-    d = int(lw.max())
-    guard_enumeration((1 << d) - 2, "basis reducedness check", "monomials")
-    top = int(max(d, tw.max()))
-    layer = _next_layer((), top + 1, trails[tw == top], 0)
-    found, visited = [leads[:0]], 0
-    for w in range(top, 0, -1):
-        if layer.size:  # look the leads up in the layer, which may be far larger
-            at = np.minimum(np.searchsorted(layer, ordered), layer.size - 1)
-            found.append(ordered[layer[at] == ordered])
-        visited += layer.size
-        guard_enumeration(visited, "basis reducedness check", "monomials")
-        if w > 1:
-            layer = _next_layer((layer, leads[lw == w]), w, trails[tw == w - 1], visited)
-    return np.concatenate(found)
-
-
-def _next_layer(
-    parents: tuple[np.ndarray, ...], w: int, seeds: np.ndarray, visited: int
-) -> np.ndarray:
-    """The distinct words among ``seeds`` and every ``parent ^ bit``, ascending.
-
-    Parents have weight w.  Their divisors are written slice by slice into
-    one buffer, which is sorted and compacted in place whenever the next
-    slice does not fit, and each compaction's distinct count goes to the
-    guard on top of ``visited``.  The buffer holds what the guard has left
-    plus a quarter of that and one slice, so the words held stay near the
-    guard and each compaction is paid for by a quarter of it in new words.
-    """
-    room = enum_limit() - visited
-    total = seeds.size + w * sum(p.size for p in parents)
-    buf = np.empty(min(total, seeds.size + room + room // 4 + _SLICE_WORDS), dtype=np.uint64)
-    buf[:seeds.size] = seeds
-    used = seeds.size
-    step = max(1, _SLICE_WORDS // w)
-    for src in parents:
-        for a in range(0, src.size, step):
-            part = src[a:a + step]
-            if used + w * part.size > buf.size:
-                used = _compact(buf, used)
-                guard_enumeration(visited + used, "basis reducedness check", "monomials")
-            rest = part.copy()
-            for row in buf[used:used + w * part.size].reshape(w, part.size):
-                low = rest & -rest  # clear each of the w set bits in turn
-                np.bitwise_xor(part, low, out=row)
-                rest ^= low
-            used += w * part.size
-    buf.resize(_compact(buf, used), refcheck=False)
-    return buf
-
-
-def _compact(buf: np.ndarray, used: int) -> int:
-    """Sort ``buf[:used]`` in place and move its distinct words to the front.
-
-    Returns their count; the compaction runs in slices, so it needs no
-    second buffer.
-    """
-    buf[:used].sort()
-    count = 0
-    for a in range(0, used, _SLICE_WORDS):
-        chunk = buf[a:min(a + _SLICE_WORDS, used)]
-        keep = np.empty(chunk.size, dtype=bool)
-        keep[0] = a == 0 or chunk[0] != last
-        keep[1:] = chunk[1:] != chunk[:-1]
-        last = chunk[-1]
-        kept = chunk[keep]
-        buf[count:count + kept.size] = kept
-        count += kept.size
-    return count
-
-
 # ---------------------------------------------------------------------------
 # coset-leader engine
 # ---------------------------------------------------------------------------
@@ -374,8 +324,9 @@ def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebne
     n * 2^(n-k), the leads are built from codewords
     (:func:`_half_subsets`); otherwise one run of
     :func:`~schubert_gb.linalg._coset_walk` yields them, layer by weight
-    layer over the cosets.  Either way :func:`_validated_masks` checks the
-    result.
+    layer over the cosets.  Either way :func:`_validated_masks` sorts the
+    result and checks it element by element.  A parsed basis file is
+    certified by rebuilding it here (:func:`_certified`).
     """
     if _former_limit is not None:
         raise TypeError("coset_engine takes no limit; set SGB_MAX_N instead")
@@ -548,7 +499,7 @@ def _rewrite_index(n: int, leads: np.ndarray, trails: np.ndarray) -> _RewriteInd
     rewrites = _distinct_rewrites(leads, trails)
     slices = -(-n // 8)
     if (slices + 1) * -(-rewrites.size // 8) < slices * -(-len(leads) // 64):
-        return _TestSet(n, rewrites, np.zeros_like(rewrites))  # the same R, as binomials r - 1
+        return _TestSet(n, rewrites)
     return _DivisorIndex(n, leads, trails)
 
 
@@ -643,7 +594,8 @@ class _DivisorIndex(_RewriteIndex):
 class _TestSet(_RewriteIndex):
     """The distinct rewrites of a binomial list, as a test-set index.
 
-    ``rewrites`` holds R, the distinct nonzero values of lead ^ trail,
+    It is made from R, the distinct nonzero values of lead ^ trail as
+    :func:`_distinct_rewrites` gives them, and ``rewrites`` holds R
     ascending in degrevlex.  Say r beats m when key(m ^ r) < key(m) in the
     mask order key(m) = (wt m, -m); with h_r and c'_r as in
     :func:`_beat_test`, r beats m exactly when popcount(m & c'_r) >= h_r.
@@ -659,9 +611,9 @@ class _TestSet(_RewriteIndex):
 
     lane, adds = 8, True
 
-    def __init__(self, n: int, leads: Iterable[int], trails: Iterable[int]):
-        r = _distinct_rewrites(leads, trails)
-        r = r[np.lexsort((~r, np.bitwise_count(r)))]  # degrevlex: lighter, then the larger mask
+    def __init__(self, n: int, rewrites: np.ndarray):
+        # degrevlex: lighter, then the larger mask
+        r = rewrites[np.lexsort((~rewrites, np.bitwise_count(rewrites)))]
         self.halves, self.inner = _beat_test(r)
         super().__init__(n, r, int(self.halves.min(initial=WORD_LIMIT + 1)))
 

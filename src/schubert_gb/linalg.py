@@ -108,9 +108,15 @@ def parity_check_of(generator: np.ndarray, p: int = 2) -> np.ndarray:
     positions.  Raises if G is not of full row rank.
     """
     R, pivots, rk = rref(generator, p)
-    k, n = R.shape
-    if rk != k:
+    if rk != R.shape[0]:
         raise ValueError("generator not full rank")
+    return _dual_of_rref(R, pivots, p)
+
+
+def _dual_of_rref(R: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
+    """:func:`parity_check_of` of a full-rank matrix R already in reduced row
+    echelon form, with its 1-based pivot columns as :func:`rref` gives them."""
+    k, n = R.shape
     non_pivots = [c for c in range(n) if c + 1 not in pivots]
     H = np.zeros((n - k, n), dtype=np.int64)
     H[range(n - k), non_pivots] = 1

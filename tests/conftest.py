@@ -5,7 +5,7 @@ import pytest
 
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
-from schubert_gb.groebner import _check_fields, _validated_masks
+from schubert_gb.groebner import _certified, _check_fields
 from schubert_gb.linalg import parity_check_of
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
@@ -104,7 +104,7 @@ def validated_masks(n, leads, trails, is_field):
     """Mask arrays and field flags through the basis checks, as parse_basis
     runs them: the field relations first, then the code binomials."""
     _check_fields(n, leads, trails, is_field)
-    return _validated_masks(n, leads[~is_field], trails[~is_field])
+    return _certified(n, leads[~is_field], trails[~is_field])
 
 
 def element_arrays(elements):

@@ -278,7 +278,9 @@ class TestDecode:
         basis = tmp_path / "wide.txt"
         basis.write_text(wide_lead_basis_text())
         code, _, err = run(capsys, "decode", "--basis", str(basis), "--word", "x1")
-        assert code == 3 and "basis reducedness check" in err
+        # the three rewrites span a [64,3] code, whose rebuild needs 2^61 cosets
+        assert code == 3 and err.count("\n") == 1
+        assert f"coset leader table needs {2**61} > {2**20} cosets" in err
 
     def test_basis_wider_than_word_limit_exit_2(self, capsys, tmp_path):
         basis = tmp_path / "n65.txt"

@@ -51,7 +51,13 @@ from schubert_gb.reference import (
 )
 from schubert_gb.validation import ENUM_ENV_VAR, EnumerationLimitError
 from schubert_gb.verify import random_codes
-from schubert_gb.words import degrevlex_key, monomial_from_string, weight
+from schubert_gb.words import (
+    degrevlex_key,
+    monomial_from_string,
+    monomial_to_string,
+    rows_of_masks,
+    weight,
+)
 
 from conftest import hamming_code, ladder_code, validated, wide_lead_basis_text
 
@@ -519,8 +525,9 @@ class TestDegenerateCodes:
     @pytest.mark.parametrize("body, message", [
         ("x2 - x3\nx1 - x3\nx3^2 - 1\nx1^2 - 1\n",
          "basis must contain exactly the 1 field relations"),
+        # the rewrites x1*x3 and x1*x2*x3 span x2, whose basis has x2 - 1
         ("x1 - x3\nx1*x2 - x3\nx2^2 - 1\nx3^2 - 1\n",
-         "lead 0x1 divides another lead: basis not reduced"),
+         "missing element x2 - 1: not the reduced basis of its code"),
     ], ids=["field_relation_beside_its_lead", "lead_x1_divides_x1x2"])
     def test_listings_refused(self, body, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -596,7 +603,8 @@ def descent_scan(m, rewrites, selector=None):
 
 def indexes(gb):
     """Both rewrite indexes of a basis, whichever its own route is."""
-    return [kind(gb.n, gb.leads, gb.trails) for kind in (groebner._DivisorIndex, groebner._TestSet)]
+    rewrites = groebner._distinct_rewrites(gb.leads, gb.trails)
+    return [groebner._DivisorIndex(gb.n, gb.leads, gb.trails), groebner._TestSet(gb.n, rewrites)]
 
 
 class TestDivisorIndex:
@@ -660,7 +668,7 @@ class TestDivisorIndex:
         # step takes
         for code in codes.values():
             rows = code.row_masks() + [r ^ s for r, s in itertools.combinations(code.row_masks(), 2)]
-            index = groebner._TestSet(code.n, rows, [0] * len(rows))
+            index = groebner._TestSet(code.n, groebner._distinct_rewrites(rows, [0] * len(rows)))
             rewrites = scan_rewrites(rows, [0] * len(rows))
             assert index.rewrites == rewrites
             rng = random.Random(code.n)
@@ -697,7 +705,7 @@ class TestDivisorIndex:
 
     def test_byte_slices_cover_n_not_a_multiple_of_eight(self, bases, small_random_codes):
         for gb in [bases["1_4"], bases["2_4"]] + [coset_engine(c) for c in small_random_codes]:
-            index = groebner._TestSet(gb.n, gb.leads, gb.trails)
+            index = groebner._TestSet(gb.n, groebner._distinct_rewrites(gb.leads, gb.trails))
             rewrites = scan_rewrites(gb.leads.tolist(), gb.trails.tolist())
             slices, lanes = -(-gb.n // 8), 8 * -(-len(rewrites) // 8)
             assert index.rewrites == rewrites
@@ -882,7 +890,7 @@ class TestBatchKernel:
         # step takes
         rng = random.Random(5)
         for n, leads, trails in self.non_groebner_lists(codes, rng):
-            index = groebner._TestSet(n, leads, trails)
+            index = groebner._TestSet(n, groebner._distinct_rewrites(leads, trails))
             words = np.array([rng.getrandbits(n) for _ in range(400)], dtype=np.uint64)
             got = groebner._reduce_many(words, index)
             assert np.array_equal(got, scalar_reduce(words, index))
@@ -1019,7 +1027,9 @@ class TestValidation:
             Binomial(mask_from_support([1, 2]), 0, "code"),
             Binomial(mask_from_support([1, 2, 3]), mask_from_support([4]), "code"),
         ]
-        with pytest.raises(ValueError, match="not reduced"):
+        # the rewrites x1*x2 and x1*x2*x3*x4 span x3*x4 too, whose basis leads with x3 - x4
+        with pytest.raises(ValueError,
+                           match="^missing element x3 - x4: not the reduced basis of its code$"):
             validated(4, elements)
 
     def test_rejects_misoriented_element(self):
@@ -1034,7 +1044,9 @@ class TestValidation:
             Binomial(mask_from_support([1, 2]), 0, "code"),
             Binomial(mask_from_support([3, 4, 5]), mask_from_support([1, 2]), "code"),
         ]
-        with pytest.raises(ValueError, match="lead 0x3 divides a trail: basis not reduced"):
+        # the rewrites span x1*x2 and x3*x4*x5, whose basis leads with x1 - x2
+        with pytest.raises(ValueError,
+                           match="^missing element x1 - x2: not the reduced basis of its code$"):
             validated(5, elements)
 
     def test_rejects_duplicate_lead(self):
@@ -1054,11 +1066,11 @@ class TestValidation:
             Binomial(mask_from_support([4]), 0, "code"),
         ]
         # ascending order puts x4 first, then x3*x4, then x1*x2*x3; the lead
-        # x4 takes x4^2 - 1 out and passes the per-element checks, but
-        # divides the lead x3*x4
+        # x4 takes x4^2 - 1 out and passes the per-element checks, and the
+        # misoriented x3*x4 - x1*x2 is named before the code is rebuilt
         with pytest.raises(ValueError, match="^basis must contain exactly the 3 field relations$"):
             validated(4, elements)
-        with pytest.raises(ValueError, match="^lead 0x8 divides another lead: basis not reduced$"):
+        with pytest.raises(ValueError, match="^element not oriented lead > trail: .*lead=12, trail=3"):
             validated(4, elements[:3] + elements[4:])
         with pytest.raises(ValueError, match="oriented.*lead=12, trail=3"):
             validated(4, elements[:-1])
@@ -1069,17 +1081,18 @@ class TestValidation:
     def test_wide_leads_hit_the_guard(self, monkeypatch):
         n, elements = parse_element_lines(wide_lead_basis_text())
         monkeypatch.setenv(ENUM_ENV_VAR, "20")
-        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+        with pytest.raises(EnumerationLimitError, match="coset leader table"):
             validated(n, elements)
 
     def test_wide_leads_refused_before_the_walk(self, monkeypatch):
         n, elements = parse_element_lines(wide_lead_basis_text())
         walked = []
-        monkeypatch.setattr(groebner, "_next_layer", lambda *args: walked.append(args))
-        # a degree-40 lead has 2^40 - 2 proper divisors other than 1
+        for route in ("_coset_walk", "_half_subset_codewords"):
+            monkeypatch.setattr(groebner, route, lambda *args: walked.append(args))
+        # the three rewrites span a [64,3] code: 2^61 cosets to rebuild it
         monkeypatch.setenv(ENUM_ENV_VAR, "24")
         with pytest.raises(EnumerationLimitError,
-                           match=f"basis reducedness check needs {2**40 - 2} > {2**24} "):
+                           match=f"coset leader table needs {2**61} > {2**24} cosets"):
             validated(n, elements)
         assert not walked
 
@@ -1107,38 +1120,14 @@ class TestValidation:
             gb = coset_engine(code)
             assert validated(gb.n, gb.elements) == gb
 
-    @pytest.mark.parametrize("exponent", [None, 9])
-    def test_layer_expansion_in_small_slices(self, monkeypatch, exponent):
-        # 8-word slices and, under a guard of 2^9, a buffer that fills and is
-        # compacted several times: the layer is still every distinct divisor
-        monkeypatch.setattr(groebner, "_SLICE_WORDS", 8)
-        if exponent is not None:
-            monkeypatch.setenv(ENUM_ENV_VAR, str(exponent))
-        fives = [sum(1 << i for i in c) for c in itertools.combinations(range(12), 5)]
-        parents = np.array(fives[::2], dtype=np.uint64)
-        seeds = np.array([0b1111, 0b1111, 0b11110000], dtype=np.uint64)
-        layer = groebner._next_layer((parents, parents[:7]), 5, seeds, 0)
-        want = sorted({int(p) ^ (1 << i) for p in parents for i in range(12) if int(p) >> i & 1}
-                      | {0b1111, 0b11110000})
-        assert layer.tolist() == want and len(want) <= 2**9
-        # under 2^8, about half the 495 divisors, the buffer fills and the
-        # guard refuses the count of a compaction
-        compactions = []
-        compact = groebner._compact
-        monkeypatch.setattr(groebner, "_compact", lambda *a: compactions.append(1) or compact(*a))
-        monkeypatch.setenv(ENUM_ENV_VAR, "8")
-        with pytest.raises(EnumerationLimitError, match="basis reducedness check needs 276 > 256 "):
-            groebner._next_layer((parents,), 5, seeds, 0)
-        assert compactions
-
     def test_wide_leads_stay_within_memory(self, monkeypatch):
-        # the check holds the distinct monomials the guard admits, a quarter
-        # more of buffer and one slice: about 10 bytes per guarded word
+        # the rebuild is refused by the coset guard before anything sized
+        # by the cosets is made: far below 12 bytes per guarded word
         n, elements = parse_element_lines(wide_lead_basis_text())
         monkeypatch.setenv(ENUM_ENV_VAR, "21")
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+            with pytest.raises(EnumerationLimitError, match="coset leader table"):
                 validated(n, elements)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1147,42 +1136,52 @@ class TestValidation:
 
     def test_check_counts_against_limit(self, monkeypatch, codes):
         gb = coset_engine(codes["2_4"])
-        monkeypatch.setenv(ENUM_ENV_VAR, "10")  # 2^10 of the check's 5,950 monomials
-        with pytest.raises(EnumerationLimitError, match="basis reducedness check"):
+        monkeypatch.setenv(ENUM_ENV_VAR, "10")  # 2^10 of the rebuild's 2^14 cosets
+        with pytest.raises(EnumerationLimitError, match="coset leader table needs 16384 > 1024 "):
             validated(gb.n, gb.elements)
 
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_closure_agrees_with_pairwise_rule(self, data):
-        gb = data.draw(st.sampled_from(_mutation_bases()))
-        n, codes = gb.n, list(gb.code_binomials)
-        mask = st.integers(0, (1 << n) - 1)
-        small = st.one_of(st.just(0), mask)
-        for _ in range(data.draw(st.integers(1, 2))):
-            i = data.draw(st.integers(0, len(codes) - 1))
-            j = data.draw(st.integers(0, len(codes) - 1))
-            lead, kind = codes[i].lead, data.draw(st.sampled_from(MUTATIONS))
-            if kind == "multiple":
-                codes.append(Binomial(lead | data.draw(mask), data.draw(small), "code"))
-            elif kind == "duplicate":
-                codes.append(Binomial(lead, codes[j].trail, "code"))
-            elif kind == "divisible_trail":
-                codes[j] = Binomial(codes[j].lead, lead | data.draw(small), "code")
-            elif kind == "single":
-                codes.append(Binomial(1 << data.draw(st.integers(0, n - 1)), data.draw(small)))
-            else:
-                codes.append(Binomial(data.draw(mask), data.draw(mask), "code"))
-        # every field relation, or those the rule keeps beside degree-1 leads
-        keep_all, leads = data.draw(st.booleans()), {b.lead for b in codes}
-        fields = [field_relation(v) for v in range(1, n + 1)
-                  if keep_all or 1 << (v - 1) not in leads]
-        expected = pairwise_verdict(n, codes, fields)
-        try:
-            validated(n, codes + fields)
-        except ValueError as exc:
-            assert expected is not None and expected in str(exc)
-        else:
-            assert expected is None
+    @settings(max_examples=200, deadline=None)
+    def test_rebuild_accepts_the_basis_and_refuses_each_fault(self, data):
+        # a random code of length at most 9, k >= 1, and its reduced basis
+        n = data.draw(st.integers(2, 9))
+        rows = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+        G, _, k = linalg.rref(rows_of_masks(np.array(rows, dtype=np.uint64), n), 2)
+        gb = coset_engine(LinearCode.from_generator(G[:k]))
+        assert parse_basis(format_basis(gb)) == gb
+        codes = list(gb.code_binomials)
+        i = data.draw(st.integers(0, len(codes) - 1))
+        lead, trail, _ = codes[i]
+        faults = {
+            "duplicated": (codes + [codes[i]], f"^lead {lead:#x} divides another lead: "),
+            "dropped": (codes[:i] + codes[i + 1:], f"^missing element {element_text(lead, trail)}: "),
+        }
+        # the trail swapped for another standard monomial below the lead
+        below = [m for m in range(1 << n) if normal_form(m, gb) == m != trail
+                 and degrevlex_key(m) < degrevlex_key(lead)]
+        if below:
+            swapped = Binomial(lead, data.draw(st.sampled_from(below)))
+            faults["swapped"] = (codes[:i] + [swapped] + codes[i + 1:], REBUILT_OTHERWISE)
+        # an extra element led by a multiple of the lead, so not a minimal
+        # lead, and rewritten to its standard monomial: the code stays
+        free = [v for v in range(n) if not lead >> v & 1]
+        if free:
+            multiple = lead | 1 << data.draw(st.sampled_from(free))
+            extra = Binomial(multiple, normal_form(multiple, gb))
+            faults["extra"] = (codes + [extra], f"^extra element {element_text(*extra[:2])}: ")
+        for kind, (mutant, message) in faults.items():
+            # the independent verdict: is the list the reduced basis, by the
+            # reference engine, of the ideal it generates?
+            want = buchberger(mutant + [field_relation(v) for v in range(1, n + 1)])
+            if list(want.code_binomials) == sorted(mutant, key=element_sort_key):
+                # a dropped or swapped element can leave the whole basis of
+                # another code, when no other rewrite held the lost codeword
+                assert kind in ("dropped", "swapped") and want != gb
+                assert certified(n, mutant) == want
+                continue
+            # the first difference is the mutation itself unless the code moved
+            with pytest.raises(ValueError, match=message if want == gb else REBUILT_OTHERWISE):
+                certified(n, mutant)
 
     def test_elements_sorted_ascending(self, bases):
         for gb in bases.values():
@@ -1190,38 +1189,20 @@ class TestValidation:
             assert keys == sorted(keys)
 
 
-MUTATIONS = ("multiple", "duplicate", "divisible_trail", "single", "random_pair")
+REBUILT_OTHERWISE = "not the reduced basis of its code$"
 
 
-@functools.cache
-def _mutation_bases():
-    """Real bases to mutate: the two 7-bit fixtures and the 25 random codes."""
-    codes = [load_code("1_4"), load_code("2_3")] + random_codes()
-    return tuple(coset_engine(code) for code in codes)
+def certified(n, codes):
+    """Code binomials through the checks of parse_basis, with the field
+    relations that their leads leave."""
+    leads = {b.lead for b in codes}
+    return validated(n, codes + [field_relation(v) for v in range(1, n + 1)
+                                 if 1 << (v - 1) not in leads])
 
 
-def pairwise_verdict(n, codes, fields):
-    """Reference for the checks of a parsed basis: lead against lead.
-
-    The field relations come first: x_v^2 - 1 belongs exactly when no code
-    lead is x_v.  Then it walks the code binomials in ascending order and
-    returns the message fragment of the first failing check (range,
-    orientation, reducedness), or None.
-    """
-    singles = {b.lead for b in codes if weight(b.lead) == 1}
-    if sorted(b.lead for b in fields) != [1 << v for v in range(n) if 1 << v not in singles]:
-        return "field relations"
-    codes = sorted(codes, key=element_sort_key)
-    for b in codes:
-        if not (0 <= b.lead < 1 << n and 0 <= b.trail < 1 << n):
-            return "out of range"
-        if degrevlex_key(b.lead) <= degrevlex_key(b.trail):
-            return f"not oriented lead > trail: {b}"
-        if sum(other.lead & b.lead == b.lead for other in codes) != 1:
-            return f"lead {b.lead:#x} divides another lead"
-        if any(other.trail & b.lead == b.lead for other in codes):
-            return f"lead {b.lead:#x} divides a trail"
-    return None
+def element_text(lead, trail):
+    """An element as the rebuild's messages name it, regex-escaped."""
+    return re.escape(f"{monomial_to_string(lead)} - {monomial_to_string(trail)}")
 
 
 class TestMaskOrderKeys:

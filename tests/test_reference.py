@@ -92,10 +92,11 @@ def test_production_test_set_index_does_not_grow():
     # cached on first use
     from functools import cached_property
 
-    from schubert_gb.groebner import _RewriteIndex, _TestSet
+    from schubert_gb.groebner import _distinct_rewrites, _RewriteIndex, _TestSet
 
     shared = {name: value for name, value in vars(_RewriteIndex).items() if not name.startswith("__")}
     assert set(shared) == {"table", "limbs", "picks", "rows"}
     assert all(isinstance(value, cached_property) for value in shared.values())
     assert {name for name in vars(_TestSet) if not name.startswith("__")} == {"lane", "adds", "_fill"}
-    assert set(vars(_TestSet(3, [3, 5], [4, 2]))) == {"n", "rewrites", "lightest", "halves", "inner"}
+    index = _TestSet(3, _distinct_rewrites([3, 5], [4, 2]))
+    assert set(vars(index)) == {"n", "rewrites", "lightest", "halves", "inner"}
