@@ -24,8 +24,8 @@ takes the cheaper by two work counts; the enumeration guard counts the
 - One layered walk over the 2^(n-k) cosets, which yields both the leaders
   and the leads (:func:`~schubert_gb.linalg._coset_walk`), for the rest.
 
-The walk is also the coset-leader table's route for high-rate codes; a
-low-rate code's table comes from a recurrence over the columns of H
+The coset-leader table of a code with n <= 57 comes from a recurrence over
+the columns of H instead, and only longer codes read it off the walk
 (:func:`~schubert_gb.linalg.build_coset_leader_table`).  The engine needs
 the leads, so it walks whenever half-subsets do not win.
 
@@ -335,7 +335,7 @@ def coset_engine(code: LinearCode, _former_limit: None = None) -> ReducedGroebne
     guard_enumeration(1 << (code.n - code.k), "coset leader table", "cosets")
     codewords = _half_subset_codewords(code)
     if codewords is None:
-        _, leads, trails = _coset_walk(code, with_leads=True)
+        _, leads, trails = _coset_walk(code)
     else:
         leads, trails = _half_subsets(codewords)
     return _validated_masks(code.n, leads, trails)

@@ -7,11 +7,10 @@ function of immutable inputs, so values can be shared freely across threads.
 All GF(p) elimination of the package runs through one batched kernel,
 :func:`_eliminate`, whose residues :func:`_residues` holds.
 
-The coset-leader table of a binary code has two routes, chosen by the code
-alone (:func:`build_coset_leader_table`): low-rate codes, k <= n - k with
-n <= 57, fold the columns of H into a per-syndrome key
-(:func:`_column_recurrence`), and the rest take the layered coset walk
-(:func:`_coset_walk`), which also yields the leads of the coset engine.
+The coset-leader table of a binary code folds the columns of H into a
+per-syndrome key (:func:`_column_recurrence`) whenever that key fits in 64
+bits, n <= 57; longer codes read it off the layered coset walk
+(:func:`_coset_walk`), which yields the leads of the coset engine.
 """
 
 from __future__ import annotations
@@ -250,21 +249,18 @@ class CosetLeaderTable:
 
 
 def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
-    """Degrevlex-minimal word of every coset, by one of two routes.
+    """Degrevlex-minimal word of every coset.
 
     The enumeration guard bounds the number of cosets, 2^(n-k), before
     anything is allocated; then a non-binary code and n - k > 32 are
-    refused, since syndromes index the table as intp.  Neither route holds
-    an array over all 2^n words.  Low-rate codes, k <= n - k with n <=
-    :data:`_RECURRENCE_MAX_N`, fold the n columns of H into a per-syndrome
-    key (:func:`_column_recurrence`): n - k doublings and k passes over
-    the table.  The rest take the layered walk (:func:`_coset_walk`), about
-    n word operations per coset in some 30 numpy calls per weight layer,
-    which on a high-rate code has fewer layers than the recurrence has
-    passes.  Both give the same table; the route depends on the code only.
+    refused, since syndromes index the table as intp.  No array spans all
+    2^n words.  Codes with n <= :data:`_RECURRENCE_MAX_N`, at any rate,
+    fold the n columns of H into a per-syndrome key
+    (:func:`_column_recurrence`); longer ones, whose key would not fit in
+    64 bits, take the table of the layered walk (:func:`_coset_walk`).
+    Both give the same table; the route depends on n only.
     """
-    low_rate = code.k <= code.n - code.k and code.n <= _RECURRENCE_MAX_N
-    leaders = _column_recurrence(code) if low_rate else _coset_walk(code)[0]
+    leaders = _column_recurrence(code) if code.n <= _RECURRENCE_MAX_N else _coset_walk(code)[0]
     return CosetLeaderTable(leaders=leaders, n=code.n, k=code.k)
 
 
@@ -333,45 +329,42 @@ def _column_recurrence(code: LinearCode) -> np.ndarray:
     return keys
 
 
-def _coset_walk(
-    code: LinearCode, with_leads: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coset-leader table, and optionally the minimal non-standard monomials.
+def _coset_walk(code: LinearCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coset-leader table and the minimal non-standard monomials.
 
     The standard monomials - one per coset, its leader - are closed under
     division, so they are found one weight layer at a time (the FGLM scheme
     for codes of Borges-Quintana, Borges-Trenard and Martinez-Moro, AAECC-16,
     LNCS 3857, 2006).  A standard u of weight w is extended only by bits j
     below its lowest set bit, so each word of weight w + 1 has one parent;
-    its syndrome is carried along.  Among the words of equal weight in a
+    its syndrome is carried along.  An extension u | x_j is made only where
+    every other divisor (u ^ bit) | x_j is standard too.  ``below[s]``
+    answers that: the bits j with leader(s) | x_j standard, recorded when
+    that word's layer is read back.  Among the words of equal weight in a
     coset that no lighter word reaches, the largest mask is the
     degrevlex-first, so a per-syndrome ``np.maximum.at`` into the
     still-uncovered entries gives each newly covered coset its leader, and
-    the next layer is read back from the table.  Parents are expanded in
-    slices of at most ``_SLICE_WORDS`` candidate extensions.
+    the next layer is read back from the table.  The extensions that do not
+    become their coset's leader are then exactly the minimal non-standard
+    monomials - the leads of the reduced basis - and the trail of each is
+    the leader of its syndrome.  Parents are expanded in slices of at most
+    ``_SLICE_WORDS`` candidate extensions.
 
-    With ``with_leads`` an extension u | x_j is made only where every other
-    divisor (u ^ bit) | x_j is standard too.  ``below[s]`` answers that: the
-    bits j with leader(s) | x_j standard, recorded when that word's layer is
-    read back.  The extensions that do not become their coset's leader are
-    then exactly the minimal non-standard monomials - the leads of the
-    reduced basis - and the trail of each is the leader of its syndrome.
     The walk runs one layer past the covering radius and returns
-    ``(leaders, leads, trails)``; without ``with_leads`` leads and trails are
-    empty.  Either way it holds at most two 2^(n-k) arrays, the current
-    layer and one slice, plus the kept extensions of the layer.
+    ``(leaders, leads, trails)``.  Besides the table and ``below`` it holds
+    the current layer and one slice, plus the kept extensions of the layer.
     """
     _check_table(code)
     n, k = code.n, code.k
     cols = np.array(code.column_syndromes, dtype=np.intp)
     leaders = np.zeros(1 << (n - k), dtype=np.uint64)
-    below = np.zeros_like(leaders) if with_leads else None
+    below = np.zeros_like(leaders)
     words, synd = np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.intp)
-    covered, w = 1, 0
+    w = 0
     leads, lead_synd = [words[:0]], [synd[:0]]
-    while words.size and (with_leads or covered < leaders.size):
+    while words.size:
         span = np.minimum(_bit_index(_lowest_bit(words)), n)  # bits below the lowest; n for 0
-        if with_leads and w:  # record each word as a standard child of its parent
+        if w:  # record each word as a standard child of its parent
             np.bitwise_or.at(below, synd ^ cols[span], _lowest_bit(words))
         ends = np.cumsum(span, dtype=np.intp)
         kids = []
@@ -380,18 +373,16 @@ def _coset_walk(
             b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _SLICE_WORDS, "right"))
             u, s = words[a:b], synd[a:b]
             allowed = _lowest_bit(u) - _ONE
-            if with_leads:  # keep the bits j where every other divisor (u ^ bit) | x_j is standard
-                rest = u.copy()
-                for _ in range(w):
-                    bit = _lowest_bit(rest)
-                    allowed &= below[s ^ cols[_bit_index(bit)]]
-                    rest ^= bit
+            rest = u.copy()
+            for _ in range(w):  # keep the j where every other divisor (u ^ bit) | x_j is standard
+                bit = _lowest_bit(rest)
+                allowed &= below[s ^ cols[_bit_index(bit)]]
+                rest ^= bit
             cand, cs = _children(u, s, span[a:b], allowed, cols)
             cur = leaders[cs]  # uncovered before this layer: empty, or filled by an earlier slice
             free = (np.bitwise_count(cur) == w + 1) | ((cur == 0) & (cs != 0))
             np.maximum.at(leaders, cs[free], cand[free])
-            if with_leads:
-                kids.append((cand, cs))
+            kids.append((cand, cs))
             a = b
         w += 1
         for cand, cs in kids:  # the children that lead no coset are minimal leads
@@ -401,7 +392,6 @@ def _coset_walk(
         del kids  # before the read-back allocates the next layer
         synd = np.flatnonzero(np.bitwise_count(leaders) == w)
         words = leaders[synd]
-        covered += synd.size
     lead = np.concatenate(leads)
     return leaders, lead, leaders[np.concatenate(lead_synd)]
 

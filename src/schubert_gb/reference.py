@@ -425,10 +425,11 @@ def scan_coset_leaders(code: LinearCode) -> np.ndarray:
 
     Each word gets the key (weight, complemented word), which orders words
     as degrevlex does; the per-syndrome minimum of that key, taken in one
-    unbuffered ``np.minimum.at`` pass, is the degrevlex coset leader.  Shares
-    nothing with the layered walk of
-    :func:`~schubert_gb.linalg.build_coset_leader_table` but the column
-    syndromes; the guard counts the 2^n words.
+    unbuffered ``np.minimum.at`` pass, is the degrevlex coset leader.  It
+    walks no coset and folds no column: with both routes of
+    :func:`~schubert_gb.linalg.build_coset_leader_table` it shares the
+    column syndromes, and with the column recurrence also this key.  The
+    guard counts the 2^n words.
     """
     n, k = code.n, code.k
     guard_enumeration(1 << n, "coset leader scan", "words")

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from schubert_gb import LinearCode, SchubertSpec, build_coset_leader_table, coset_engine
 from schubert_gb.fixtures import TAGS, load_code
 from schubert_gb.groebner import _certified, _check_fields
-from schubert_gb.linalg import parity_check_of
+from schubert_gb.linalg import parity_check_of, rref
 from schubert_gb.schubert import generator_matrix
 from schubert_gb.verify import random_codes
 
@@ -66,6 +67,31 @@ def hamming_code(r: int) -> LinearCode:
     """The [2^r - 1, 2^r - 1 - r] Hamming code: column c of H is c in binary."""
     H = np.array([[(c >> i) & 1 for c in range(1, 1 << r)] for i in range(r)])
     return LinearCode.from_generator(parity_check_of(H), 2)
+
+
+def random_systematic_code(n: int, k: int) -> LinearCode:
+    """The [n, k] code [I_k | A], with A drawn by ``np.random.default_rng(1)``."""
+    A = np.random.default_rng(1).integers(0, 2, (k, n - k))
+    return LinearCode.from_generator(np.hstack([np.eye(k, dtype=int), A]), 2)
+
+
+@functools.cache
+def unrestricted_random_codes():
+    """320 seeded random binary codes with n <= 14 and 0 <= k <= min(n, 10): k
+    rows [I | A] of any density, columns shuffled, some columns zeroed and
+    the rows then reduced to a basis of their span.  High rate, d <= 2,
+    zero columns and k = 0 are all among them."""
+    rng = np.random.default_rng(25)
+    codes = []
+    while len(codes) < 320:
+        n = int(rng.integers(1, 15))
+        k = int(rng.integers(0, min(n, 10) + 1))  # 2^k codewords, each tested against all
+        parity = rng.random((k, n - k)) < rng.uniform(0.05, 0.95)
+        rows = np.hstack([np.eye(k, dtype=int), parity])[:, rng.permutation(n)]
+        rows[:, rng.random(n) < 0.1] = 0
+        R, _, k = rref(rows, 2)
+        codes.append(LinearCode.from_generator(R[:k], 2))
+    return tuple(codes)
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,13 @@ from schubert_gb.words import (
     weight,
 )
 
-from conftest import hamming_code, ladder_code, validated, wide_lead_basis_text
+from conftest import (
+    hamming_code,
+    ladder_code,
+    unrestricted_random_codes,
+    validated,
+    wide_lead_basis_text,
+)
 
 
 def exps(mon: str, n: int):
@@ -325,7 +331,7 @@ class TestCosetWalkEngine:
 
 def walk_pairs(code):
     """The coset walk's (lead, trail) masks, ascending by lead."""
-    _, leads, trails = linalg._coset_walk(code, with_leads=True)
+    _, leads, trails = linalg._coset_walk(code)
     at = np.argsort(leads)
     return leads[at], trails[at]
 
@@ -335,25 +341,6 @@ def half_subset_pairs(code):
     leads, trails = groebner._half_subsets(code.codeword_masks()[1:])
     at = np.argsort(leads)
     return leads[at], trails[at]
-
-
-@functools.cache
-def unrestricted_random_codes():
-    """320 seeded random binary codes with n <= 14 and 0 <= k <= min(n, 10): k
-    rows [I | A] of any density, columns shuffled, some columns zeroed and
-    the rows then reduced to a basis of their span.  High rate, d <= 2,
-    zero columns and k = 0 are all among them."""
-    rng = np.random.default_rng(25)
-    codes = []
-    while len(codes) < 320:
-        n = int(rng.integers(1, 15))
-        k = int(rng.integers(0, min(n, 10) + 1))  # 2^k codewords, each tested against all
-        parity = rng.random((k, n - k)) < rng.uniform(0.05, 0.95)
-        rows = np.hstack([np.eye(k, dtype=int), parity])[:, rng.permutation(n)]
-        rows[:, rng.random(n) < 0.1] = 0
-        R, _, k = linalg.rref(rows, 2)
-        codes.append(LinearCode.from_generator(R[:k], 2))
-    return tuple(codes)
 
 
 # the full sha256 of format_basis for [31,5,16], recorded with the coset walk

@@ -24,7 +24,14 @@ from schubert_gb.reference import nn_decode, scan_coset_leaders
 from schubert_gb.verify import random_codes
 from schubert_gb.words import degrevlex_key, masks_of_rows, weight, word_from_string
 
-from conftest import A_1_4, LARGE_PRIME, hamming_code, ladder_code
+from conftest import (
+    A_1_4,
+    LARGE_PRIME,
+    hamming_code,
+    ladder_code,
+    random_systematic_code,
+    unrestricted_random_codes,
+)
 
 
 def enumerate_codeword_masks(G):
@@ -427,7 +434,7 @@ class TestCosetWalk:
         # coset first reached in one slice may get a larger leader in a later one
         monkeypatch.setattr(linalg, "_SLICE_WORDS", 64)
         for code in list(codes.values()) + random_codes()[:5] + [ladder_rungs[18]]:
-            assert (build_coset_leader_table(code).leaders == scan_coset_leaders(code)).all()
+            assert (linalg._coset_walk(code)[0] == scan_coset_leaders(code)).all()
 
     @pytest.mark.parametrize("rows, leaders", [
         ([[1, 1, 0, 1, 0], [0, 1, 0, 1, 1]], [0, 4, 8, 12, 16, 20, 2, 6]),  # zero column
@@ -444,12 +451,33 @@ class TestCosetWalk:
         assert (table.leaders == scan_coset_leaders(code)).all()
 
     @pytest.mark.parametrize("slice_words", [linalg._SLICE_WORDS, 64])
-    def test_table_mode_equals_scan_oracle(self, monkeypatch, codes, ladder_rungs, slice_words):
-        # the fixtures and rungs build their tables by the column recurrence, so
-        # the walk's table mode is checked here directly
+    def test_walk_table_equals_scan_oracle(
+        self, monkeypatch, codes, ladder_rungs, small_random_codes, slice_words
+    ):
+        # every code up to n = 57 builds its table by the column recurrence, so
+        # the walk's table is checked here directly, on the high-rate codes
+        # whose leads it still builds in coset_engine too
         monkeypatch.setattr(linalg, "_SLICE_WORDS", slice_words)
-        for code in list(codes.values()) + list(ladder_rungs.values()):
+        high_rate = [c for c in small_random_codes + random_codes() if 2 * c.k > c.n]
+        assert high_rate
+        named = list(codes.values()) + list(ladder_rungs.values()) + [hamming_code(4)]
+        for code in named + high_rate:
             assert (linalg._coset_walk(code)[0] == scan_coset_leaders(code)).all()
+
+    def test_long_code_tables_are_pinned(self, wide_code):
+        # n > 57 is the walk's alone; sha256 of the leader bytes, recorded
+        # before the column recurrence took every shorter code
+        pinned = {
+            "[60,48]": (long_code_with_few_cosets(),
+                        "f524f96f89a94bf5052b8c4cce92d5cf2eb7ade3315e8a8036c29e9be43a8be0"),
+            "[64,57]": (wide_code,
+                        "fbdda7fe64bf8d22d9f003dd6b7394e0e867127e646a43701046bc19e2f68775"),
+            "[63,57]": (hamming_code(6),
+                        "93bb71c58a01040a994b206951542b3ca48a7a5315c3a1b2579194379e95aa28"),
+        }
+        for name, (code, digest) in pinned.items():
+            leaders = build_coset_leader_table(code).leaders
+            assert hashlib.sha256(leaders.tobytes()).hexdigest() == digest, name
 
     def test_guard_counts_cosets_before_binary_check(self):
         # [155,10] is too long for masks, but the guard on its 2^145 cosets speaks first
@@ -466,6 +494,17 @@ class TestColumnRecurrence:
     def test_equals_scan_oracle(self, codes, small_random_codes):
         for code in list(codes.values()) + small_random_codes + random_codes():
             assert (linalg._column_recurrence(code) == scan_coset_leaders(code)).all()
+
+    def test_equals_scan_oracle_on_unrestricted_random_codes(self):
+        # high rate, k = 0, k = n, d <= 2 and zero columns are all among them
+        for code in unrestricted_random_codes():
+            assert (linalg._column_recurrence(code) == scan_coset_leaders(code)).all(), (
+                code.generator.tolist())
+
+    def test_high_rate_codes_equal_the_walk(self):
+        high_rate = [hamming_code(r) for r in (3, 4, 5)] + [random_systematic_code(36, 20)]
+        for code in high_rate:
+            assert np.array_equal(linalg._column_recurrence(code), linalg._coset_walk(code)[0])
 
     def test_rungs_22_and_24_equal_the_walk(self):
         for n in (22, 24):
@@ -496,19 +535,21 @@ class TestColumnRecurrence:
         assert linalg._column_recurrence(code).tolist() == leaders
         assert linalg._coset_walk(code)[0].tolist() == leaders
 
-    def test_route_depends_on_the_code(self, monkeypatch, codes, ladder_rungs):
-        def refuse(code, *args):
+    def test_route_depends_on_the_code(self, monkeypatch, codes, ladder_rungs, wide_code):
+        def refuse(code):
             raise AssertionError(f"[{code.n},{code.k}] took the wrong route")
 
-        low_rate = list(codes.values()) + list(ladder_rungs.values())
-        high_rate = [hamming_code(4), long_code_with_few_cosets()]
-        want = {id(code): linalg._coset_walk(code)[0] for code in low_rate + high_rate}
+        # the recurrence up to n = 57 at any rate; the walk only past it
+        short = list(codes.values()) + list(ladder_rungs.values())
+        short += [hamming_code(4), random_systematic_code(30, 18)]
+        long = [long_code_with_few_cosets(), wide_code]
+        want = {id(code): linalg._coset_walk(code)[0] for code in short + long}
         with monkeypatch.context() as m:
             m.setattr(linalg, "_coset_walk", refuse)
-            for code in low_rate:
+            for code in short:
                 assert np.array_equal(build_coset_leader_table(code).leaders, want[id(code)])
         monkeypatch.setattr(linalg, "_column_recurrence", refuse)
-        for code in high_rate:
+        for code in long:
             assert np.array_equal(build_coset_leader_table(code).leaders, want[id(code)])
 
     def test_rung_24_holds_two_tables(self):
